@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__, consistency, corpus, masks, model as toy, packing
 from . import quality, sampling, schedule as sched, training
-from .errors import XldaKitError
+from .errors import ConfigError, XldaKitError
 
 _SECTION_DEFAULTS: dict[str, dict[str, str]] = {
     "global": {"seed": "0", "threads": "1"},
@@ -73,7 +73,10 @@ class RunConfig:
             if not path.exists():
                 raise XldaKitError(f"no such config file: {path}")
             parser = configparser.ConfigParser()
-            parser.read(path, encoding="utf-8")
+            try:
+                parser.read(path, encoding="utf-8")
+            except (configparser.Error, UnicodeDecodeError) as exc:
+                raise ConfigError(f"malformed config file {path}: {exc}") from None
             for section in parser.sections():
                 store = self.values.setdefault(section, {})
                 for key, value in parser.items(section):
@@ -159,6 +162,16 @@ def _uniform_beta(codes: list[str]) -> dict[str, float]:
     largest = codes[0]
     beta[largest] += 1.0 - sum(beta.values())
     return beta
+
+
+def _thread_count(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _finish(args, run: RunConfig, payload: dict, text_lines: list[str]) -> int:
@@ -290,6 +303,8 @@ def _cmd_pack(args, run: RunConfig) -> int:
     report = packing.PackReport()
     sequences = list(packing.pack_stream(docs, sampler, config, report=report))
     threads = run.get_int("global", "threads")
+    if threads < 1:
+        raise ConfigError(f"[global] threads must be at least 1, got {threads}")
     packing.write_packed(args.output, sequences, config, threads=threads)
     payload = {"report": report.to_json(), "output": str(args.output)}
     text = [
@@ -586,7 +601,8 @@ def build_parser() -> _Parser:
     def common(p: _Parser):
         p.add_argument("--seed", type=int, default=None, help="global seed")
         p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
+        p.add_argument("--threads", type=_thread_count, default=None,
+                       help="worker threads (at least 1)")
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--emit-config", default=None,
                        help="write the effective config to this file")

@@ -109,9 +109,15 @@ class IngestReport:
         return len(self.errors)
 
 
+def _decode_line(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
+
+
 def _parse_line(
     line: str,
-    line_no: int,
     schema: RecordSchema,
     tokenizer: Callable[[str], Sequence[int]] | None,
 ) -> Document:
@@ -177,13 +183,15 @@ def ingest(
         raise DataError(f"no such file: {path}")
     schema = schema or RecordSchema()
     seen_ids: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    # read bytes and decode line by line, so that an invalid byte sequence
+    # is one malformed line rather than a failure of the whole file
+    with path.open("rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
-                doc = _parse_line(line, line_no, schema, tokenizer)
+                line = _decode_line(raw)
+                if not line:
+                    continue
+                doc = _parse_line(line, schema, tokenizer)
             except DataError as exc:
                 if fail_fast:
                     raise DataError(f"line {line_no}: {exc}") from exc

@@ -9,6 +9,15 @@ trunk's final hidden states.
 Everything is float64 numpy with hand-written backward passes, so analytic
 gradients can be checked against central finite differences to tight
 tolerances and runs are bit-reproducible.
+
+Attention runs over fixed tiles of ``ATTENTION_TILE`` query rows. Each tile
+scores only its key band: the key columns that some row of the tile may
+attend to in some sequence of the batch, read off the boolean mask. Causality
+ends the band at the tile's last row, and a document mask starts it at the
+earliest document the tile reaches, so under ``intra`` and ``bridge`` the
+cost follows the allowed span pairs instead of L * L. Inside a band masked
+cells are kept out of ``exp`` (see ``_band_attention``); tiles with no
+allowed cell at all are skipped.
 """
 
 from __future__ import annotations
@@ -171,8 +180,97 @@ def _rope_bwd(dy: Array, cos: Array, sin: Array) -> Array:
     return dx
 
 
-def _attention_fwd(x: Array, masks: Array, p: Mapping[str, Array], prefix: str,
-                   config: ModelConfig, cos: Array, sin: Array):
+ATTENTION_TILE = 64  # query rows per attention tile
+
+
+@dataclass(frozen=True)
+class _Band:
+    qs: int  # query rows [qs, qe)
+    qe: int
+    ks: int  # key columns [ks, ke)
+    ke: int
+    bias: Array  # [B, 1, tq, tk] float64: 0 where allowed, -inf where masked
+    keep: Array  # [B, 1, tq, tk] float64: 1 where allowed, 0 where masked
+
+
+def _key_bands(masks: Array) -> list[_Band]:
+    """Query tiles with their key bands, from a boolean [B, L, L] mask.
+
+    Tiles in which no row of any sequence may attend anywhere are left out;
+    their attention output is zero.
+    """
+    seq_len = masks.shape[-1]
+    union = masks.any(axis=0)
+    bands = []
+    for qs in range(0, seq_len, ATTENTION_TILE):
+        qe = min(qs + ATTENTION_TILE, seq_len)
+        cols = np.flatnonzero(union[qs:qe].any(axis=0))
+        if cols.size == 0:
+            continue
+        ks, ke = int(cols[0]), int(cols[-1]) + 1
+        allowed = masks[:, None, qs:qe, ks:ke]
+        bands.append(_Band(qs, qe, ks, ke,
+                           bias=np.where(allowed, 0.0, -np.inf),
+                           keep=np.where(allowed, 1.0, 0.0)))
+    return bands
+
+
+def _band_attention(qr: Array, kr: Array, vh: Array, bands: Sequence[_Band],
+                    scale: float) -> tuple[Array, list[Array]]:
+    """Masked softmax attention over key bands; returns context and weights.
+
+    Masked cells never reach ``exp`` as -inf or as an underflowing argument:
+    the shifted scores are multiplied by the 0/1 mask before ``exp`` (so a
+    masked cell becomes exp(0)) and the result by the mask again. ``exp`` is
+    several times slower on -inf and underflowing inputs than on ordinary
+    ones. The shift is the maximum over allowed cells only, so every allowed
+    argument is <= 0. Rows with no allowed key keep zero weights.
+    """
+    ctx = np.zeros(vh.shape)
+    weights = []
+    for band in bands:
+        s = qr[:, :, band.qs:band.qe] @ kr[:, :, band.ks:band.ke].swapaxes(-1, -2)
+        s *= scale
+        m = np.max(s + band.bias, axis=-1, keepdims=True)
+        m[m == -np.inf] = 0.0  # rows with nothing allowed
+        s -= m
+        s *= band.keep
+        np.exp(s, out=s)
+        s *= band.keep
+        denom = s.sum(axis=-1, keepdims=True)
+        denom[denom == 0.0] = 1.0
+        s /= denom
+        ctx[:, :, band.qs:band.qe] = s @ vh[:, :, band.ks:band.ke]
+        weights.append(s)
+    return ctx, weights
+
+
+def _band_attention_bwd(dctx: Array, ctx: Array, qr: Array, kr: Array, vh: Array,
+                        bands: Sequence[_Band], weights: Sequence[Array],
+                        scale: float) -> tuple[Array, Array, Array]:
+    """Gradients of ``_band_attention`` w.r.t. qr, kr and vh, tile by tile.
+
+    The softmax backward needs sum_k dw[q, k] * w[q, k] per row, which
+    equals dctx[q] . ctx[q]; it is taken from the context once for all rows.
+    """
+    dqr = np.zeros_like(qr)
+    dkr = np.zeros_like(kr)
+    dvh = np.zeros_like(vh)
+    row_dot = np.sum(dctx * ctx, axis=-1, keepdims=True)
+    for band, w in zip(bands, weights):
+        q_rows, k_cols = slice(band.qs, band.qe), slice(band.ks, band.ke)
+        dc = dctx[:, :, q_rows]
+        dvh[:, :, k_cols] += w.swapaxes(-1, -2) @ dc
+        dw = dc @ vh[:, :, k_cols].swapaxes(-1, -2)
+        dw -= row_dot[:, :, q_rows]
+        dw *= w  # d(scores)
+        dqr[:, :, q_rows] = (dw @ kr[:, :, k_cols]) * scale
+        dkr[:, :, k_cols] += (dw.swapaxes(-1, -2) @ qr[:, :, q_rows]) * scale
+    return dqr, dkr, dvh
+
+
+def _attention_fwd(x: Array, bands: Sequence[_Band], p: Mapping[str, Array],
+                   prefix: str, config: ModelConfig, cos: Array, sin: Array):
     b, l, d = x.shape
     h, hd = config.n_heads, config.head_dim
     q = (x @ p[f"{prefix}.wq"]).reshape(b, l, h, hd)
@@ -182,35 +280,24 @@ def _attention_fwd(x: Array, masks: Array, p: Mapping[str, Array], prefix: str,
     kr = _rope_fwd(k, cos, sin).transpose(0, 2, 1, 3)
     vh = v.transpose(0, 2, 1, 3)
     scale = 1.0 / math.sqrt(hd)
-    scores = (qr @ kr.transpose(0, 1, 3, 2)) * scale
-    mask4 = masks[:, None, :, :]
-    neg = np.where(mask4, scores, -np.inf)
-    m = np.max(neg, axis=-1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)  # rows with nothing allowed
-    e = np.exp(neg - m)
-    denom = e.sum(axis=-1, keepdims=True)
-    w = np.where(denom > 0.0, e / np.where(denom > 0.0, denom, 1.0), 0.0)
-    ctx = w @ vh  # [B, H, L, hd]
+    ctx, weights = _band_attention(qr, kr, vh, bands, scale)  # [B, H, L, hd]
     merged = ctx.transpose(0, 2, 1, 3).reshape(b, l, d)
     out = merged @ p[f"{prefix}.wo"]
-    cache = (x, qr, kr, vh, w, merged, prefix, scale)
+    cache = (x, qr, kr, vh, bands, weights, merged, prefix, scale)
     return out, cache
 
 
 def _attention_bwd(cache, dout: Array, p: Mapping[str, Array],
                    grads: dict[str, Array], config: ModelConfig,
                    cos: Array, sin: Array) -> Array:
-    x, qr, kr, vh, w, merged, prefix, scale = cache
+    x, qr, kr, vh, bands, weights, merged, prefix, scale = cache
     b, l, d = x.shape
     h, hd = config.n_heads, config.head_dim
     grads[f"{prefix}.wo"] += merged.reshape(-1, d).T @ dout.reshape(-1, d)
     dmerged = dout @ p[f"{prefix}.wo"].T
     dctx = dmerged.reshape(b, l, h, hd).transpose(0, 2, 1, 3)
-    dw = dctx @ vh.transpose(0, 1, 3, 2)
-    dvh = w.transpose(0, 1, 3, 2) @ dctx
-    dscores = w * (dw - np.sum(dw * w, axis=-1, keepdims=True))
-    dqr = (dscores @ kr) * scale
-    dkr = (dscores.transpose(0, 1, 3, 2) @ qr) * scale
+    ctx = merged.reshape(b, l, h, hd).transpose(0, 2, 1, 3)
+    dqr, dkr, dvh = _band_attention_bwd(dctx, ctx, qr, kr, vh, bands, weights, scale)
     dq = _rope_bwd(dqr.transpose(0, 2, 1, 3), cos, sin).reshape(b, l, d)
     dk = _rope_bwd(dkr.transpose(0, 2, 1, 3), cos, sin).reshape(b, l, d)
     dv = dvh.transpose(0, 2, 1, 3).reshape(b, l, d)
@@ -224,11 +311,11 @@ def _attention_bwd(cache, dout: Array, p: Mapping[str, Array],
     return dx
 
 
-def _block_fwd(x: Array, masks: Array, p: Mapping[str, Array], prefix: str,
-               config: ModelConfig, cos: Array, sin: Array):
+def _block_fwd(x: Array, bands: Sequence[_Band], p: Mapping[str, Array],
+               prefix: str, config: ModelConfig, cos: Array, sin: Array):
     eps = config.norm_eps
     a_in, c_norm1 = _rmsnorm_fwd(x, p[f"{prefix}.attn_norm_in"], eps)
-    attn, c_attn = _attention_fwd(a_in, masks, p, prefix, config, cos, sin)
+    attn, c_attn = _attention_fwd(a_in, bands, p, prefix, config, cos, sin)
     a_out, c_norm2 = _rmsnorm_fwd(attn, p[f"{prefix}.attn_norm_out"], eps)
     h = x + a_out
     f_in, c_norm3 = _rmsnorm_fwd(h, p[f"{prefix}.ffn_norm_in"], eps)
@@ -289,20 +376,20 @@ def _forward_with_cache(params: Parameters, tokens: Array, masks: Array):
     _check_tokens(tokens, cfg.vocab_size)
     b, l = tokens.shape
     cos, sin = _rope_tables(cfg, l)
+    bands = _key_bands(masks)
     x = p["embed"][tokens]  # [B, L, D]
     block_caches = []
     for i in range(cfg.n_layers):
-        x, cache = _block_fwd(x, masks, p, f"blocks.{i}", cfg, cos, sin)
+        x, cache = _block_fwd(x, bands, p, f"blocks.{i}", cfg, cos, sin)
         block_caches.append(cache)
     trunk = x
     ntp_hidden, c_ntp_norm = _rmsnorm_fwd(trunk, p["ntp_norm"], cfg.norm_eps)
     ntp_logits = ntp_hidden @ p["embed"].T
-    mtp_x, c_mtp_block = _block_fwd(trunk, masks, p, "mtp_block", cfg, cos, sin)
+    mtp_x, c_mtp_block = _block_fwd(trunk, bands, p, "mtp_block", cfg, cos, sin)
     mtp_hidden, c_mtp_norm = _rmsnorm_fwd(mtp_x, p["mtp_norm"], cfg.norm_eps)
     mtp_logits = mtp_hidden @ p["embed"].T
     cache = {
         "tokens": tokens,
-        "masks": masks,
         "cos": cos,
         "sin": sin,
         "blocks": block_caches,

@@ -274,7 +274,12 @@ class _Filler:
                     self.carry = rest  # continues at the next sequence start
                 else:
                     self.report.tokens_dropped += rest.remaining()
-            tokens[pos : pos + take] = item.doc.tokens[item.offset : item.offset + take]
+            try:
+                tokens[pos : pos + take] = item.doc.tokens[item.offset : item.offset + take]
+            except OverflowError:
+                raise DataError(
+                    f"document {item.doc.id!r} has a token id outside [0, 2**32)"
+                ) from None
             spans.append(
                 DocSpan(
                     start=pos,
@@ -296,6 +301,13 @@ class _Filler:
             )
             self.aborted_tokens += pos
             return None
+        clash = np.flatnonzero(tokens[:pos] == cfg.ignore_label)
+        if clash.size:
+            doc_id = next(s.doc_id for s in spans if s.end > clash[0])
+            raise DataError(
+                f"document {doc_id!r} has token id {cfg.ignore_label}, which is "
+                "reserved as the ignore label"
+            )
         ntp, mtp = make_labels(tokens, spans, cfg, pad_start=pos)
         seq = PackedSequence(
             tokens=tokens, spans=tuple(spans), ntp_labels=ntp,

@@ -300,3 +300,58 @@ def test_plan_stats_file_and_upsample(tmp_path, capsys):
     shares = payload["token_shares"]
     assert shares["ko"] == pytest.approx(0.3 / (0.85 + 0.3 + 0.15), rel=1e-12)
     assert sum(shares.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_invalid_utf8_line_is_skipped_by_filter(tmp_path, capsys):
+    src = tmp_path / "raw.jsonl"
+    write_corpus(src, n_en=5, n_ko=0, scores=True)
+    with src.open("ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    code, out, err = run(
+        capsys, "filter", "--input", str(src), "--output", str(tmp_path / "k.jsonl"),
+        "--keep", "1.0",
+    )
+    assert code == 0
+    assert "malformed lines skipped: 1" in out
+
+
+@pytest.mark.parametrize("bad", [0xFFFFFFFF, 2**32])
+def test_pack_token_id_outside_range_exit_2(tmp_path, capsys, bad):
+    src = tmp_path / "corpus.jsonl"
+    src.write_text('{"id":"e0","lang":"en","tokens":[1,2]}\n'
+                   f'{{"id":"k0","lang":"ko","tokens":[3,{bad}]}}\n', encoding="utf-8")
+    code, out, err = run(
+        capsys, "pack", "--input", str(src), "--output", str(tmp_path / "o.xlda"),
+        "--seq-len", "8",
+    )
+    assert code == 2
+    assert err.startswith("error: document 'k0'")
+
+
+def test_malformed_config_file_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("seed = 3\n", encoding="utf-8")  # no section header
+    code, out, err = run(capsys, "schedule", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error: malformed config file")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
+    code, out, err = run(capsys, "schedule", "--threads", threads)
+    assert code == 1
+    assert "--threads" in err and "at least 1" in err
+
+
+def test_threads_below_one_in_config_file_exit_2(tmp_path, capsys):
+    src = tmp_path / "corpus.jsonl"
+    write_corpus(src)
+    cfg = tmp_path / "threads.ini"
+    cfg.write_text("[global]\nthreads = 0\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "pack", "--input", str(src), "--output", str(tmp_path / "o.xlda"),
+        "--seq-len", "16", "--config", str(cfg),
+    )
+    assert code == 2
+    assert "threads must be at least 1" in err

@@ -199,3 +199,17 @@ def test_ingest_shards_merges_in_order(tmp_path):
     write_lines(b, ['{"id":"b1","lang":"en","tokens":[2]}'])
     docs = list(ingest_shards([a, b]))
     assert [d.id for d in docs] == ["a1", "b1"]
+
+
+def test_ingest_invalid_utf8_is_line_error(tmp_path):
+    f = tmp_path / "corpus.jsonl"
+    f.write_bytes(b'{"id":"d1","lang":"en","tokens":[1]}\n'
+                  b'\xff\xfe{"id":"d2"}\n'
+                  b'{"id":"d3","lang":"ko","tokens":[2]}\n')
+    report = IngestReport()
+    docs = list(ingest(f, report=report))
+    assert [d.id for d in docs] == ["d1", "d3"]
+    assert [e.line_no for e in report.errors] == [2]
+    assert "not valid UTF-8" in report.errors[0].message
+    with pytest.raises(DataError, match="line 2: not valid UTF-8"):
+        list(ingest(f, fail_fast=True))

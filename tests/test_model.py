@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xlda_kit import model as toy
 from xlda_kit.errors import ConfigError, DataError
-from xlda_kit.masks import MaskPolicy, MaskSpec, spans_from_lengths
+from xlda_kit.masks import MaskPolicy, MaskSpec, materialize_dense, spans_from_lengths
 from xlda_kit.packing import IGNORE_LABEL
 
 TINY = toy.ModelConfig(
@@ -218,3 +220,143 @@ def test_masked_rows_zero_attention_padding():
     tokens = np.array([1, 2, 3, 4, 0, 0, 0, 0], dtype=np.int64)
     out = toy.forward(params, tokens, spec)
     assert np.isfinite(out.ntp_logits).all()
+
+
+# --- tiled attention against the dense oracle --------------------------------
+
+
+def _dense_attention_fwd(x, masks, p, prefix, config, cos, sin):
+    """The full L x L masked softmax the tiled attention replaced."""
+    b, l, d = x.shape
+    h, hd = config.n_heads, config.head_dim
+    q = (x @ p[f"{prefix}.wq"]).reshape(b, l, h, hd)
+    k = (x @ p[f"{prefix}.wk"]).reshape(b, l, h, hd)
+    v = (x @ p[f"{prefix}.wv"]).reshape(b, l, h, hd)
+    qr = toy._rope_fwd(q, cos, sin).transpose(0, 2, 1, 3)
+    kr = toy._rope_fwd(k, cos, sin).transpose(0, 2, 1, 3)
+    vh = v.transpose(0, 2, 1, 3)
+    scale = 1.0 / math.sqrt(hd)
+    scores = (qr @ kr.transpose(0, 1, 3, 2)) * scale
+    neg = np.where(masks[:, None, :, :], scores, -np.inf)
+    m = np.max(neg, axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(neg - m)
+    denom = e.sum(axis=-1, keepdims=True)
+    w = np.where(denom > 0.0, e / np.where(denom > 0.0, denom, 1.0), 0.0)
+    merged = (w @ vh).transpose(0, 2, 1, 3).reshape(b, l, d)
+    return merged @ p[f"{prefix}.wo"], (x, qr, kr, vh, w, merged, prefix, scale)
+
+
+def _dense_attention_bwd(cache, dout, p, grads, config, cos, sin):
+    x, qr, kr, vh, w, merged, prefix, scale = cache
+    b, l, d = x.shape
+    h, hd = config.n_heads, config.head_dim
+    grads[f"{prefix}.wo"] += merged.reshape(-1, d).T @ dout.reshape(-1, d)
+    dctx = (dout @ p[f"{prefix}.wo"].T).reshape(b, l, h, hd).transpose(0, 2, 1, 3)
+    dw = dctx @ vh.transpose(0, 1, 3, 2)
+    dvh = w.transpose(0, 1, 3, 2) @ dctx
+    dscores = w * (dw - np.sum(dw * w, axis=-1, keepdims=True))
+    dqr = (dscores @ kr) * scale
+    dkr = (dscores.transpose(0, 1, 3, 2) @ qr) * scale
+    dq = toy._rope_bwd(dqr.transpose(0, 2, 1, 3), cos, sin).reshape(b, l, d)
+    dk = toy._rope_bwd(dkr.transpose(0, 2, 1, 3), cos, sin).reshape(b, l, d)
+    dv = dvh.transpose(0, 2, 1, 3).reshape(b, l, d)
+    x_flat = x.reshape(-1, d)
+    grads[f"{prefix}.wq"] += x_flat.T @ dq.reshape(-1, d)
+    grads[f"{prefix}.wk"] += x_flat.T @ dk.reshape(-1, d)
+    grads[f"{prefix}.wv"] += x_flat.T @ dv.reshape(-1, d)
+    return (dq @ p[f"{prefix}.wq"].T + dk @ p[f"{prefix}.wk"].T
+            + dv @ p[f"{prefix}.wv"].T)
+
+
+def _run_model(params, tokens, masks, labels):
+    out = toy.forward(params, tokens, masks)
+    _, grads = toy.loss_and_grads(params, tokens, masks, labels, labels[:, ::-1],
+                                  mtp_alpha=0.2)
+    return out, grads
+
+
+def _assert_matches_dense(params, tokens, masks, labels, tol=1e-12):
+    tiled_out, tiled_grads = _run_model(params, tokens, masks, labels)
+    with mock.patch.multiple(toy, _key_bands=lambda m: m,
+                             _attention_fwd=_dense_attention_fwd,
+                             _attention_bwd=_dense_attention_bwd):
+        dense_out, dense_grads = _run_model(params, tokens, masks, labels)
+    assert np.abs(tiled_out.ntp_logits - dense_out.ntp_logits).max() <= tol
+    assert np.abs(tiled_out.mtp_logits - dense_out.mtp_logits).max() <= tol
+    for name, g in dense_grads.items():
+        assert np.abs(tiled_grads[name] - g).max() <= tol, name
+
+
+@st.composite
+def _mask_batches(draw, max_len=200):
+    seq_len = draw(st.integers(1, max_len))
+    policy = draw(st.sampled_from(list(MaskPolicy)))
+    specs = []
+    for _ in range(draw(st.integers(1, 3))):
+        pad_start = draw(st.integers(0, seq_len))
+        lengths = []
+        while sum(lengths) < pad_start:
+            lengths.append(draw(st.integers(1, min(40, pad_start - sum(lengths)))))
+        codes = draw(st.lists(st.sampled_from(["en", "ko", "ja"]),
+                              min_size=len(lengths), max_size=len(lengths)))
+        specs.append(MaskSpec(policy, spans_from_lengths(lengths, codes),
+                              pad_start, seq_len))
+    return np.stack([materialize_dense(s, seq_len) for s in specs])
+
+
+@settings(max_examples=100, deadline=None)
+@given(masks=_mask_batches(), seed=st.integers(0, 2**32 - 1))
+def test_tiled_attention_matches_dense_oracle(masks, seed):
+    gen = np.random.default_rng(seed)
+    b, l, _ = masks.shape
+    params = toy.init(toy.ModelConfig(**{**TINY.__dict__, "seed": seed % 7}))
+    tokens = random_tokens(gen, TINY, b, l)
+    labels = random_tokens(gen, TINY, b, l)
+    _assert_matches_dense(params, tokens, masks, labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(masks=_mask_batches(), seed=st.integers(0, 2**32 - 1))
+def test_value_at_masked_key_leaves_output_bit_identical(masks, seed):
+    gen = np.random.default_rng(seed)
+    b, l, _ = masks.shape
+    qr, kr, vh = (gen.standard_normal((b, 2, l, 4)) for _ in range(3))
+    bands = toy._key_bands(masks)
+    base, _ = toy._band_attention(qr, kr, vh, bands, 0.5)
+    key = int(gen.integers(0, l))
+    bumped = vh.copy()
+    bumped[:, :, key] = 1e6 * gen.standard_normal((b, 2, 4))
+    out, _ = toy._band_attention(qr, kr, bumped, bands, 0.5)
+    for i in range(b):
+        for q in np.flatnonzero(~masks[i, :, key]):
+            assert out[i, :, q].tobytes() == base[i, :, q].tobytes()
+
+
+@pytest.mark.parametrize("policy", list(MaskPolicy))
+def test_tiled_attention_matches_dense_oracle_at_512(policy):
+    gen = np.random.default_rng(512)
+    specs = []
+    for pad_start in (512, 470):
+        lengths = []
+        while sum(lengths) < pad_start:
+            lengths.append(int(min(gen.integers(10, 60), pad_start - sum(lengths))))
+        codes = [("en", "ko", "ja")[i % 3] for i in range(len(lengths))]
+        specs.append(MaskSpec(policy, spans_from_lengths(lengths, codes),
+                              pad_start, 512))
+    masks = toy.masks_for(specs)
+    params = toy.init(TINY)
+    _assert_matches_dense(params, random_tokens(gen, TINY, 2, 512), masks,
+                          random_tokens(gen, TINY, 2, 512))
+
+
+def test_key_bands_skip_keys_no_row_may_attend():
+    spans = spans_from_lengths([30] * 14, ["en", "ko"] * 7)
+    spec = MaskSpec(MaskPolicy.INTRA_DOCUMENT_CAUSAL, spans, 420, 512)
+    bands = toy._key_bands(toy.masks_for([spec]))
+    # the last tile holds only padding rows, so it is left out
+    assert [(b.qs, b.qe) for b in bands] == [(i * 64, i * 64 + 64) for i in range(7)]
+    for band in bands:
+        assert band.ks == band.qs - band.qs % 30  # start of the first row's document
+        assert band.ke == min(band.qe, 420)
+    assert sum((b.qe - b.qs) * (b.ke - b.ks) for b in bands) < 512 * 512 // 4

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xlda_kit.corpus import Document, LanguageTag
-from xlda_kit.errors import ConstraintInfeasibleError
+from xlda_kit.errors import ConstraintInfeasibleError, DataError
 from xlda_kit.packing import (
     DROP_TAIL_DOC,
     IGNORE_LABEL,
@@ -243,3 +243,16 @@ def test_packed_file_thread_count_does_not_change_bytes(tmp_path):
     write_packed(p8, seqs, config, threads=8)
     assert p1.read_bytes() == p8.read_bytes()
     assert sidecar_path(p1).read_text() == sidecar_path(p8).read_text()
+
+
+@pytest.mark.parametrize("bad", [IGNORE_LABEL, 2**32, 2**70])
+def test_token_id_outside_uint32_or_ignore_label_is_data_error(bad):
+    docs = [doc("e0", EN, [1, 2, 3]), doc("k0", KO, [4, bad, 6])]
+    with pytest.raises(DataError, match="'k0'"):
+        list(pack_stream(docs, sampler(), PackerConfig(seq_len=8)))
+
+
+def test_largest_non_reserved_token_id_packs():
+    docs = [doc("e0", EN, [1, IGNORE_LABEL - 1, 3])]
+    [seq] = pack_stream(docs, sampler(beta={"en": 1.0}), PackerConfig(seq_len=8))
+    assert seq.ntp_labels[0] == IGNORE_LABEL - 1
