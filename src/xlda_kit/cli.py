@@ -21,7 +21,7 @@ from . import quality, sampling, schedule as sched, training
 from .errors import ConfigError, XldaKitError
 
 _SECTION_DEFAULTS: dict[str, dict[str, str]] = {
-    "global": {"seed": "0", "threads": "1"},
+    "global": {"seed": "0"},
     "sampler": {"alpha": "1.0", "rho": "0.0", "beta": ""},
     "packer": {
         "seq_len": "4096",
@@ -49,7 +49,7 @@ _SECTION_DEFAULTS: dict[str, dict[str, str]] = {
         "rope_theta": "100000",
         "mtp_alpha": "0.2",
     },
-    "filter": {"stage": "pretrain", "class": "english", "binarize_threshold": "3.0"},
+    "filter": {"stage": "pretrain", "class": "english"},
 }
 
 
@@ -162,16 +162,6 @@ def _uniform_beta(codes: list[str]) -> dict[str, float]:
     largest = codes[0]
     beta[largest] += 1.0 - sum(beta.values())
     return beta
-
-
-def _thread_count(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _finish(args, run: RunConfig, payload: dict, text_lines: list[str]) -> int:
@@ -302,10 +292,7 @@ def _cmd_pack(args, run: RunConfig) -> int:
     )
     report = packing.PackReport()
     sequences = list(packing.pack_stream(docs, sampler, config, report=report))
-    threads = run.get_int("global", "threads")
-    if threads < 1:
-        raise ConfigError(f"[global] threads must be at least 1, got {threads}")
-    packing.write_packed(args.output, sequences, config, threads=threads)
+    packing.write_packed(args.output, sequences, config)
     payload = {"report": report.to_json(), "output": str(args.output)}
     text = [
         f"sequences: {report.sequences}",
@@ -601,8 +588,6 @@ def build_parser() -> _Parser:
     def common(p: _Parser):
         p.add_argument("--seed", type=int, default=None, help="global seed")
         p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--threads", type=_thread_count, default=None,
-                       help="worker threads (at least 1)")
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--emit-config", default=None,
                        help="write the effective config to this file")
@@ -717,8 +702,6 @@ def dispatch(argv: list[str]) -> int:
         run = RunConfig(getattr(args, "config", None))
         if getattr(args, "seed", None) is not None:
             run.override("global", "seed", args.seed)
-        if getattr(args, "threads", None) is not None:
-            run.override("global", "threads", args.threads)
         return args.func(args, run)
     except (XldaKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

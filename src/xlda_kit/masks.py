@@ -21,12 +21,12 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .packing import DocSpan, PackedSequence
+from .packing import DocSpan, PackedSequence, check_tiling
 
 DENSE_SEQ_LEN_CAP = 8192
 
@@ -62,15 +62,7 @@ class MaskSpec:
     seq_len: int
 
     def __post_init__(self):
-        if not (0 <= self.pad_start <= self.seq_len):
-            raise DataError(f"pad_start {self.pad_start} outside [0, {self.seq_len}]")
-        pos = 0
-        for span in self.spans:
-            if span.start != pos:
-                raise DataError(f"spans do not tile [0, pad_start): gap at {pos}")
-            pos = span.end
-        if pos != self.pad_start:
-            raise DataError(f"spans cover [0, {pos}) but pad_start is {self.pad_start}")
+        check_tiling(self.spans, self.pad_start, self.seq_len)
         # precompute span lookup boundaries
         object.__setattr__(self, "_starts", tuple(s.start for s in self.spans))
 
@@ -121,12 +113,7 @@ def materialize_dense(
             f"(cap {cap}); pass force=True to override"
         )
     pos = np.arange(seq_len)
-    doc = np.full(seq_len, -1, dtype=np.int64)
-    lang = np.full(seq_len, -1, dtype=np.int64)
-    lang_ids: dict[str, int] = {}
-    for i, span in enumerate(spec.spans):
-        doc[span.start : span.end] = i
-        lang[span.start : span.end] = lang_ids.setdefault(span.lang.code, len(lang_ids))
+    doc, lang = segment_ids(spec)
     causal = pos[None, :] <= pos[:, None]
     valid = (pos[:, None] < spec.pad_start) & (pos[None, :] < spec.pad_start)
     base = causal & valid
@@ -162,14 +149,21 @@ def allowed_pair_count(spec: MaskSpec) -> int:
     return total
 
 
-def segment_ids(spec: MaskSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-position document and language ids (-1 in padding); test helper."""
-    doc = np.full(spec.seq_len, -1, dtype=np.int64)
-    lang = np.full(spec.seq_len, -1, dtype=np.int64)
-    lang_ids: dict[str, int] = {}
-    for i, span in enumerate(spec.spans):
+def segment_ids(
+    window: MaskSpec | PackedSequence, lang_ids: Mapping[str, int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-position document and language ids of a window (-1 in padding).
+
+    Documents are numbered by span index. Languages get the ids of
+    ``lang_ids`` when given; any other language is numbered from
+    ``len(lang_ids)`` up in order of first appearance.
+    """
+    ids = dict(lang_ids or {})
+    doc = np.full(window.seq_len, -1, dtype=np.int64)
+    lang = np.full(window.seq_len, -1, dtype=np.int64)
+    for i, span in enumerate(window.spans):
         doc[span.start : span.end] = i
-        lang[span.start : span.end] = lang_ids.setdefault(span.lang.code, len(lang_ids))
+        lang[span.start : span.end] = ids.setdefault(span.lang.code, len(ids))
     return doc, lang
 
 

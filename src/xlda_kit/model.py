@@ -31,7 +31,7 @@ import numpy as np
 from . import rng
 from .errors import ConfigError, DataError
 from .masks import MaskSpec, materialize_dense
-from .packing import IGNORE_LABEL
+from .packing import IGNORE_LABEL, make_labels
 
 Array = np.ndarray
 
@@ -444,12 +444,12 @@ class LossBreakdown:
     mtp_support: int
 
 
-def _ce_and_grad(logits: Array, labels: Array, ignore_label: int):
+def _ce_and_grad(logits: Array, labels: Array):
     """Mean cross entropy over non-ignored positions and its logit gradient."""
     b, l, v = logits.shape
     flat_logits = logits.reshape(-1, v)
     flat_labels = labels.reshape(-1).astype(np.int64)
-    support = flat_labels != np.int64(ignore_label)
+    support = flat_labels != np.int64(IGNORE_LABEL)
     n = int(support.sum())
     dlogits = np.zeros_like(flat_logits)
     if n == 0:
@@ -470,53 +470,13 @@ def _ce_and_grad(logits: Array, labels: Array, ignore_label: int):
     return float(ce), dlogits.reshape(b, l, v), n
 
 
-def loss(
-    output: ForwardOutput,
-    ntp_labels: Array,
-    mtp_labels: Array,
-    mtp_alpha: float,
-    ignore_label: int = IGNORE_LABEL,
-) -> LossBreakdown:
-    """Mean NTP cross entropy plus ``mtp_alpha`` times mean MTP cross entropy.
-
-    Ignored positions are excluded from both means. A track with no support
-    contributes zero; if both tracks are empty that is an error.
-    """
+def _loss_breakdown(output: ForwardOutput, ntp_labels: Array, mtp_labels: Array,
+                    mtp_alpha: float) -> tuple[LossBreakdown, Array, Array]:
+    """The loss and the gradients of its total w.r.t. both logit tensors."""
     ntp_labels = np.atleast_2d(np.asarray(ntp_labels))
     mtp_labels = np.atleast_2d(np.asarray(mtp_labels))
-    ce_ntp, _, n_ntp = _ce_and_grad(output.ntp_logits, ntp_labels, ignore_label)
-    ce_mtp, _, n_mtp = _ce_and_grad(output.mtp_logits, mtp_labels, ignore_label)
-    if n_ntp == 0 and n_mtp == 0:
-        raise DataError("empty loss support: every label is the ignore marker")
-    return LossBreakdown(
-        total=ce_ntp + mtp_alpha * ce_mtp,
-        ntp=ce_ntp,
-        mtp=ce_mtp,
-        ntp_support=n_ntp,
-        mtp_support=n_mtp,
-    )
-
-
-def loss_and_grads(
-    params: Parameters,
-    tokens: Array,
-    masks: Array,
-    ntp_labels: Array,
-    mtp_labels: Array,
-    mtp_alpha: float,
-    ignore_label: int = IGNORE_LABEL,
-) -> tuple[LossBreakdown, dict[str, Array]]:
-    """Forward, loss, and full analytic parameter gradients."""
-    cfg = params.config
-    p = params.tensors
-    tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
-    ntp_labels = np.atleast_2d(np.asarray(ntp_labels))
-    mtp_labels = np.atleast_2d(np.asarray(mtp_labels))
-    if masks.ndim == 2:
-        masks = masks[None, :, :]
-    out, cache = _forward_with_cache(params, tokens, masks)
-    ce_ntp, dntp_logits, n_ntp = _ce_and_grad(out.ntp_logits, ntp_labels, ignore_label)
-    ce_mtp, dmtp_logits, n_mtp = _ce_and_grad(out.mtp_logits, mtp_labels, ignore_label)
+    ce_ntp, dntp_logits, n_ntp = _ce_and_grad(output.ntp_logits, ntp_labels)
+    ce_mtp, dmtp_logits, n_mtp = _ce_and_grad(output.mtp_logits, mtp_labels)
     if n_ntp == 0 and n_mtp == 0:
         raise DataError("empty loss support: every label is the ignore marker")
     breakdown = LossBreakdown(
@@ -526,7 +486,42 @@ def loss_and_grads(
         ntp_support=n_ntp,
         mtp_support=n_mtp,
     )
-    dmtp_logits = dmtp_logits * mtp_alpha
+    return breakdown, dntp_logits, dmtp_logits * mtp_alpha
+
+
+def loss(
+    output: ForwardOutput,
+    ntp_labels: Array,
+    mtp_labels: Array,
+    mtp_alpha: float,
+) -> LossBreakdown:
+    """Mean NTP cross entropy plus ``mtp_alpha`` times mean MTP cross entropy.
+
+    Positions labelled ``IGNORE_LABEL`` are excluded from both means. A track
+    with no support contributes zero; if both tracks are empty that is an
+    error.
+    """
+    return _loss_breakdown(output, ntp_labels, mtp_labels, mtp_alpha)[0]
+
+
+def loss_and_grads(
+    params: Parameters,
+    tokens: Array,
+    masks: Array,
+    ntp_labels: Array,
+    mtp_labels: Array,
+    mtp_alpha: float,
+) -> tuple[LossBreakdown, dict[str, Array]]:
+    """Forward, loss, and full analytic parameter gradients."""
+    cfg = params.config
+    p = params.tensors
+    tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
+    if masks.ndim == 2:
+        masks = masks[None, :, :]
+    out, cache = _forward_with_cache(params, tokens, masks)
+    breakdown, dntp_logits, dmtp_logits = _loss_breakdown(
+        out, ntp_labels, mtp_labels, mtp_alpha
+    )
 
     grads = {name: np.zeros_like(t) for name, t in p.items()}
     cos, sin = cache["cos"], cache["sin"]
@@ -583,12 +578,9 @@ def _grad_check_batch(config: ModelConfig, gen: np.random.Generator):
         MaskSpec(MaskPolicy.INTRA_DOCUMENT_CAUSAL, spans, seq_len, seq_len),
     ]
     masks = np.stack([materialize_dense(s, seq_len) for s in specs])
-    ign = np.int64(IGNORE_LABEL)
-    ntp = np.full((b, seq_len), ign, dtype=np.int64)
-    mtp = np.full((b, seq_len), ign, dtype=np.int64)
-    for start, end in ((0, cut), (cut, seq_len)):
-        ntp[:, start : end - 1] = tokens[:, start + 1 : end]
-        mtp[:, start : end - 2] = tokens[:, start + 2 : end]
+    labels = [make_labels(row, spans, seq_len) for row in tokens]
+    ntp = np.stack([n for n, _ in labels]).astype(np.int64)
+    mtp = np.stack([m for _, m in labels]).astype(np.int64)
     return tokens, masks, ntp, mtp
 
 
@@ -626,9 +618,7 @@ def grad_check(
 
     def loss_only() -> float:
         out, _ = _forward_with_cache(params, tokens, masks)
-        ce_ntp, _, _ = _ce_and_grad(out.ntp_logits, ntp, IGNORE_LABEL)
-        ce_mtp, _, _ = _ce_and_grad(out.mtp_logits, mtp, IGNORE_LABEL)
-        return ce_ntp + mtp_alpha * ce_mtp
+        return loss(out, ntp, mtp, mtp_alpha).total
 
     per_tensor: dict[str, float] = {}
     skipped: list[str] = []

@@ -1,7 +1,9 @@
 """Assemble sampled documents into fixed-length packed sequences.
 
-Each packed sequence is a fixed-length token buffer tiled by document spans,
-with next-token and second-next-token label tracks. Sequences flagged by the
+A packed sequence is a fixed-length token buffer plus the span table that
+tiles its non-pad prefix with document fragments. Everything else about the
+window (next-token and second-next-token labels, attention masks, segment
+ids) is derived from those two. Sequences flagged by the
 sampler must contain at least two distinct languages; the packer enforces
 that by forcing a cross-lingual draw as soon as a flagged sequence would
 otherwise close with a single language, reserving the final slot if needed.
@@ -17,17 +19,17 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import rng
-from .corpus import Document, LanguageTag, default_language_class, stats as corpus_stats
+from .corpus import Document, LanguageTag, stats as corpus_stats
 from .errors import ConfigError, ConstraintInfeasibleError, DataError
-from .sampling import SamplerConfig, constraint_flag, language_distribution
+from .sampling import SamplerConfig, categorical_draw, constraint_flag, language_distribution
 
 SPLIT_ACROSS_SEQUENCES = "split_across_sequences"
 DROP_TAIL_DOC = "drop_tail_doc"
@@ -35,7 +37,7 @@ DROP_TAIL_DOC = "drop_tail_doc"
 IGNORE_LABEL = 0xFFFFFFFF
 
 _MAGIC = b"XLDA"
-_VERSION = 1
+_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class PackerConfig:
     seq_len: int = 4096
     split_policy: str = SPLIT_ACROSS_SEQUENCES
     pad_token: int = 0
-    ignore_label: int = IGNORE_LABEL
     cross_doc_labels: bool = False
 
     def __post_init__(self):
@@ -71,29 +72,50 @@ class PackerConfig:
             raise ConfigError(f"unknown split_policy: {self.split_policy!r}")
 
 
+def check_tiling(spans: Sequence[DocSpan], pad_start: int, seq_len: int) -> None:
+    """Require ``spans`` to tile ``[0, pad_start)`` exactly, inside the window."""
+    if not (0 <= pad_start <= seq_len):
+        raise DataError(f"pad_start {pad_start} outside [0, {seq_len}]")
+    pos = 0
+    for span in spans:
+        if span.start != pos:
+            raise DataError(f"spans do not tile [0, pad_start): gap/overlap at {pos}")
+        pos = span.end
+    if pos != pad_start:
+        raise DataError(f"spans cover [0, {pos}) but pad_start is {pad_start}")
+
+
 @dataclass
 class PackedSequence:
+    """One packed window: tokens plus the span table tiling ``[0, pad_start)``.
+
+    The NTP/MTP label tracks are not stored: they are derived once, on first
+    use, by ``make_labels`` from the tokens, the spans and
+    ``cross_doc_labels``, and are read-only.
+    """
+
     tokens: np.ndarray  # uint32[seq_len]
     spans: tuple[DocSpan, ...]
-    ntp_labels: np.ndarray  # uint32[seq_len], ignore_label where no target
-    mtp_labels: np.ndarray
     pad_start: int
+    cross_doc_labels: bool = False
 
     def __post_init__(self):
-        seq_len = len(self.tokens)
-        if not (0 <= self.pad_start <= seq_len):
-            raise DataError(f"pad_start {self.pad_start} outside [0, {seq_len}]")
-        pos = 0
-        for span in self.spans:
-            if span.start != pos:
-                raise DataError(f"spans do not tile: gap/overlap at {span.start}")
-            pos = span.end
-        if pos != self.pad_start:
-            raise DataError(f"spans cover [0, {pos}) but pad_start is {self.pad_start}")
+        check_tiling(self.spans, self.pad_start, len(self.tokens))
 
     @property
     def seq_len(self) -> int:
         return len(self.tokens)
+
+    @cached_property
+    def _labels(self) -> tuple[np.ndarray, np.ndarray]:
+        labels = make_labels(self.tokens, self.spans, self.pad_start, self.cross_doc_labels)
+        for track in labels:
+            track.flags.writeable = False
+        return labels
+
+    # uint32[seq_len] next-token and second-next-token targets
+    ntp_labels = property(lambda self: self._labels[0])
+    mtp_labels = property(lambda self: self._labels[1])
 
     def languages(self) -> set[str]:
         return {span.lang.code for span in self.spans}
@@ -102,33 +124,28 @@ class PackedSequence:
 def make_labels(
     tokens: np.ndarray,
     spans: Sequence[DocSpan],
-    config: PackerConfig,
-    pad_start: int | None = None,
+    pad_start: int,
+    cross_doc_labels: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Next-token and second-next-token targets for a packed buffer.
 
     By default targets stay inside their document: positions whose target
-    would cross a span boundary get the ignore label, as does everything at
+    would cross a span boundary get ``IGNORE_LABEL``, as does everything at
     or past ``pad_start``. With ``cross_doc_labels`` targets run through the
     whole non-pad region regardless of document boundaries.
     """
     seq_len = len(tokens)
-    if pad_start is None:
-        pad_start = spans[-1].end if spans else 0
-    ign = config.ignore_label
-    ntp = np.full(seq_len, ign, dtype=np.uint32)
-    mtp = np.full(seq_len, ign, dtype=np.uint32)
-    if config.cross_doc_labels:
-        if pad_start >= 2:
-            ntp[: pad_start - 1] = tokens[1:pad_start]
-        if pad_start >= 3:
-            mtp[: pad_start - 2] = tokens[2:pad_start]
-        return ntp, mtp
-    for span in spans:
-        if len(span) >= 2:
-            ntp[span.start : span.end - 1] = tokens[span.start + 1 : span.end]
-        if len(span) >= 3:
-            mtp[span.start : span.end - 2] = tokens[span.start + 2 : span.end]
+    ntp = np.full(seq_len, IGNORE_LABEL, dtype=np.uint32)
+    mtp = np.full(seq_len, IGNORE_LABEL, dtype=np.uint32)
+    if cross_doc_labels:
+        ranges = [(0, pad_start)]
+    else:
+        ranges = [(span.start, span.end) for span in spans]
+    for start, end in ranges:
+        if end - start >= 2:
+            ntp[start : end - 1] = tokens[start + 1 : end]
+        if end - start >= 3:
+            mtp[start : end - 2] = tokens[start + 2 : end]
     return ntp, mtp
 
 
@@ -162,24 +179,6 @@ class _QueueItem:
 def _doc_hash(doc_id: str) -> int:
     digest = hashlib.blake2b(doc_id.encode("utf-8"), digest_size=8).digest()
     return struct.unpack("<Q", digest)[0]
-
-
-def _restricted_draw(
-    dist: Mapping[str, float], pool: Sequence[str], gen: np.random.Generator
-) -> str:
-    """Categorical draw over ``pool``, renormalized; uniform if mass is zero."""
-    weights = [max(0.0, float(dist.get(code, 0.0))) for code in pool]
-    total = sum(weights)
-    if total <= 0.0:
-        weights = [1.0] * len(pool)
-        total = float(len(pool))
-    u = float(gen.random()) * total
-    acc = 0.0
-    for code, w in zip(pool, weights):
-        acc += w
-        if u < acc:
-            return code
-    return pool[-1]
 
 
 class _Filler:
@@ -242,7 +241,7 @@ class _Filler:
                         return None
                 else:
                     pool = avail
-                code = _restricted_draw(self.dist, pool, gen)
+                code = categorical_draw(self.dist, pool, gen)
                 item = self.queues[code].popleft()
                 if item.piece == 0 and item.offset == 0:
                     self.report.documents_consumed += 1
@@ -301,18 +300,15 @@ class _Filler:
             )
             self.aborted_tokens += pos
             return None
-        clash = np.flatnonzero(tokens[:pos] == cfg.ignore_label)
+        clash = np.flatnonzero(tokens[:pos] == IGNORE_LABEL)
         if clash.size:
             doc_id = next(s.doc_id for s in spans if s.end > clash[0])
             raise DataError(
-                f"document {doc_id!r} has token id {cfg.ignore_label}, which is "
+                f"document {doc_id!r} has token id {IGNORE_LABEL}, which is "
                 "reserved as the ignore label"
             )
-        ntp, mtp = make_labels(tokens, spans, cfg, pad_start=pos)
-        seq = PackedSequence(
-            tokens=tokens, spans=tuple(spans), ntp_labels=ntp,
-            mtp_labels=mtp, pad_start=pos,
-        )
+        seq = PackedSequence(tokens=tokens, spans=tuple(spans), pad_start=pos,
+                             cross_doc_labels=cfg.cross_doc_labels)
         self.report.sequences += 1
         self.report.tokens_packed += pos
         if len(langs) >= 2:
@@ -384,132 +380,148 @@ def pack_stream(
 
 
 # ---------------------------------------------------------------------------
-# Packed-batch binary file format
+# Packed-batch binary file format, version 2 (all integers little-endian)
 #
-# little-endian header: magic "XLDA", version u32, seq_len u32, count u64
+# header: magic "XLDA", version u32 (= 2), seq_len u32, count u64,
+#         cross_doc_labels u8 (0 or 1), language count u16,
+#         per language: code (u8 length + UTF-8), class (u8 length + UTF-8)
 # per sequence: tokens u32[seq_len], pad_start u32, span_count u32,
-#               spans (start u32, end u32, lang_idx u16, doc_hash u64)*,
-#               ntp u32[seq_len], mtp u32[seq_len]
-# sidecar <path>.langs: one "idx\tcode\tclass" line per language index
+#               spans (start u32, end u32, lang_idx u16, doc_hash u64)*
+# Labels (from tokens, spans and cross_doc_labels) and the pad token
+# (tokens[pad_start:]) are not stored. Version 1 files are not read.
 # ---------------------------------------------------------------------------
+
+_PREFIX = struct.Struct("<4sI")  # magic, version
+_HEADER = struct.Struct("<IQBH")  # seq_len, count, cross_doc_labels, languages
+_RECORD = struct.Struct("<II")  # pad_start, span_count
+_LENGTH = struct.Struct("<B")
+_TOKENS = np.dtype("<u4")
+_SPANS = np.dtype([("start", "<u4"), ("end", "<u4"), ("lang", "<u2"), ("doc", "<u8")])
+
+
+def _short_text(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    return _LENGTH.pack(len(raw)) + raw
 
 
 def _encode_sequence(seq: PackedSequence, lang_index: Mapping[str, int]) -> bytes:
-    parts = [seq.tokens.astype("<u4").tobytes()]
-    parts.append(struct.pack("<II", seq.pad_start, len(seq.spans)))
-    for span in seq.spans:
-        parts.append(
-            struct.pack(
-                "<IIHQ",
-                span.start,
-                span.end,
-                lang_index[span.lang.code],
-                _doc_hash(span.doc_id),
-            )
-        )
-    parts.append(seq.ntp_labels.astype("<u4").tobytes())
-    parts.append(seq.mtp_labels.astype("<u4").tobytes())
-    return b"".join(parts)
-
-
-def sidecar_path(path: str | Path) -> Path:
-    return Path(str(path) + ".langs")
+    spans = np.array(
+        [(s.start, s.end, lang_index[s.lang.code], _doc_hash(s.doc_id)) for s in seq.spans],
+        dtype=_SPANS,
+    )
+    return b"".join((
+        seq.tokens.astype(_TOKENS).tobytes(),
+        _RECORD.pack(seq.pad_start, len(seq.spans)),
+        spans.tobytes(),
+    ))
 
 
 def write_packed(
-    path: str | Path,
-    sequences: Iterable[PackedSequence],
-    config: PackerConfig,
-    threads: int = 1,
+    path: str | Path, sequences: Iterable[PackedSequence], config: PackerConfig
 ) -> int:
-    """Write sequences to the packed-batch binary format. Returns the count.
+    """Write sequences to the packed-batch format (version 2). Returns the count.
 
-    With ``threads > 1`` the per-sequence encoding is farmed out to a thread
-    pool; results are written in sequence-index order either way, so the
-    output bytes do not depend on the worker count.
+    Every sequence must have the config's ``seq_len`` and ``cross_doc_labels``,
+    since the file records both once, in its header.
     """
-    path = Path(path)
     seqs = list(sequences)
-    lang_codes: dict[str, str] = {}
+    tags: dict[str, LanguageTag] = {}
     for seq in seqs:
+        if (seq.seq_len, seq.cross_doc_labels) != (config.seq_len, config.cross_doc_labels):
+            raise ConfigError("a sequence's seq_len or cross_doc_labels differs from the config")
         for span in seq.spans:
-            lang_codes.setdefault(span.lang.code, span.lang.lang_class)
-    ordered = sorted(lang_codes)
-    lang_index = {code: i for i, code in enumerate(ordered)}
-    if threads > 1 and seqs:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blobs = list(pool.map(lambda s: _encode_sequence(s, lang_index), seqs))
-    else:
-        blobs = [_encode_sequence(s, lang_index) for s in seqs]
-    with path.open("wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIQ", _VERSION, config.seq_len, len(seqs)))
-        for blob in blobs:
-            fh.write(blob)
-    with sidecar_path(path).open("w", encoding="utf-8") as fh:
-        for code in ordered:
-            fh.write(f"{lang_index[code]}\t{code}\t{lang_codes[code]}\n")
+            tags.setdefault(span.lang.code, span.lang)
+    codes = sorted(tags)
+    lang_index = {code: i for i, code in enumerate(codes)}
+    with Path(path).open("wb") as fh:
+        fh.write(_PREFIX.pack(_MAGIC, _VERSION))
+        fh.write(_HEADER.pack(config.seq_len, len(seqs), config.cross_doc_labels, len(codes)))
+        for code in codes:
+            fh.write(_short_text(code) + _short_text(tags[code].lang_class))
+        for seq in seqs:
+            fh.write(_encode_sequence(seq, lang_index))
     return len(seqs)
 
 
+class _Cursor:
+    """Bounds-checked reads over the bytes of a packed-batch file."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def remaining(self) -> int:
+        return len(self.data) - self.pos
+
+    def _take(self, n: int) -> int:
+        if n > self.remaining():
+            raise DataError("file ends early (truncated)")
+        start = self.pos
+        self.pos += n
+        return start
+
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack_from(self.data, self._take(fmt.size))
+
+    def array(self, dtype: np.dtype, count: int) -> np.ndarray:
+        return np.frombuffer(self.data, dtype, count, self._take(count * dtype.itemsize))
+
+    def text(self) -> str:
+        (n,) = self.unpack(_LENGTH)
+        start = self._take(n)
+        try:
+            return self.data[start : start + n].decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError("language table entry is not UTF-8") from None
+
+
+def _read_sequence(cur: _Cursor, seq_len: int, tags: Sequence[LanguageTag],
+                   cross_doc_labels: bool) -> PackedSequence:
+    tokens = cur.array(_TOKENS, seq_len).copy()
+    pad_start, span_count = cur.unpack(_RECORD)
+    if span_count > seq_len:
+        raise DataError(f"span count {span_count} above seq_len {seq_len}")
+    spans = []
+    for start, end, lang, doc in cur.array(_SPANS, span_count).tolist():
+        if lang >= len(tags):
+            raise DataError(f"language index {lang} missing from the language table")
+        spans.append(DocSpan(start=start, end=end, lang=tags[lang], doc_id=f"h{doc:016x}"))
+    seq = PackedSequence(tokens, tuple(spans), pad_start, cross_doc_labels)
+    if (tokens[:pad_start] == IGNORE_LABEL).any():
+        raise DataError(f"token id {IGNORE_LABEL} is reserved as the ignore label")
+    return seq
+
+
 def read_packed(path: str | Path) -> tuple[list[PackedSequence], PackerConfig]:
-    """Read a packed-batch file back into memory, resolving the sidecar."""
+    """Read a packed-batch file back into memory.
+
+    Returns the sequences and a ``PackerConfig`` with the file's ``seq_len``
+    and ``cross_doc_labels`` (so derived labels match the packer's). Any
+    malformed file raises ``DataError``.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    side = sidecar_path(path)
-    if not side.exists():
-        raise DataError(f"missing language sidecar: {side}")
-    tags: dict[int, LanguageTag] = {}
-    with side.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) == 3:
-                idx, code, lang_class = parts
-            elif len(parts) == 2:
-                idx, code = parts
-                lang_class = default_language_class(code)
-            else:
-                raise DataError(f"malformed sidecar line: {line!r}")
-            tags[int(idx)] = LanguageTag(code=code, lang_class=lang_class)
-
-    with path.open("rb") as fh:
-        header = fh.read(4 + 4 + 4 + 8)
-        if len(header) < 20 or header[:4] != _MAGIC:
-            raise DataError(f"not a packed-batch file: {path}")
-        version, seq_len, count = struct.unpack("<IIQ", header[4:])
-        if version != _VERSION:
-            raise DataError(f"unsupported packed-batch version {version}")
-        sequences = []
-        for _ in range(count):
-            tokens = np.frombuffer(fh.read(4 * seq_len), dtype="<u4").copy()
-            pad_start, span_count = struct.unpack("<II", fh.read(8))
-            spans = []
-            for _ in range(span_count):
-                start, end, lang_idx, _doc = struct.unpack("<IIHQ", fh.read(18))
-                if lang_idx not in tags:
-                    raise DataError(f"sidecar does not define lang_idx {lang_idx}")
-                spans.append(
-                    DocSpan(
-                        start=start,
-                        end=end,
-                        lang=tags[lang_idx],
-                        doc_id=f"h{_doc:016x}",
-                        piece_index=0,
-                    )
-                )
-            ntp = np.frombuffer(fh.read(4 * seq_len), dtype="<u4").copy()
-            mtp = np.frombuffer(fh.read(4 * seq_len), dtype="<u4").copy()
-            sequences.append(
-                PackedSequence(
-                    tokens=tokens,
-                    spans=tuple(spans),
-                    ntp_labels=ntp,
-                    mtp_labels=mtp,
-                    pad_start=pad_start,
-                )
-            )
-    return sequences, PackerConfig(seq_len=seq_len)
+    data = path.read_bytes()
+    if len(data) < _PREFIX.size or data[:4] != _MAGIC:
+        raise DataError(f"not a packed-batch file: {path}")
+    cur = _Cursor(data)
+    _, version = cur.unpack(_PREFIX)
+    if version != _VERSION:
+        raise DataError(
+            f"{path} is packed-batch version {version}; only version {_VERSION} "
+            "can be read: re-pack the corpus with `xlda-kit pack`"
+        )
+    try:
+        seq_len, count, cross_doc, n_langs = cur.unpack(_HEADER)
+        if seq_len < 8 or cross_doc > 1:
+            raise DataError(f"bad header (seq_len {seq_len}, cross_doc_labels {cross_doc})")
+        tags = [LanguageTag(code=cur.text(), lang_class=cur.text()) for _ in range(n_langs)]
+        if count * (_TOKENS.itemsize * seq_len + _RECORD.size) > cur.remaining():
+            raise DataError(f"file ends early (truncated): header says {count} sequences")
+        sequences = [_read_sequence(cur, seq_len, tags, bool(cross_doc)) for _ in range(count)]
+        if cur.remaining():
+            raise DataError(f"{cur.remaining()} trailing bytes after {count} sequences")
+    except DataError as exc:
+        raise DataError(f"corrupt packed-batch file {path}: {exc}") from None
+    return sequences, PackerConfig(seq_len=seq_len, cross_doc_labels=bool(cross_doc))

@@ -10,7 +10,6 @@ ascending document id for determinism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Document, SCORE_MAX, SCORE_MIN
@@ -30,21 +29,6 @@ _PRESETS = {
 }
 
 DEFAULT_BINARIZE_THRESHOLD = 3.0
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Keep fraction, binarization threshold, and stage label for one run."""
-
-    keep_fraction: float
-    binarize_threshold: float = DEFAULT_BINARIZE_THRESHOLD
-    stage: str = "pretrain"
-
-    def __post_init__(self):
-        if not (0.0 < self.keep_fraction <= 1.0):
-            raise ConfigError(f"keep_fraction must be in (0, 1]: {self.keep_fraction}")
-        if self.stage not in STAGES:
-            raise ConfigError(f"stage must be one of {STAGES}: {self.stage!r}")
 
 
 def stage_preset(stage: str, lang_class: str) -> float:

@@ -14,7 +14,7 @@ languages (enforcement lives in the packer).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -110,13 +110,22 @@ def language_distribution(
     return dist
 
 
-def _categorical(dist_items: list[tuple[str, float]], u: float) -> str:
+def categorical_draw(
+    dist: Mapping[str, float], pool: Sequence[str], gen: np.random.Generator
+) -> str:
+    """Categorical draw over ``pool``, renormalized; uniform if mass is zero."""
+    weights = [max(0.0, float(dist.get(code, 0.0))) for code in pool]
+    total = sum(weights)
+    if total <= 0.0:
+        weights = [1.0] * len(pool)
+        total = float(len(pool))
+    u = float(gen.random()) * total
     acc = 0.0
-    for code, p in dist_items:
-        acc += p
+    for code, w in zip(pool, weights):
+        acc += w
         if u < acc:
             return code
-    return dist_items[-1][0]
+    return pool[-1]
 
 
 def draw_language(
@@ -125,11 +134,11 @@ def draw_language(
     """Draw number ``index`` from the categorical distribution.
 
     Each index is an independent counter-based stream, so draws can be made
-    out of order or in parallel and still match a serial run.
+    out of order or in parallel and still match a serial run. It is the
+    packer's draw over all languages in sorted order.
     """
     gen = rng.stream(config.seed, rng.STREAM_LANGUAGE, index)
-    items = sorted(distribution.items())
-    return _categorical(items, float(gen.random()))
+    return categorical_draw(distribution, sorted(distribution), gen)
 
 
 def constraint_flags(config: SamplerConfig, n_sequences: int) -> np.ndarray:

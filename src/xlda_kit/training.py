@@ -16,7 +16,7 @@ from . import model as toy
 from . import rng
 from .corpus import Document, LanguageTag
 from .errors import ConfigError, TrainingDivergedError
-from .masks import MaskPolicy, MaskSpec, materialize_dense
+from .masks import MaskPolicy, MaskSpec, materialize_dense, segment_ids
 from .packing import (
     IGNORE_LABEL,
     DocSpan,
@@ -71,56 +71,49 @@ class Batch:
     real_tokens: int
 
 
+def _window(seq: PackedSequence, policy: MaskPolicy) -> tuple:
+    """One window's tokens, dense mask, NTP and MTP labels, and real tokens."""
+    return (
+        seq.tokens.astype(np.int64),
+        materialize_dense(MaskSpec.for_sequence(seq, policy), seq.seq_len),
+        seq.ntp_labels.astype(np.int64),
+        seq.mtp_labels.astype(np.int64),
+        seq.pad_start,
+    )
+
+
+def _stack(windows: Sequence[tuple]) -> Batch:
+    tokens, masks, ntp, mtp, real = zip(*windows)
+    return Batch(tokens=np.stack(tokens), masks=np.stack(masks), ntp=np.stack(ntp),
+                 mtp=np.stack(mtp), real_tokens=int(sum(real)))
+
+
 def batch_from_sequences(
     seqs: Sequence[PackedSequence], policy: MaskPolicy
 ) -> Batch:
-    tokens = np.stack([s.tokens.astype(np.int64) for s in seqs])
-    masks = np.stack(
-        [
-            materialize_dense(MaskSpec.for_sequence(s, policy), s.seq_len)
-            for s in seqs
-        ]
-    )
-    ntp = np.stack([s.ntp_labels.astype(np.int64) for s in seqs])
-    mtp = np.stack([s.mtp_labels.astype(np.int64) for s in seqs])
-    return Batch(
-        tokens=tokens,
-        masks=masks,
-        ntp=ntp,
-        mtp=mtp,
-        real_tokens=int(sum(s.pad_start for s in seqs)),
-    )
+    return _stack([_window(s, policy) for s in seqs])
 
 
 def cycle_batches(
     seqs: Sequence[PackedSequence], policy: MaskPolicy, batch_sequences: int
 ) -> Iterator[Batch]:
-    """Deterministic wrap-around batching over a fixed sequence list."""
+    """Deterministic wrap-around batching over a fixed sequence list.
+
+    Each window's arrays are built when a batch first needs them and reused
+    when the cursor wraps around to it again.
+    """
     if not seqs:
         raise ConfigError("no packed sequences to train on")
     n = len(seqs)
-    # materialize each sequence's mask once
-    prebuilt = [
-        (
-            s.tokens.astype(np.int64),
-            materialize_dense(MaskSpec.for_sequence(s, policy), s.seq_len),
-            s.ntp_labels.astype(np.int64),
-            s.mtp_labels.astype(np.int64),
-            s.pad_start,
-        )
-        for s in seqs
-    ]
+    built: dict[int, tuple] = {}
     cursor = 0
     while True:
-        picks = [prebuilt[(cursor + j) % n] for j in range(batch_sequences)]
+        picks = [(cursor + j) % n for j in range(batch_sequences)]
         cursor = (cursor + batch_sequences) % n
-        yield Batch(
-            tokens=np.stack([p[0] for p in picks]),
-            masks=np.stack([p[1] for p in picks]),
-            ntp=np.stack([p[2] for p in picks]),
-            mtp=np.stack([p[3] for p in picks]),
-            real_tokens=int(sum(p[4] for p in picks)),
-        )
+        for i in picks:
+            if i not in built:
+                built[i] = _window(seqs[i], policy)
+        yield _stack([built[i] for i in picks])
 
 
 @dataclass
@@ -395,10 +388,7 @@ def _language_ce(
         support = labels != np.int64(IGNORE_LABEL)
         safe = np.where(support, labels, 0)
         ce = -np.take_along_axis(logp, safe[..., None], axis=-1)[..., 0]
-        lang_ids = np.full(labels.shape, -1, dtype=np.int64)
-        for row, seq in enumerate(part):
-            for span in seq.spans:
-                lang_ids[row, span.start : span.end] = lang_to_id[span.lang.code]
+        lang_ids = np.stack([segment_ids(seq, lang_to_id)[1] for seq in part])
         for code, lid in lang_to_id.items():
             sel = support & (lang_ids == lid)
             sums[code] += float(ce[sel].sum())

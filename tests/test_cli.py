@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xlda_kit.cli import dispatch
+from xlda_kit.packing import read_packed
 
 
 def run(capsys, *argv):
@@ -153,20 +154,39 @@ def test_pack_then_mask_roundtrip(tmp_path, capsys):
     assert payload["result"]["allowed_pairs"] > 0
 
 
-def test_pack_byte_identical_across_runs_and_threads(tmp_path, capsys):
+def test_pack_byte_identical_across_runs(tmp_path, capsys):
     src = tmp_path / "corpus.jsonl"
     write_corpus(src, n_en=40, n_ko=40, seed=5)
     outputs = []
-    for name, threads in (("a.xlda", "1"), ("b.xlda", "1"), ("c.xlda", "8")):
+    for name in ("a.xlda", "b.xlda", "c.xlda"):
         out_path = tmp_path / name
         code, out, err = run(
             capsys, "pack", "--input", str(src), "--output", str(out_path),
-            "--seq-len", "16", "--rho", "0.5", "--seed", "3",
-            "--threads", threads, "--json",
+            "--seq-len", "16", "--rho", "0.5", "--seed", "3", "--json",
         )
         assert code == 0
         outputs.append(out_path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.xlda", "b.xlda", "c.xlda", "corpus.jsonl"]  # no sidecar files
+
+
+def test_pack_cross_doc_labels_travel_in_the_file(tmp_path, capsys):
+    src = tmp_path / "corpus.jsonl"
+    write_corpus(src, seed=4, max_id=60)
+    cfg = tmp_path / "cross.ini"
+    cfg.write_text("[packer]\ncross_doc_labels = true\n", encoding="utf-8")
+    packed = tmp_path / "batch.xlda"
+    code, out, err = run(
+        capsys, "pack", "--input", str(src), "--output", str(packed),
+        "--seq-len", "16", "--config", str(cfg),
+    )
+    assert code == 0
+    seqs, config = read_packed(packed)
+    assert config.cross_doc_labels
+    multi = next(s for s in seqs if len(s.spans) >= 2)
+    boundary = multi.spans[0].end - 1  # target crosses into the next document
+    assert multi.ntp_labels[boundary] == multi.tokens[boundary + 1]
 
 
 def test_train_toy_runs_and_is_deterministic(tmp_path, capsys):
@@ -179,12 +199,11 @@ def test_train_toy_runs_and_is_deterministic(tmp_path, capsys):
     )
     assert code == 0
     results = []
-    for name, threads in (("m1.csv", "1"), ("m2.csv", "8")):
+    for name in ("m1.csv", "m2.csv"):
         metrics = tmp_path / name
         code, out, err = run(
             capsys, "train-toy", "--packed", str(packed), "--policy", "xlda",
-            "--steps", "5", "--metrics", str(metrics), "--seed", "11",
-            "--threads", threads, "--json",
+            "--steps", "5", "--metrics", str(metrics), "--seed", "11", "--json",
         )
         assert code == 0
         payload = json.loads(out)
@@ -337,21 +356,14 @@ def test_malformed_config_file_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
-    code, out, err = run(capsys, "schedule", "--threads", threads)
-    assert code == 1
-    assert "--threads" in err and "at least 1" in err
-
-
-def test_threads_below_one_in_config_file_exit_2(tmp_path, capsys):
+def test_config_file_threads_key_is_ignored(tmp_path, capsys):
     src = tmp_path / "corpus.jsonl"
     write_corpus(src)
-    cfg = tmp_path / "threads.ini"
+    cfg = tmp_path / "old.ini"
     cfg.write_text("[global]\nthreads = 0\n", encoding="utf-8")
     code, out, err = run(
         capsys, "pack", "--input", str(src), "--output", str(tmp_path / "o.xlda"),
         "--seq-len", "16", "--config", str(cfg),
     )
-    assert code == 2
-    assert "threads must be at least 1" in err
+    assert code == 0
+    assert "# threads" not in out  # not read, so not echoed

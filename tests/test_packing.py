@@ -1,10 +1,15 @@
+import hashlib
+import itertools
+import struct
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xlda_kit.corpus import Document, LanguageTag
-from xlda_kit.errors import ConstraintInfeasibleError, DataError
+from xlda_kit.corpus import Document, LanguageTag, stats as corpus_stats
+from xlda_kit.errors import ConfigError, ConstraintInfeasibleError, DataError
 from xlda_kit.packing import (
     DROP_TAIL_DOC,
     IGNORE_LABEL,
@@ -13,11 +18,10 @@ from xlda_kit.packing import (
     make_labels,
     pack_stream,
     read_packed,
-    sidecar_path,
     write_packed,
 )
 from xlda_kit.masks import spans_from_lengths
-from xlda_kit.sampling import SamplerConfig
+from xlda_kit.sampling import SamplerConfig, language_distribution
 
 EN = LanguageTag("en", "english")
 KO = LanguageTag("ko", "multilingual")
@@ -176,30 +180,27 @@ def test_deterministic_across_runs():
 
 
 def test_make_labels_single_span():
-    config = PackerConfig(seq_len=8)
     tokens = np.array([10, 11, 12, 13, 0, 0, 0, 0], dtype=np.uint32)
     spans = spans_from_lengths([4], ["en"])
-    ntp, mtp = make_labels(tokens, spans, config, pad_start=4)
+    ntp, mtp = make_labels(tokens, spans, pad_start=4)
     ign = IGNORE_LABEL
     assert ntp.tolist() == [11, 12, 13, ign, ign, ign, ign, ign]
     assert mtp.tolist() == [12, 13, ign, ign, ign, ign, ign, ign]
 
 
 def test_make_labels_boundary_masking():
-    config = PackerConfig(seq_len=8)
     tokens = np.array([1, 2, 3, 4, 0, 0, 0, 0], dtype=np.uint32)
     spans = spans_from_lengths([2, 2], ["en", "ko"])
-    ntp, mtp = make_labels(tokens, spans, config, pad_start=4)
+    ntp, mtp = make_labels(tokens, spans, pad_start=4)
     ign = IGNORE_LABEL
     assert ntp.tolist() == [2, ign, 4, ign, ign, ign, ign, ign]
     assert mtp.tolist() == [ign] * 8
 
 
 def test_make_labels_cross_doc():
-    config = PackerConfig(seq_len=8, cross_doc_labels=True)
     tokens = np.array([1, 2, 3, 4, 0, 0, 0, 0], dtype=np.uint32)
     spans = spans_from_lengths([2, 2], ["en", "ko"])
-    ntp, mtp = make_labels(tokens, spans, config, pad_start=4)
+    ntp, mtp = make_labels(tokens, spans, pad_start=4, cross_doc_labels=True)
     ign = IGNORE_LABEL
     assert ntp.tolist() == [2, 3, 4, ign, ign, ign, ign, ign]
     assert mtp.tolist() == [3, 4, ign, ign, ign, ign, ign, ign]
@@ -215,9 +216,9 @@ def test_packed_file_roundtrip(tmp_path):
     seqs = list(pack_stream(docs, sampler(seed=4), config))
     path = tmp_path / "batch.xlda"
     write_packed(path, seqs, config)
-    assert sidecar_path(path).exists()
     back, back_config = read_packed(path)
-    assert back_config.seq_len == 16
+    assert back_config == config
+    assert list(tmp_path.iterdir()) == [path]  # no sidecar
     assert len(back) == len(seqs)
     for orig, loaded in zip(seqs, back):
         assert (orig.tokens == loaded.tokens).all()
@@ -229,7 +230,7 @@ def test_packed_file_roundtrip(tmp_path):
         ] == [(s.start, s.end, s.lang.code) for s in loaded.spans]
 
 
-def test_packed_file_thread_count_does_not_change_bytes(tmp_path):
+def test_packed_file_bytes_identical_across_writes(tmp_path):
     gen = np.random.Generator(np.random.Philox(key=np.array([4, 0], dtype=np.uint64)))
     docs = []
     for i in range(50):
@@ -238,11 +239,10 @@ def test_packed_file_thread_count_does_not_change_bytes(tmp_path):
     config = PackerConfig(seq_len=16)
     seqs = list(pack_stream(docs, sampler(seed=4), config))
     p1 = tmp_path / "one.xlda"
-    p8 = tmp_path / "eight.xlda"
-    write_packed(p1, seqs, config, threads=1)
-    write_packed(p8, seqs, config, threads=8)
-    assert p1.read_bytes() == p8.read_bytes()
-    assert sidecar_path(p1).read_text() == sidecar_path(p8).read_text()
+    p2 = tmp_path / "two.xlda"
+    write_packed(p1, seqs, config)
+    write_packed(p2, list(pack_stream(docs, sampler(seed=4), config)), config)
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 @pytest.mark.parametrize("bad", [IGNORE_LABEL, 2**32, 2**70])
@@ -256,3 +256,190 @@ def test_largest_non_reserved_token_id_packs():
     docs = [doc("e0", EN, [1, IGNORE_LABEL - 1, 3])]
     [seq] = pack_stream(docs, sampler(beta={"en": 1.0}), PackerConfig(seq_len=8))
     assert seq.ntp_labels[0] == IGNORE_LABEL - 1
+
+
+# --- packed format v2: layout and hardening ---------------------------------
+
+
+def v2_bytes(records, seq_len=8, langs=(("en", "english"),), cross_doc=0,
+             count=None, version=2):
+    """A packed-batch file built by hand from the documented v2 layout.
+
+    ``records`` holds (tokens, pad_start, spans) with spans as
+    (start, end, lang_idx, doc_hash).
+    """
+    out = b"XLDA" + struct.pack(
+        "<IIQBH", version, seq_len, len(records) if count is None else count,
+        cross_doc, len(langs),
+    )
+    for code, lang_class in langs:
+        out += bytes([len(code)]) + code.encode() + bytes([len(lang_class)])
+        out += lang_class.encode()
+    for tokens, pad_start, spans in records:
+        out += struct.pack(f"<{seq_len}I", *tokens)
+        out += struct.pack("<II", pad_start, len(spans))
+        for start, end, lang, doc_hash in spans:
+            out += struct.pack("<IIHQ", start, end, lang, doc_hash)
+    return out
+
+
+GOOD = ([1, 2, 3, 4, 5, 0, 0, 0], 5, [(0, 3, 0, 7), (3, 5, 0, 9)])
+
+
+def test_writer_matches_documented_v2_layout(tmp_path):
+    docs = [doc("a", EN, [1, 2, 3]), doc("b", KO, [4, 5])]
+    config = PackerConfig(seq_len=8, cross_doc_labels=True)
+    seqs = list(pack_stream(docs, sampler(seed=1), config))
+    path = tmp_path / "batch.xlda"
+    write_packed(path, seqs, config)
+    index = {"en": 0, "ko": 1}
+
+    def doc_hash(doc_id):
+        return int.from_bytes(hashlib.blake2b(doc_id.encode(), digest_size=8).digest(), "little")
+
+    records = [
+        ([int(t) for t in s.tokens], s.pad_start,
+         [(sp.start, sp.end, index[sp.lang.code], doc_hash(sp.doc_id)) for sp in s.spans])
+        for s in seqs
+    ]
+    expected = v2_bytes(records, langs=(("en", "english"), ("ko", "multilingual")),
+                        cross_doc=1)
+    assert path.read_bytes() == expected
+
+
+def test_hand_built_v2_file_loads(tmp_path):
+    path = tmp_path / "ok.xlda"
+    path.write_bytes(v2_bytes([GOOD]))
+    [seq], config = read_packed(path)
+    assert config.seq_len == 8 and not config.cross_doc_labels
+    assert seq.tokens.tolist() == GOOD[0] and seq.pad_start == 5
+    assert [(s.start, s.end, s.lang.code) for s in seq.spans] == [(0, 3, "en"), (3, 5, "en")]
+    assert seq.ntp_labels.tolist()[:5] == [2, 3, IGNORE_LABEL, 5, IGNORE_LABEL]
+
+
+def test_cross_doc_labels_roundtrip(tmp_path):
+    docs = [doc(f"d{i}", (EN, KO)[i % 2], range(1 + i, 6 + i)) for i in range(8)]
+    config = PackerConfig(seq_len=16, cross_doc_labels=True)
+    seqs = list(pack_stream(docs, sampler(seed=2), config))
+    path = tmp_path / "cross.xlda"
+    write_packed(path, seqs, config)
+    back, back_config = read_packed(path)
+    assert back_config.cross_doc_labels
+    for orig, loaded in zip(seqs, back):
+        assert loaded.cross_doc_labels
+        assert (orig.ntp_labels == loaded.ntp_labels).all()
+        assert (orig.mtp_labels == loaded.mtp_labels).all()
+
+
+def test_labels_are_read_only():
+    [seq] = pack_stream([doc("e0", EN, [1, 2, 3])], sampler(beta={"en": 1.0}),
+                        PackerConfig(seq_len=8))
+    with pytest.raises(AttributeError):
+        seq.ntp_labels = seq.mtp_labels
+    with pytest.raises(ValueError):
+        seq.ntp_labels[0] = 7
+
+
+def test_write_rejects_sequences_that_disagree_with_the_header(tmp_path):
+    seqs = list(pack_stream([doc("e0", EN, [1, 2, 3])], sampler(beta={"en": 1.0}),
+                            PackerConfig(seq_len=8)))
+    with pytest.raises(ConfigError):
+        write_packed(tmp_path / "x.xlda", seqs, PackerConfig(seq_len=8, cross_doc_labels=True))
+    with pytest.raises(ConfigError):
+        write_packed(tmp_path / "x.xlda", seqs, PackerConfig(seq_len=16))
+
+
+@pytest.mark.parametrize("name, blob, message", [
+    ("truncated", v2_bytes([GOOD])[:-1], "truncated"),
+    ("trailing", v2_bytes([GOOD]) + b"\0", "trailing bytes"),
+    ("count_too_large", v2_bytes([GOOD], count=2**60), "truncated"),
+    ("pad_start_past_seq_len",
+     v2_bytes([([1] * 8, 9, [(0, 9, 0, 0)])]), "pad_start 9 outside"),
+    ("span_past_seq_len",
+     v2_bytes([([1] * 8, 8, [(0, 4, 0, 0), (4, 12, 0, 0)])]), "spans cover"),
+    ("span_gap", v2_bytes([([1] * 8, 5, [(0, 2, 0, 0), (3, 5, 0, 0)])]), "do not tile"),
+    ("empty_span", v2_bytes([([1] * 8, 3, [(0, 0, 0, 0), (0, 3, 0, 0)])]), "invalid span"),
+    ("span_count_above_seq_len",
+     v2_bytes([([1] * 8, 8, [(i, i + 1, 0, 0) for i in range(9)])]), "span count 9"),
+    ("unknown_language", v2_bytes([([1] * 8, 3, [(0, 3, 1, 0)])]), "language index 1"),
+    ("bad_language_code", v2_bytes([GOOD], langs=(("EN", "english"),)), "language code"),
+    ("bad_language_class", v2_bytes([GOOD], langs=(("en", "latin"),)), "language class"),
+    ("short_seq_len", v2_bytes([], seq_len=4), "bad header"),
+    ("bad_flag", v2_bytes([GOOD], cross_doc=2), "bad header"),
+    ("ignore_label_token",
+     v2_bytes([([1, IGNORE_LABEL, 3, 0, 0, 0, 0, 0], 3, [(0, 3, 0, 0)])]), "reserved"),
+    ("not_xlda", b"PK\x03\x04" + bytes(40), "not a packed-batch file"),
+    ("empty", b"", "not a packed-batch file"),
+])
+def test_malformed_v2_file_is_data_error(tmp_path, name, blob, message):
+    path = tmp_path / f"{name}.xlda"
+    path.write_bytes(blob)
+    with pytest.raises(DataError, match=message):
+        read_packed(path)
+
+
+def test_version_one_file_is_rejected_with_repack_hint(tmp_path):
+    path = tmp_path / "old.xlda"
+    # a version 1 header: magic, version, seq_len, count
+    path.write_bytes(b"XLDA" + struct.pack("<IIQ", 1, 8, 0))
+    with pytest.raises(DataError, match=r"version 1; only version 2 .*re-pack"):
+        read_packed(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    gen = np.random.Generator(np.random.Philox(key=np.array([5, 0], dtype=np.uint64)))
+    docs = [doc(f"d{i}", (EN, KO)[i % 2], gen.integers(1, 300, int(gen.integers(1, 9))))
+            for i in range(12)]
+    config = PackerConfig(seq_len=8)
+    path = tmp_path_factory.mktemp("fuzz")
+    write_packed(path / "base.xlda", list(pack_stream(docs, sampler(rho=0.5, seed=3), config)),
+                 config)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_packed_file_loads_or_raises_data_error(fuzz_dir, data):
+    base = (fuzz_dir / "base.xlda").read_bytes()
+    blob = bytearray(base[: data.draw(st.integers(0, len(base)), label="keep")])
+    for bit in data.draw(st.lists(st.integers(0, 8 * len(base) - 1), max_size=4), label="flips"):
+        if bit // 8 < len(blob):
+            blob[bit // 8] ^= 1 << (bit % 8)
+    path = fuzz_dir / "fuzzed.xlda"
+    path.write_bytes(bytes(blob))
+    try:
+        seqs, config = read_packed(path)
+    except DataError:
+        return
+    for seq in seqs:
+        assert seq.seq_len == config.seq_len
+
+
+# --- realised language shares ------------------------------------------------
+
+
+def test_realised_language_shares_match_distribution():
+    """Token shares of the packer's output follow ``language_distribution``.
+
+    Every language has more material than the prefix consumes, so no queue
+    runs dry and each document's language is a fresh categorical draw
+    (rho = 0: no forced cross-lingual draws). About 5000 documents with
+    lengths 1-15 are drawn; the standard error of a share is below 0.008, so
+    a tolerance of 0.03 is about four standard errors.
+    """
+    gen = np.random.Generator(np.random.Philox(key=np.array([8, 0], dtype=np.uint64)))
+    codes = {"en": EN, "ko": KO, "sw": LanguageTag("sw", "multilingual")}
+    docs = [doc(f"{code}{i}", tag, gen.integers(1, 100, int(gen.integers(1, 16))))
+            for code, tag in codes.items() for i in range(6000)]
+    cfg = SamplerConfig(alpha_temp=0.3, beta={"en": 0.5, "ko": 0.3, "sw": 0.2}, seed=21)
+    dist = language_distribution(cfg, corpus_stats(docs))
+    windows = itertools.islice(pack_stream(docs, cfg, PackerConfig(seq_len=64)), 640)
+    tokens = Counter()
+    for seq in windows:
+        for span in seq.spans:
+            tokens[span.lang.code] += len(span)
+    total = sum(tokens.values())
+    assert total == 640 * 64
+    for code, p in dist.items():
+        assert abs(tokens[code] / total - p) <= 0.03, (code, tokens[code] / total, p)
