@@ -14,6 +14,7 @@ import configparser
 import hashlib
 import json
 import sys
+from bisect import bisect_left
 from pathlib import Path
 
 from . import __version__, consistency, corpus, masks, model as toy, packing
@@ -373,18 +374,19 @@ def _cmd_schedule(args, run: RunConfig) -> int:
         set(range(0, config.total_steps + 1, every))
         | {0, config.warmup_steps, config.decay_start, config.total_steps}
     )
+    # each step trains on batch_size_at(tokens seen) tokens; that never
+    # shrinks, so advance by whole runs of one batch size, bisecting for
+    # each run's end, instead of step by step
     rows = []
-    tokens_seen = 0
-    mark_iter = iter(marks)
-    next_mark = next(mark_iter)
-    for step in range(config.total_steps + 1):
+    step = tokens_seen = 0
+    for mark in marks:
+        while step < mark:
+            batch = sched.batch_size_at(config, tokens_seen)
+            n = bisect_left(range(mark - step), True, key=lambda j: (
+                sched.batch_size_at(config, tokens_seen + j * batch) > batch))
+            step, tokens_seen = step + n, tokens_seen + n * batch
         batch = sched.batch_size_at(config, tokens_seen)
-        if step == next_mark:
-            rows.append((step, sched.lr_at(config, step), batch, tokens_seen))
-            next_mark = next(mark_iter, None)
-            if next_mark is None:
-                break
-        tokens_seen += batch
+        rows.append((step, sched.lr_at(config, step), batch, tokens_seen))
     payload = {
         "rows": [
             {"step": s, "lr": lr, "batch_tokens": b, "tokens_seen": t}

@@ -9,6 +9,7 @@ tokenizes on its own.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -150,10 +151,11 @@ def _parse_line(
         tokens = tokenizer(text)
     if not isinstance(tokens, (list, tuple)):
         raise DataError(f"{schema.tokens!r} is not an array")
-    try:
-        token_tuple = tuple(int(t) for t in tokens)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"non-integer token id in {schema.tokens!r}") from exc
+    # int() would truncate JSON floats and booleans or overflow on 1e400;
+    # a tokenizer's integer types, numpy's among them, are token ids
+    if any(k is bool or not issubclass(k, numbers.Integral) for k in set(map(type, tokens))):
+        raise DataError(f"non-integer token id in {schema.tokens!r}")
+    token_tuple = tuple(map(int, tokens))
 
     score = record.get(schema.score)
     if score is not None:

@@ -12,15 +12,16 @@ Three policies over the same span metadata:
   languages; same-language neighbors stay separated.
 
 Causality (key position <= query position) and padding exclusion are
-enforced under every policy. The span-based form is canonical and O(1) per
-query; the dense boolean matrix is a debug/test view.
+enforced under every policy. ``allowed_block`` holds the rule for any block
+of a window; the dense boolean matrix is that block over the full grid, a
+debug/test view.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -63,17 +64,15 @@ class MaskSpec:
 
     def __post_init__(self):
         check_tiling(self.spans, self.pad_start, self.seq_len)
-        # precompute span lookup boundaries
-        object.__setattr__(self, "_starts", tuple(s.start for s in self.spans))
 
     @classmethod
     def for_sequence(cls, seq: PackedSequence, policy: MaskPolicy) -> "MaskSpec":
         return cls(policy=policy, spans=seq.spans, pad_start=seq.pad_start,
                    seq_len=seq.seq_len)
 
-    def span_index(self, pos: int) -> int:
-        """Index of the span containing token position ``pos`` (< pad_start)."""
-        return bisect_right(self._starts, pos) - 1
+    @cached_property
+    def segments(self) -> tuple[np.ndarray, np.ndarray]:
+        return segment_ids(self)  # built on first use
 
 
 def is_allowed(spec: MaskSpec, q: int, k: int) -> bool:
@@ -86,13 +85,45 @@ def is_allowed(spec: MaskSpec, q: int, k: int) -> bool:
         return False
     if spec.policy is MaskPolicy.XLDA_FULL_CAUSAL:
         return True
-    qi = spec.span_index(q)
-    ki = spec.span_index(k)
-    if qi == ki:
+    doc, lang = spec.segments
+    if doc[q] == doc[k]:
         return True
     if spec.policy is MaskPolicy.INTRA_DOCUMENT_CAUSAL:
         return False
-    return spec.spans[qi].lang.code != spec.spans[ki].lang.code
+    return bool(lang[q] != lang[k])
+
+
+def allowed_block(spec: MaskSpec, qs: int, qe: int, ks: int, ke: int) -> np.ndarray:
+    """The policy rule over the block of query rows [qs, qe) and key columns
+    [ks, ke): ``block[i, j] == is_allowed(spec, qs + i, ks + j)``."""
+    q = np.arange(qs, qe)[:, None]
+    k = np.arange(ks, ke)[None, :]
+    allowed = (k <= q) & (q < spec.pad_start) & (k < spec.pad_start)
+    if spec.policy is MaskPolicy.XLDA_FULL_CAUSAL:
+        return allowed
+    doc, lang = spec.segments
+    same_doc = doc[qs:qe, None] == doc[None, ks:ke]
+    if spec.policy is MaskPolicy.INTRA_DOCUMENT_CAUSAL:
+        return allowed & same_doc
+    return allowed & (same_doc | (lang[qs:qe, None] != lang[None, ks:ke]))
+
+
+def earliest_keys(spec: MaskSpec) -> np.ndarray:
+    """Each non-padding row's first allowed key: 0 under ``xlda``, the start
+    of the row's document under ``intra``, and under ``bridge`` the smaller
+    of that and the first position in another language."""
+    live = spec.pad_start
+    if spec.policy is MaskPolicy.XLDA_FULL_CAUSAL:
+        return np.zeros(live, dtype=np.int64)
+    doc, lang = spec.segments
+    doc_start = np.array([s.start for s in spec.spans], dtype=np.int64)[doc[:live]]
+    if spec.policy is MaskPolicy.INTRA_DOCUMENT_CAUSAL:
+        return doc_start
+    # segment_ids gives the first span's language id 0: rows in any other
+    # language may reach key 0, rows in that one first meet another at `other`
+    code = spec.spans[0].lang.code if live else None
+    other = next((s.start for s in spec.spans if s.lang.code != code), live)
+    return np.minimum(doc_start, np.where(lang[:live] == 0, other, 0))
 
 
 def materialize_dense(
@@ -112,17 +143,7 @@ def materialize_dense(
             f"refusing to materialize {seq_len}x{seq_len} mask "
             f"(cap {cap}); pass force=True to override"
         )
-    pos = np.arange(seq_len)
-    doc, lang = segment_ids(spec)
-    causal = pos[None, :] <= pos[:, None]
-    valid = (pos[:, None] < spec.pad_start) & (pos[None, :] < spec.pad_start)
-    base = causal & valid
-    if spec.policy is MaskPolicy.XLDA_FULL_CAUSAL:
-        return base
-    same_doc = doc[:, None] == doc[None, :]
-    if spec.policy is MaskPolicy.INTRA_DOCUMENT_CAUSAL:
-        return base & same_doc
-    return base & (same_doc | (lang[:, None] != lang[None, :]))
+    return allowed_block(spec, 0, seq_len, 0, seq_len)
 
 
 def allowed_pair_count(spec: MaskSpec) -> int:

@@ -10,14 +10,14 @@ Everything is float64 numpy with hand-written backward passes, so analytic
 gradients can be checked against central finite differences to tight
 tolerances and runs are bit-reproducible.
 
-Attention runs over fixed tiles of ``ATTENTION_TILE`` query rows. Each tile
-scores only its key band: the key columns that some row of the tile may
-attend to in some sequence of the batch, read off the boolean mask. Causality
-ends the band at the tile's last row, and a document mask starts it at the
-earliest document the tile reaches, so under ``intra`` and ``bridge`` the
-cost follows the allowed span pairs instead of L * L. Inside a band masked
-cells are kept out of ``exp`` (see ``_band_attention``); tiles with no
-allowed cell at all are skipped.
+Masks are ``MaskSpec`` span tables, one per sequence. Attention runs over
+fixed tiles of ``ATTENTION_TILE`` query rows. Each tile scores only its key
+band, the keys some row of the tile may attend to in some sequence: from the
+smallest ``masks.earliest_keys`` of its rows to its last non-padding row, so
+under ``intra`` and ``bridge`` the cost follows the allowed span pairs
+instead of L * L. ``masks.allowed_block`` gives the band's cells, and masked
+cells are kept out of ``exp`` (see ``_band_attention``); tiles with only
+padding rows are skipped.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DataError
-from .masks import MaskSpec, materialize_dense
+from .masks import MaskSpec, allowed_block, earliest_keys
 from .packing import IGNORE_LABEL, make_labels
 
 Array = np.ndarray
@@ -189,29 +189,29 @@ class _Band:
     qe: int
     ks: int  # key columns [ks, ke)
     ke: int
-    bias: Array  # [B, 1, tq, tk] float64: 0 where allowed, -inf where masked
-    keep: Array  # [B, 1, tq, tk] float64: 1 where allowed, 0 where masked
+    allowed: Array  # [B, 1, tq, tk] bool
 
 
-def _key_bands(masks: Array) -> list[_Band]:
-    """Query tiles with their key bands, from a boolean [B, L, L] mask.
+def _key_bands(specs: Sequence[MaskSpec]) -> list[_Band]:
+    """Query tiles with their key bands, from one mask spec per sequence.
 
-    Tiles in which no row of any sequence may attend anywhere are left out;
-    their attention output is zero.
+    A tile's band runs from the earliest key any of its non-padding rows may
+    attend to up to its last non-padding row. Tiles with no non-padding row
+    in any sequence are left out; their attention output is zero.
     """
-    seq_len = masks.shape[-1]
-    union = masks.any(axis=0)
+    seq_len = specs[0].seq_len
+    firsts = [earliest_keys(s) for s in specs]
     bands = []
     for qs in range(0, seq_len, ATTENTION_TILE):
         qe = min(qs + ATTENTION_TILE, seq_len)
-        cols = np.flatnonzero(union[qs:qe].any(axis=0))
-        if cols.size == 0:
+        live = [(int(first[qs:qe].min()), min(qe, s.pad_start))
+                for s, first in zip(specs, firsts) if s.pad_start > qs]
+        if not live:
             continue
-        ks, ke = int(cols[0]), int(cols[-1]) + 1
-        allowed = masks[:, None, qs:qe, ks:ke]
-        bands.append(_Band(qs, qe, ks, ke,
-                           bias=np.where(allowed, 0.0, -np.inf),
-                           keep=np.where(allowed, 1.0, 0.0)))
+        ks = min(k for k, _ in live)
+        ke = max(k for _, k in live)
+        allowed = np.stack([allowed_block(s, qs, qe, ks, ke) for s in specs])
+        bands.append(_Band(qs, qe, ks, ke, allowed=allowed[:, None]))
     return bands
 
 
@@ -231,12 +231,12 @@ def _band_attention(qr: Array, kr: Array, vh: Array, bands: Sequence[_Band],
     for band in bands:
         s = qr[:, :, band.qs:band.qe] @ kr[:, :, band.ks:band.ke].swapaxes(-1, -2)
         s *= scale
-        m = np.max(s + band.bias, axis=-1, keepdims=True)
+        m = np.max(s, axis=-1, keepdims=True, where=band.allowed, initial=-np.inf)
         m[m == -np.inf] = 0.0  # rows with nothing allowed
         s -= m
-        s *= band.keep
+        s *= band.allowed
         np.exp(s, out=s)
-        s *= band.keep
+        s *= band.allowed
         denom = s.sum(axis=-1, keepdims=True)
         denom[denom == 0.0] = 1.0
         s /= denom
@@ -366,17 +366,20 @@ def _check_tokens(tokens: Array, vocab_size: int):
                         f"vocabulary (size {vocab_size})")
 
 
-def _forward_with_cache(params: Parameters, tokens: Array, masks: Array):
+def _forward_with_cache(params: Parameters, tokens: Array | Sequence[int],
+                        masks: MaskSpec | Sequence[MaskSpec]):
     cfg = params.config
     p = params.tensors
-    tokens = np.asarray(tokens)
-    if tokens.ndim == 1:
-        tokens = tokens[None, :]
-        masks = masks[None, :, :]
-    _check_tokens(tokens, cfg.vocab_size)
+    tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
     b, l = tokens.shape
+    specs = [masks] * b if isinstance(masks, MaskSpec) else list(masks)
+    if len(specs) != b or any(s.seq_len != l for s in specs):
+        raise DataError(f"mask specs (count {len(specs)}, seq_len "
+                        f"{sorted({s.seq_len for s in specs})}) do not match "
+                        f"{b} sequences of length {l}")
+    _check_tokens(tokens, cfg.vocab_size)
     cos, sin = _rope_tables(cfg, l)
-    bands = _key_bands(masks)
+    bands = _key_bands(specs)
     x = p["embed"][tokens]  # [B, L, D]
     block_caches = []
     for i in range(cfg.n_layers):
@@ -402,36 +405,18 @@ def _forward_with_cache(params: Parameters, tokens: Array, masks: Array):
     return ForwardOutput(ntp_logits=ntp_logits, mtp_logits=mtp_logits), cache
 
 
-def masks_for(specs: Sequence[MaskSpec]) -> Array:
-    """Stack dense boolean masks for a batch of mask specs."""
-    return np.stack([materialize_dense(s, s.seq_len) for s in specs])
-
-
 def forward(
     params: Parameters,
     tokens: Array | Sequence[int],
-    mask_spec: MaskSpec | Sequence[MaskSpec] | Array,
+    mask_spec: MaskSpec | Sequence[MaskSpec],
 ) -> ForwardOutput:
     """Run the model; attention is zero exactly where the mask disallows.
 
-    ``mask_spec`` may be a single spec, a list of specs (batched input), or a
-    pre-materialized boolean array.
+    ``mask_spec`` is one spec for every row of ``tokens`` or one spec per
+    row; rows may use different policies. A spec count or ``seq_len`` that
+    does not match ``tokens`` is a ``DataError``.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if isinstance(mask_spec, MaskSpec):
-        masks = materialize_dense(mask_spec, mask_spec.seq_len)
-        if tokens.ndim == 2:
-            masks = np.broadcast_to(masks, (tokens.shape[0],) + masks.shape).copy()
-    elif isinstance(mask_spec, np.ndarray):
-        masks = mask_spec
-    else:
-        masks = masks_for(list(mask_spec))
-    seq_len = tokens.shape[-1]
-    if masks.shape[-1] != seq_len or masks.shape[-2] != seq_len:
-        raise DataError(
-            f"mask shape {masks.shape} does not match sequence length {seq_len}"
-        )
-    out, _ = _forward_with_cache(params, tokens, masks)
+    out, _ = _forward_with_cache(params, tokens, mask_spec)
     return out
 
 
@@ -507,17 +492,15 @@ def loss(
 def loss_and_grads(
     params: Parameters,
     tokens: Array,
-    masks: Array,
+    masks: MaskSpec | Sequence[MaskSpec],
     ntp_labels: Array,
     mtp_labels: Array,
     mtp_alpha: float,
 ) -> tuple[LossBreakdown, dict[str, Array]]:
-    """Forward, loss, and full analytic parameter gradients."""
+    """Forward, loss, and full analytic parameter gradients; ``masks`` as
+    for ``forward``."""
     cfg = params.config
     p = params.tensors
-    tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
-    if masks.ndim == 2:
-        masks = masks[None, :, :]
     out, cache = _forward_with_cache(params, tokens, masks)
     breakdown, dntp_logits, dmtp_logits = _loss_breakdown(
         out, ntp_labels, mtp_labels, mtp_alpha
@@ -577,11 +560,10 @@ def _grad_check_batch(config: ModelConfig, gen: np.random.Generator):
         MaskSpec(MaskPolicy.XLDA_FULL_CAUSAL, spans, seq_len, seq_len),
         MaskSpec(MaskPolicy.INTRA_DOCUMENT_CAUSAL, spans, seq_len, seq_len),
     ]
-    masks = np.stack([materialize_dense(s, seq_len) for s in specs])
     labels = [make_labels(row, spans, seq_len) for row in tokens]
     ntp = np.stack([n for n, _ in labels]).astype(np.int64)
     mtp = np.stack([m for _, m in labels]).astype(np.int64)
-    return tokens, masks, ntp, mtp
+    return tokens, specs, ntp, mtp
 
 
 def grad_check(
@@ -611,13 +593,13 @@ def grad_check(
             f"got {params.n_params()}"
         )
     gen = rng.stream(seed, rng.STREAM_GRAD_CHECK)
-    tokens, masks, ntp, mtp = _grad_check_batch(config, gen)
+    tokens, specs, ntp, mtp = _grad_check_batch(config, gen)
     breakdown, grads = loss_and_grads(
-        params, tokens, masks, ntp, mtp, mtp_alpha=mtp_alpha
+        params, tokens, specs, ntp, mtp, mtp_alpha=mtp_alpha
     )
 
     def loss_only() -> float:
-        out, _ = _forward_with_cache(params, tokens, masks)
+        out, _ = _forward_with_cache(params, tokens, specs)
         return loss(out, ntp, mtp, mtp_alpha).total
 
     per_tensor: dict[str, float] = {}

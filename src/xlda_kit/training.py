@@ -16,7 +16,7 @@ from . import model as toy
 from . import rng
 from .corpus import Document, LanguageTag
 from .errors import ConfigError, TrainingDivergedError
-from .masks import MaskPolicy, MaskSpec, materialize_dense, segment_ids
+from .masks import MaskPolicy, MaskSpec, segment_ids
 from .packing import (
     IGNORE_LABEL,
     DocSpan,
@@ -65,17 +65,17 @@ class AdamW:
 @dataclass
 class Batch:
     tokens: np.ndarray  # [B, L] int64
-    masks: np.ndarray  # [B, L, L] bool
+    specs: tuple[MaskSpec, ...]  # one attention mask spec per row
     ntp: np.ndarray  # [B, L] int64, IGNORE_LABEL where no target
     mtp: np.ndarray
     real_tokens: int
 
 
 def _window(seq: PackedSequence, policy: MaskPolicy) -> tuple:
-    """One window's tokens, dense mask, NTP and MTP labels, and real tokens."""
+    """One window's tokens, mask spec, NTP and MTP labels, and real tokens."""
     return (
         seq.tokens.astype(np.int64),
-        materialize_dense(MaskSpec.for_sequence(seq, policy), seq.seq_len),
+        MaskSpec.for_sequence(seq, policy),
         seq.ntp_labels.astype(np.int64),
         seq.mtp_labels.astype(np.int64),
         seq.pad_start,
@@ -83,8 +83,8 @@ def _window(seq: PackedSequence, policy: MaskPolicy) -> tuple:
 
 
 def _stack(windows: Sequence[tuple]) -> Batch:
-    tokens, masks, ntp, mtp, real = zip(*windows)
-    return Batch(tokens=np.stack(tokens), masks=np.stack(masks), ntp=np.stack(ntp),
+    tokens, specs, ntp, mtp, real = zip(*windows)
+    return Batch(tokens=np.stack(tokens), specs=specs, ntp=np.stack(ntp),
                  mtp=np.stack(mtp), real_tokens=int(sum(real)))
 
 
@@ -97,23 +97,15 @@ def batch_from_sequences(
 def cycle_batches(
     seqs: Sequence[PackedSequence], policy: MaskPolicy, batch_sequences: int
 ) -> Iterator[Batch]:
-    """Deterministic wrap-around batching over a fixed sequence list.
-
-    Each window's arrays are built when a batch first needs them and reused
-    when the cursor wraps around to it again.
-    """
+    """Deterministic wrap-around batching over a fixed sequence list."""
     if not seqs:
         raise ConfigError("no packed sequences to train on")
     n = len(seqs)
-    built: dict[int, tuple] = {}
     cursor = 0
     while True:
-        picks = [(cursor + j) % n for j in range(batch_sequences)]
+        picks = [seqs[(cursor + j) % n] for j in range(batch_sequences)]
         cursor = (cursor + batch_sequences) % n
-        for i in picks:
-            if i not in built:
-                built[i] = _window(seqs[i], policy)
-        yield _stack([built[i] for i in picks])
+        yield _stack([_window(s, policy) for s in picks])
 
 
 @dataclass
@@ -160,7 +152,7 @@ def train(
         batch = next(batches)
         lr = lr_at(schedule, step)
         breakdown, grads = toy.loss_and_grads(
-            params, batch.tokens, batch.masks, batch.ntp, batch.mtp, mtp_alpha=alpha
+            params, batch.tokens, batch.specs, batch.ntp, batch.mtp, mtp_alpha=alpha
         )
         if not math.isfinite(breakdown.total):
             raise TrainingDivergedError(
@@ -382,7 +374,7 @@ def _language_ce(
     for start in range(0, len(seqs), chunk):
         part = seqs[start : start + chunk]
         batch = batch_from_sequences(part, policy)
-        out = toy.forward(params, batch.tokens, batch.masks)
+        out = toy.forward(params, batch.tokens, batch.specs)
         logp = _log_softmax(out.ntp_logits)
         labels = batch.ntp
         support = labels != np.int64(IGNORE_LABEL)
@@ -407,11 +399,8 @@ def _probe_ce(
         length = len(subset[0].tokens)
         tokens = np.array([d.tokens for d in subset], dtype=np.int64)
         spans = (DocSpan(start=0, end=length, lang=subset[0].lang, doc_id="probe"),)
-        mask = materialize_dense(
-            MaskSpec(MaskPolicy.XLDA_FULL_CAUSAL, spans, length, length), length
-        )
-        masks_arr = np.broadcast_to(mask, (len(subset), length, length)).copy()
-        out = toy.forward(params, tokens, masks_arr)
+        spec = MaskSpec(MaskPolicy.XLDA_FULL_CAUSAL, spans, length, length)
+        out = toy.forward(params, tokens, spec)
         logp = _log_softmax(out.ntp_logits)
         ce = -np.take_along_axis(logp[:, :-1, :], tokens[:, 1:, None], axis=-1)
         results[code] = float(ce.mean())
@@ -422,7 +411,10 @@ def transfer_experiment(spec: TransferSpec) -> TransferReport:
     """Train one model per mask policy on identical packed data, then compare
     held-out loss per language."""
     codes = (spec.high_lang, spec.low_lang)
-    packed_train = _packed_episodes(spec, 1, spec.train_windows)
+    # the optimizer loop reaches only the first steps * batch_sequences windows
+    packed_train = _packed_episodes(
+        spec, 1, min(spec.train_windows, max(spec.steps, 1) * spec.batch_sequences)
+    )
     packed_eval = _packed_episodes(spec, 2, spec.eval_windows)
     probe_docs = _probe_documents(spec, 3)
 

@@ -5,6 +5,7 @@ import pytest
 
 from xlda_kit.cli import dispatch
 from xlda_kit.packing import read_packed
+from xlda_kit.schedule import ScheduleConfig, batch_size_at, lr_at
 
 
 def run(capsys, *argv):
@@ -77,6 +78,49 @@ def test_schedule_json_has_lr_zero_at_origin(capsys):
     payload = json.loads(out)
     first = payload["result"]["rows"][0]
     assert first["step"] == 0 and first["lr"] == 0.0
+
+
+def _walked_schedule_rows(config, steps):
+    """Reference: every step's batch from the tokens seen before it."""
+    rows, tokens_seen, wanted = [], 0, set(steps)
+    for step in range(max(steps) + 1):
+        batch = batch_size_at(config, tokens_seen)
+        if step in wanted:
+            rows.append({"step": step, "lr": lr_at(config, step),
+                         "batch_tokens": batch, "tokens_seen": tokens_seen})
+        tokens_seen += batch
+    return rows
+
+
+@pytest.mark.parametrize("argv, ini", [
+    (["--peak", "2e-4", "--warmup", "2000", "--total", "3000000"], ""),
+    ([], ""),
+    (["--total", "5000", "--warmup", "10"],
+     "batch_start_tokens = 1000\nbatch_end_tokens = 9000\n"
+     "batch_ramp_tokens = 2000000\nseq_len = 100\n"),
+    (["--total", "5000", "--warmup", "10", "--every", "7"],
+     "batch_start_tokens = 1000\nbatch_end_tokens = 9000\n"
+     "batch_ramp_tokens = 1000000000\nseq_len = 100\n"),
+    (["--total", "5000", "--warmup", "10"],
+     "batch_start_tokens = 4096\nbatch_end_tokens = 4096\n"
+     "batch_ramp_tokens = 1000\nseq_len = 512\n"),
+    (["--total", "20000", "--warmup", "10", "--every", "333"],
+     "batch_start_tokens = 1000\nbatch_end_tokens = 5000\n"
+     "batch_ramp_tokens = 3000000\nseq_len = 384\n"),
+], ids=["data-4k", "defaults", "ramp-crossed", "ramp-not-reached", "flat",
+        "seq-len-not-dividing"])
+def test_schedule_rows_match_per_step_walk(tmp_path, capsys, argv, ini):
+    cfg = tmp_path / "schedule.ini"
+    cfg.write_text("[schedule]\n" + ini, encoding="utf-8")
+    code, out, err = run(capsys, "schedule", *argv, "--config", str(cfg), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    floats = ("peak_lr", "decay_fraction", "final_ratio")
+    config = ScheduleConfig(**{k: (float(v) if k in floats else int(v))
+                               for k, v in payload["config"]["schedule"].items()})
+    rows = payload["result"]["rows"]
+    assert rows[0]["step"] == 0 and rows[-1]["step"] == config.total_steps
+    assert rows == _walked_schedule_rows(config, [r["step"] for r in rows])
 
 
 def test_filter_stage_preset_and_output(tmp_path, capsys):

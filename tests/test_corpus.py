@@ -1,6 +1,8 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xlda_kit.corpus import (
     CorpusStats,
@@ -213,3 +215,83 @@ def test_ingest_invalid_utf8_is_line_error(tmp_path):
     assert "not valid UTF-8" in report.errors[0].message
     with pytest.raises(DataError, match="line 2: not valid UTF-8"):
         list(ingest(f, fail_fast=True))
+
+
+@pytest.mark.parametrize("tokens", [
+    "[1.7, true, 3]", "[2.0]", "[true]", "[false, 1]", "[1e400]", "[Infinity]",
+    "[-Infinity]", "[NaN]", '["5"]',
+])
+def test_non_integer_token_id_is_line_error(tmp_path, tokens):
+    f = tmp_path / "corpus.jsonl"
+    write_lines(f, ['{"id":"d1","lang":"en","tokens":[1]}',
+                    f'{{"id":"d2","lang":"en","tokens":{tokens}}}',
+                    '{"id":"d3","lang":"en","tokens":[3]}'])
+    report = IngestReport()
+    docs = list(ingest(f, report=report))
+    assert [d.id for d in docs] == ["d1", "d3"]
+    assert [e.line_no for e in report.errors] == [2]
+    assert "non-integer token id" in report.errors[0].message
+    with pytest.raises(DataError, match="line 2: non-integer token id"):
+        list(ingest(f, fail_fast=True))
+
+
+def test_tokenizer_integer_types_are_token_ids(tmp_path):
+    f = tmp_path / "corpus.jsonl"
+    write_lines(f, ['{"id":"t1","lang":"en","text":"ab"}',
+                    '{"id":"t2","lang":"en","text":"cd"}'])
+    for to_ids in (lambda s: np.frombuffer(s.encode(), dtype=np.uint8).astype(np.int64),
+                   lambda s: [np.uint32(ord(c)) for c in s],
+                   lambda s: tuple(ord(c) for c in s)):
+        docs = list(ingest(f, tokenizer=lambda s: list(to_ids(s))))
+        assert [d.tokens for d in docs] == [(97, 98), (99, 100)]
+        assert all(type(t) is int for d in docs for t in d.tokens)
+
+
+def test_tokenizer_float_token_ids_are_line_errors(tmp_path):
+    f = tmp_path / "corpus.jsonl"
+    write_lines(f, ['{"id":"t1","lang":"en","text":"ab"}'])
+    report = IngestReport()
+    docs = list(ingest(f, report=report,
+                       tokenizer=lambda s: [np.float64(ord(c)) for c in s]))
+    assert docs == []
+    assert "non-integer token id" in report.errors[0].message
+
+
+_VALID_CORPUS = "".join(
+    json.dumps({"id": f"d{i}", "lang": ("en", "ko", "ja")[i % 3],
+                "class": ("english", "multilingual", "multilingual")[i % 3],
+                "score": round(0.6 * i, 1), "tokens": list(range(i + 1, 2 * i + 4))})
+    + "\n"
+    for i in range(8)
+).encode()
+
+_CORRUPTION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, len(_VALID_CORPUS) - 1), st.integers(0, 7)),
+    st.tuples(st.just("truncate"), st.integers(0, len(_VALID_CORPUS)), st.just(0)),
+    st.tuples(st.just("insert"), st.integers(0, len(_VALID_CORPUS)), st.integers(0, 255)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_CORRUPTION, min_size=1, max_size=4))
+def test_ingest_corrupted_file_gives_line_errors_or_data_error(tmp_path_factory, edits):
+    data = bytearray(_VALID_CORPUS)
+    for kind, pos, value in edits:
+        pos = min(pos, len(data))
+        if kind == "flip" and pos < len(data):
+            data[pos] ^= 1 << value
+        elif kind == "truncate":
+            del data[pos:]
+        elif kind == "insert":
+            data.insert(pos, value)
+    f = tmp_path_factory.mktemp("fuzz") / "corpus.jsonl"
+    f.write_bytes(bytes(data))
+    report = IngestReport()
+    try:
+        docs = list(ingest(f, report=report))
+    except DataError as exc:
+        assert "duplicate document id" in str(exc)
+        return
+    assert report.documents == len(docs)
+    assert all(isinstance(d, Document) and d.tokens for d in docs)
+    assert all(type(t) is int for d in docs for t in d.tokens)

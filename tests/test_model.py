@@ -269,19 +269,24 @@ def _dense_attention_bwd(cache, dout, p, grads, config, cos, sin):
             + dv @ p[f"{prefix}.wv"].T)
 
 
-def _run_model(params, tokens, masks, labels):
-    out = toy.forward(params, tokens, masks)
-    _, grads = toy.loss_and_grads(params, tokens, masks, labels, labels[:, ::-1],
+def _dense_masks(specs):
+    return np.stack([materialize_dense(s, s.seq_len) for s in specs])
+
+
+def _run_model(params, tokens, specs, labels):
+    out = toy.forward(params, tokens, specs)
+    _, grads = toy.loss_and_grads(params, tokens, specs, labels, labels[:, ::-1],
                                   mtp_alpha=0.2)
     return out, grads
 
 
-def _assert_matches_dense(params, tokens, masks, labels, tol=1e-12):
-    tiled_out, tiled_grads = _run_model(params, tokens, masks, labels)
-    with mock.patch.multiple(toy, _key_bands=lambda m: m,
+def _assert_matches_dense(params, tokens, specs, labels, tol=1e-12):
+    tiled_out, tiled_grads = _run_model(params, tokens, specs, labels)
+    # the oracle attends over the dense [B, L, L] masks of the same specs
+    with mock.patch.multiple(toy, _key_bands=_dense_masks,
                              _attention_fwd=_dense_attention_fwd,
                              _attention_bwd=_dense_attention_bwd):
-        dense_out, dense_grads = _run_model(params, tokens, masks, labels)
+        dense_out, dense_grads = _run_model(params, tokens, specs, labels)
     assert np.abs(tiled_out.ntp_logits - dense_out.ntp_logits).max() <= tol
     assert np.abs(tiled_out.mtp_logits - dense_out.mtp_logits).max() <= tol
     for name, g in dense_grads.items():
@@ -289,11 +294,12 @@ def _assert_matches_dense(params, tokens, masks, labels, tol=1e-12):
 
 
 @st.composite
-def _mask_batches(draw, max_len=200):
+def _spec_batches(draw, max_len=200):
+    """1-3 mask specs of one length, each with its own policy and padding."""
     seq_len = draw(st.integers(1, max_len))
-    policy = draw(st.sampled_from(list(MaskPolicy)))
     specs = []
     for _ in range(draw(st.integers(1, 3))):
+        policy = draw(st.sampled_from(list(MaskPolicy)))
         pad_start = draw(st.integers(0, seq_len))
         lengths = []
         while sum(lengths) < pad_start:
@@ -302,27 +308,28 @@ def _mask_batches(draw, max_len=200):
                               min_size=len(lengths), max_size=len(lengths)))
         specs.append(MaskSpec(policy, spans_from_lengths(lengths, codes),
                               pad_start, seq_len))
-    return np.stack([materialize_dense(s, seq_len) for s in specs])
+    return specs
 
 
 @settings(max_examples=100, deadline=None)
-@given(masks=_mask_batches(), seed=st.integers(0, 2**32 - 1))
-def test_tiled_attention_matches_dense_oracle(masks, seed):
+@given(specs=_spec_batches(), seed=st.integers(0, 2**32 - 1))
+def test_tiled_attention_matches_dense_oracle(specs, seed):
     gen = np.random.default_rng(seed)
-    b, l, _ = masks.shape
+    b, l = len(specs), specs[0].seq_len
     params = toy.init(toy.ModelConfig(**{**TINY.__dict__, "seed": seed % 7}))
     tokens = random_tokens(gen, TINY, b, l)
     labels = random_tokens(gen, TINY, b, l)
-    _assert_matches_dense(params, tokens, masks, labels)
+    _assert_matches_dense(params, tokens, specs, labels)
 
 
 @settings(max_examples=40, deadline=None)
-@given(masks=_mask_batches(), seed=st.integers(0, 2**32 - 1))
-def test_value_at_masked_key_leaves_output_bit_identical(masks, seed):
+@given(specs=_spec_batches(), seed=st.integers(0, 2**32 - 1))
+def test_value_at_masked_key_leaves_output_bit_identical(specs, seed):
     gen = np.random.default_rng(seed)
+    masks = _dense_masks(specs)
     b, l, _ = masks.shape
     qr, kr, vh = (gen.standard_normal((b, 2, l, 4)) for _ in range(3))
-    bands = toy._key_bands(masks)
+    bands = toy._key_bands(specs)
     base, _ = toy._band_attention(qr, kr, vh, bands, 0.5)
     key = int(gen.integers(0, l))
     bumped = vh.copy()
@@ -344,19 +351,58 @@ def test_tiled_attention_matches_dense_oracle_at_512(policy):
         codes = [("en", "ko", "ja")[i % 3] for i in range(len(lengths))]
         specs.append(MaskSpec(policy, spans_from_lengths(lengths, codes),
                               pad_start, 512))
-    masks = toy.masks_for(specs)
     params = toy.init(TINY)
-    _assert_matches_dense(params, random_tokens(gen, TINY, 2, 512), masks,
+    _assert_matches_dense(params, random_tokens(gen, TINY, 2, 512), specs,
                           random_tokens(gen, TINY, 2, 512))
 
 
 def test_key_bands_skip_keys_no_row_may_attend():
     spans = spans_from_lengths([30] * 14, ["en", "ko"] * 7)
     spec = MaskSpec(MaskPolicy.INTRA_DOCUMENT_CAUSAL, spans, 420, 512)
-    bands = toy._key_bands(toy.masks_for([spec]))
+    bands = toy._key_bands([spec])
     # the last tile holds only padding rows, so it is left out
     assert [(b.qs, b.qe) for b in bands] == [(i * 64, i * 64 + 64) for i in range(7)]
     for band in bands:
         assert band.ks == band.qs - band.qs % 30  # start of the first row's document
         assert band.ke == min(band.qe, 420)
     assert sum((b.qe - b.qs) * (b.ke - b.ks) for b in bands) < 512 * 512 // 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs=_spec_batches(max_len=300))
+def test_key_bands_match_dense_reach(specs):
+    """Each tile's band runs from the first to the last key column any of its
+    rows may reach in the dense masks, and holds exactly their cells."""
+    masks = _dense_masks(specs)
+    union = masks.any(axis=0)
+    expected = []
+    for qs in range(0, masks.shape[-1], toy.ATTENTION_TILE):
+        qe = min(qs + toy.ATTENTION_TILE, masks.shape[-1])
+        cols = np.flatnonzero(union[qs:qe].any(axis=0))
+        if cols.size:
+            expected.append((qs, qe, int(cols[0]), int(cols[-1]) + 1))
+    bands = toy._key_bands(specs)
+    assert [(b.qs, b.qe, b.ks, b.ke) for b in bands] == expected
+    for band in bands:
+        assert band.allowed.shape == (len(specs), 1, band.qe - band.qs,
+                                      band.ke - band.ks)
+        assert (band.allowed[:, 0]
+                == masks[:, band.qs:band.qe, band.ks:band.ke]).all()
+
+
+def test_mask_spec_count_or_length_mismatch_is_error():
+    params = toy.init(TINY)
+    spec = two_doc_spec(MaskPolicy.XLDA_FULL_CAUSAL)  # seq_len 8
+    tokens = np.zeros((2, 8), dtype=np.int64)
+    labels = np.ones((2, 8), dtype=np.int64)
+    for masks in ([spec], [spec, spec, spec]):
+        with pytest.raises(DataError, match="count 1|count 3"):
+            toy.forward(params, tokens, masks)
+        with pytest.raises(DataError, match="count 1|count 3"):
+            toy.loss_and_grads(params, tokens, masks, labels, labels, mtp_alpha=0.2)
+    short = two_doc_spec(MaskPolicy.INTRA_DOCUMENT_CAUSAL, lengths=(3, 4))
+    for masks in (short, [spec, short]):
+        with pytest.raises(DataError, match=r"seq_len \[7.*length 8"):
+            toy.forward(params, tokens, masks)
+        with pytest.raises(DataError, match=r"seq_len \[7.*length 8"):
+            toy.loss_and_grads(params, tokens, masks, labels, labels, mtp_alpha=0.2)

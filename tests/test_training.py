@@ -4,7 +4,7 @@ import pytest
 from xlda_kit import model as toy
 from xlda_kit.corpus import Document, LanguageTag
 from xlda_kit.errors import ConfigError
-from xlda_kit.masks import MaskPolicy
+from xlda_kit.masks import MaskPolicy, MaskSpec
 from xlda_kit.packing import PackerConfig, pack_stream
 from xlda_kit.sampling import SamplerConfig
 from xlda_kit.schedule import ScheduleConfig, lr_at
@@ -123,7 +123,9 @@ def test_batch_from_sequences_counts_real_tokens():
     batch = batch_from_sequences(seqs[:2], MaskPolicy.XLDA_FULL_CAUSAL)
     assert batch.real_tokens == seqs[0].pad_start + seqs[1].pad_start
     assert batch.tokens.shape == (2, 16)
-    assert batch.masks.shape == (2, 16, 16)
+    assert batch.specs == tuple(
+        MaskSpec.for_sequence(s, MaskPolicy.XLDA_FULL_CAUSAL) for s in seqs[:2]
+    )
 
 
 def test_train_steps_beyond_schedule_is_error():
