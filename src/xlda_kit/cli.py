@@ -58,6 +58,17 @@ class _UsageError(Exception):
     pass
 
 
+def _at_least_one(text: str) -> int:
+    """Argument type for counts and spacings: an integer, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.format_usage()}error: {message}")
@@ -310,12 +321,7 @@ def _cmd_pack(args, run: RunConfig) -> int:
 
 def _cmd_mask(args, run: RunConfig) -> int:
     policy = masks.MaskPolicy.parse(args.policy)
-    sequences, config = packing.read_packed(args.packed)
-    if not (0 <= args.index < len(sequences)):
-        raise XldaKitError(
-            f"sequence index {args.index} outside [0, {len(sequences)})"
-        )
-    seq = sequences[args.index]
+    [seq], config = packing.read_packed(args.packed, index=args.index)
     spec = masks.MaskSpec.for_sequence(seq, policy)
     payload = {
         "policy": policy.value,
@@ -642,7 +648,7 @@ def build_parser() -> _Parser:
     p.add_argument("--total", type=int, default=None)
     p.add_argument("--decay-frac", type=float, default=None)
     p.add_argument("--final-ratio", type=float, default=None)
-    p.add_argument("--every", type=int, default=None, help="row spacing in steps")
+    p.add_argument("--every", type=_at_least_one, default=None, help="row spacing in steps")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_schedule)
 
@@ -659,7 +665,7 @@ def build_parser() -> _Parser:
     p.add_argument("--packed", required=True)
     p.add_argument("--policy", required=True, help="xlda|intra|bridge")
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--batch-seqs", type=int, default=4)
+    p.add_argument("--batch-seqs", type=_at_least_one, default=4)
     p.add_argument("--peak", type=float, default=None)
     p.add_argument("--warmup", type=int, default=None)
     p.add_argument("--weight-decay", type=float, default=0.1)

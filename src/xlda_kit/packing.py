@@ -28,7 +28,7 @@ import numpy as np
 
 from . import rng
 from .corpus import Document, LanguageTag, stats as corpus_stats
-from .errors import ConfigError, ConstraintInfeasibleError, DataError
+from .errors import ConfigError, ConstraintInfeasibleError, DataError, XldaKitError
 from .sampling import SamplerConfig, categorical_draw, constraint_flag, language_distribution
 
 SPLIT_ACROSS_SEQUENCES = "split_across_sequences"
@@ -446,9 +446,9 @@ def write_packed(
 class _Cursor:
     """Bounds-checked reads over the bytes of a packed-batch file."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, pos: int = 0):
         self.data = data
-        self.pos = 0
+        self.pos = pos
 
     def remaining(self) -> int:
         return len(self.data) - self.pos
@@ -466,38 +466,96 @@ class _Cursor:
     def array(self, dtype: np.dtype, count: int) -> np.ndarray:
         return np.frombuffer(self.data, dtype, count, self._take(count * dtype.itemsize))
 
+    def chunk(self, n: int) -> bytes:
+        start = self._take(n)
+        return self.data[start : self.pos]
+
     def text(self) -> str:
         (n,) = self.unpack(_LENGTH)
-        start = self._take(n)
         try:
-            return self.data[start : start + n].decode("utf-8")
+            return self.chunk(n).decode("utf-8")
         except UnicodeDecodeError:
             raise DataError("language table entry is not UTF-8") from None
 
 
-def _read_sequence(cur: _Cursor, seq_len: int, tags: Sequence[LanguageTag],
+def _first(bad: np.ndarray) -> int | None:
+    """Index of the first true entry of ``bad``, or None if there is none."""
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _scan(cur: _Cursor, seq_len: int, count: int, n_langs: int) -> list[int]:
+    """Check every record from the cursor to the end of the file; return their offsets.
+
+    One pass locates the records (their span counts set their sizes) and
+    checks the framing; the span tables, ``pad_start`` values and token
+    buffers are then checked with numpy, building no Python objects per span.
+    Each check reports the first record that fails it.
+    """
+    offsets, tokens, pads, counts, tables = [], [], [], [], []
+    for _ in range(count):
+        offsets.append(cur.pos)
+        tokens.append(cur.array(_TOKENS, seq_len))
+        pad_start, span_count = cur.unpack(_RECORD)
+        if span_count > seq_len:
+            raise DataError(f"span count {span_count} above seq_len {seq_len}")
+        pads.append(pad_start)
+        counts.append(span_count)
+        tables.append(cur.chunk(span_count * _SPANS.itemsize))
+    if cur.remaining():
+        raise DataError(f"{cur.remaining()} trailing bytes after {count} sequences")
+    spans = np.frombuffer(b"".join(tables), _SPANS)
+    starts, ends = spans["start"].astype(np.int64), spans["end"].astype(np.int64)
+    if (j := _first(spans["lang"] >= n_langs)) is not None:
+        raise DataError(f"language index {spans['lang'][j]} missing from the language table")
+    if (j := _first(starts >= ends)) is not None:
+        raise DataError(f"invalid span [{starts[j]}, {ends[j]})")
+    pads = np.array(pads, dtype=np.int64)
+    if (i := _first(pads > seq_len)) is not None:
+        raise DataError(f"pad_start {pads[i]} outside [0, {seq_len}]")
+    # each span starts where the one before it in its record ends; a
+    # record's first span starts at 0 and its last ends at pad_start
+    counts = np.array(counts, dtype=np.int64)
+    stops = np.cumsum(counts)  # one past each record's last span
+    filled = counts > 0
+    expected = np.concatenate(([0], ends))[:-1]
+    expected[(stops - counts)[filled]] = 0
+    if (j := _first(starts != expected)) is not None:
+        raise DataError(f"spans do not tile [0, pad_start): gap/overlap at {expected[j]}")
+    covered = np.zeros(count, dtype=np.int64)
+    covered[filled] = ends[stops[filled] - 1]
+    if (i := _first(covered != pads)) is not None:
+        raise DataError(f"spans cover [0, {covered[i]}) but pad_start is {pads[i]}")
+    for record, pad_start in zip(tokens, pads):
+        if (record[:pad_start] == IGNORE_LABEL).any():
+            raise DataError(f"token id {IGNORE_LABEL} is reserved as the ignore label")
+    return offsets
+
+
+def _read_sequence(data: bytes, offset: int, seq_len: int, tags: Sequence[LanguageTag],
                    cross_doc_labels: bool) -> PackedSequence:
+    """Decode the record at ``offset``, which ``_scan`` has already checked."""
+    cur = _Cursor(data, offset)
     tokens = cur.array(_TOKENS, seq_len).copy()
     pad_start, span_count = cur.unpack(_RECORD)
-    if span_count > seq_len:
-        raise DataError(f"span count {span_count} above seq_len {seq_len}")
-    spans = []
-    for start, end, lang, doc in cur.array(_SPANS, span_count).tolist():
-        if lang >= len(tags):
-            raise DataError(f"language index {lang} missing from the language table")
-        spans.append(DocSpan(start=start, end=end, lang=tags[lang], doc_id=f"h{doc:016x}"))
-    seq = PackedSequence(tokens, tuple(spans), pad_start, cross_doc_labels)
-    if (tokens[:pad_start] == IGNORE_LABEL).any():
-        raise DataError(f"token id {IGNORE_LABEL} is reserved as the ignore label")
-    return seq
+    spans = tuple(
+        DocSpan(start=start, end=end, lang=tags[lang], doc_id=f"h{doc:016x}")
+        for start, end, lang, doc in cur.array(_SPANS, span_count).tolist()
+    )
+    return PackedSequence(tokens, spans, pad_start, cross_doc_labels)
 
 
-def read_packed(path: str | Path) -> tuple[list[PackedSequence], PackerConfig]:
+def read_packed(
+    path: str | Path, index: int | None = None
+) -> tuple[list[PackedSequence], PackerConfig]:
     """Read a packed-batch file back into memory.
 
     Returns the sequences and a ``PackerConfig`` with the file's ``seq_len``
-    and ``cross_doc_labels`` (so derived labels match the packer's). Any
-    malformed file raises ``DataError``.
+    and ``cross_doc_labels`` (so derived labels match the packer's). Every
+    record of the file is checked first, without decoding it, and any
+    malformed file raises ``DataError``; only then are records decoded into
+    ``PackedSequence`` objects. With ``index``, only record ``index`` is
+    decoded and the list holds just that sequence; an index outside
+    ``[0, count)`` raises ``XldaKitError``.
     """
     path = Path(path)
     if not path.exists():
@@ -519,9 +577,12 @@ def read_packed(path: str | Path) -> tuple[list[PackedSequence], PackerConfig]:
         tags = [LanguageTag(code=cur.text(), lang_class=cur.text()) for _ in range(n_langs)]
         if count * (_TOKENS.itemsize * seq_len + _RECORD.size) > cur.remaining():
             raise DataError(f"file ends early (truncated): header says {count} sequences")
-        sequences = [_read_sequence(cur, seq_len, tags, bool(cross_doc)) for _ in range(count)]
-        if cur.remaining():
-            raise DataError(f"{cur.remaining()} trailing bytes after {count} sequences")
+        offsets = _scan(cur, seq_len, count, n_langs)
     except DataError as exc:
         raise DataError(f"corrupt packed-batch file {path}: {exc}") from None
+    if index is not None:
+        if not 0 <= index < count:
+            raise XldaKitError(f"sequence index {index} outside [0, {count})")
+        offsets = offsets[index : index + 1]
+    sequences = [_read_sequence(data, o, seq_len, tags, bool(cross_doc)) for o in offsets]
     return sequences, PackerConfig(seq_len=seq_len, cross_doc_labels=bool(cross_doc))

@@ -100,6 +100,8 @@ def cycle_batches(
     """Deterministic wrap-around batching over a fixed sequence list."""
     if not seqs:
         raise ConfigError("no packed sequences to train on")
+    if batch_sequences < 1:
+        raise ConfigError(f"batch_sequences must be >= 1: {batch_sequences}")
     n = len(seqs)
     cursor = 0
     while True:

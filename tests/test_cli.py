@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xlda_kit
 from xlda_kit.cli import dispatch
 from xlda_kit.packing import read_packed
 from xlda_kit.schedule import ScheduleConfig, batch_size_at, lr_at
@@ -78,6 +83,21 @@ def test_schedule_json_has_lr_zero_at_origin(capsys):
     payload = json.loads(out)
     first = payload["result"]["rows"][0]
     assert first["step"] == 0 and first["lr"] == 0.0
+
+
+@pytest.mark.parametrize("every", ["0", "-5"])
+def test_schedule_every_below_one_is_usage_error(capsys, every):
+    code, out, err = run(capsys, "schedule", "--total", "1000", f"--every={every}")
+    assert code == 1 and not out
+    assert f"--every: expected an integer >= 1, got '{every}'" in err
+
+
+def test_schedule_every_sets_row_spacing(capsys):
+    code, out, err = run(capsys, "schedule", "--total", "1000", "--warmup", "100",
+                         "--every", "250", "--csv")
+    assert code == 0
+    steps = [int(line.split(",")[0]) for line in out.splitlines()[1:] if line[:1].isdigit()]
+    assert steps == [0, 100, 250, 500, 750, 900, 1000]
 
 
 def _walked_schedule_rows(config, steps):
@@ -198,6 +218,24 @@ def test_pack_then_mask_roundtrip(tmp_path, capsys):
     assert payload["result"]["allowed_pairs"] > 0
 
 
+def test_mask_index_at_or_past_count_exit_2(tmp_path, capsys):
+    src = tmp_path / "corpus.jsonl"
+    packed = tmp_path / "batch.xlda"
+    write_corpus(src)
+    run(capsys, "pack", "--input", str(src), "--output", str(packed), "--seq-len", "16")
+    count = len(read_packed(packed)[0])
+    for index in (count, count + 5, -1):
+        code, out, err = run(
+            capsys, "mask", "--policy", "xlda", "--from", str(packed), "--index", str(index),
+        )
+        assert code == 2 and not out
+        assert err == f"error: sequence index {index} outside [0, {count})\n"
+    code, out, err = run(
+        capsys, "mask", "--policy", "xlda", "--from", str(packed), "--index", str(count - 1),
+    )
+    assert code == 0
+
+
 def test_pack_byte_identical_across_runs(tmp_path, capsys):
     src = tmp_path / "corpus.jsonl"
     write_corpus(src, n_en=40, n_ko=40, seed=5)
@@ -255,6 +293,21 @@ def test_train_toy_runs_and_is_deterministic(tmp_path, capsys):
     assert results[0] == results[1]
     header = results[0][0].decode().splitlines()[0]
     assert header == "step,lr,batch_tokens,loss_ntp,loss_mtp,loss_total"
+
+
+@pytest.mark.parametrize("batch_seqs", ["0", "-2"])
+def test_train_toy_batch_seqs_below_one_is_usage_error(tmp_path, capsys, batch_seqs):
+    src = tmp_path / "corpus.jsonl"
+    packed = tmp_path / "batch.xlda"
+    write_corpus(src, max_id=60)
+    run(capsys, "pack", "--input", str(src), "--output", str(packed), "--seq-len", "16")
+    code, out, err = run(
+        capsys, "train-toy", "--packed", str(packed), "--policy", "xlda", "--steps", "2",
+        "--batch-seqs", batch_seqs,
+    )
+    assert code == 1
+    assert f"--batch-seqs: expected an integer >= 1, got '{batch_seqs}'" in err
+    assert "Traceback" not in err
 
 
 def test_train_toy_vocab_too_small_is_data_error(tmp_path, capsys):
@@ -411,3 +464,13 @@ def test_config_file_threads_key_is_ignored(tmp_path, capsys):
     )
     assert code == 0
     assert "# threads" not in out  # not read, so not echoed
+
+
+def test_python_dash_m_runs_the_cli():
+    result = subprocess.run(
+        [sys.executable, "-m", "xlda_kit", "--version"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(xlda_kit.__file__).parents[1]), os.environ.get("PYTHONPATH")]))},
+    )
+    assert result.returncode == 0
+    assert result.stdout.strip() == xlda_kit.__version__

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xlda_kit.cli import dispatch
 from xlda_kit.corpus import Document, LanguageTag, stats as corpus_stats
-from xlda_kit.errors import ConfigError, ConstraintInfeasibleError, DataError
+from xlda_kit.errors import ConfigError, ConstraintInfeasibleError, DataError, XldaKitError
 from xlda_kit.packing import (
     DROP_TAIL_DOC,
     IGNORE_LABEL,
@@ -376,6 +377,25 @@ def test_malformed_v2_file_is_data_error(tmp_path, name, blob, message):
     path.write_bytes(blob)
     with pytest.raises(DataError, match=message):
         read_packed(path)
+    with pytest.raises(DataError, match=message):
+        read_packed(path, index=0)
+
+
+@pytest.mark.parametrize("name, bad_record, message", [
+    ("bad_tiling", ([1] * 8, 5, [(0, 2, 0, 0), (3, 5, 0, 0)]), "do not tile"),
+    ("short_of_pad_start", ([1] * 8, 5, [(0, 3, 0, 0)]), "spans cover"),
+    ("unknown_language", ([1] * 8, 3, [(0, 3, 1, 0)]), "language index 1"),
+    ("reserved_token", ([1, IGNORE_LABEL, 3, 0, 0, 0, 0, 0], 3, [(0, 3, 0, 0)]), "reserved"),
+])
+def test_mask_of_a_good_record_rejects_a_file_with_a_corrupt_later_one(
+        tmp_path, capsys, name, bad_record, message):
+    path = tmp_path / f"{name}.xlda"
+    path.write_bytes(v2_bytes([GOOD, GOOD, bad_record]))
+    with pytest.raises(DataError, match=message):
+        read_packed(path, index=0)
+    code = dispatch(["mask", "--policy", "xlda", "--from", str(path), "--index", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and message in captured.err and not captured.out
 
 
 def test_version_one_file_is_rejected_with_repack_hint(tmp_path):
@@ -393,14 +413,14 @@ def fuzz_dir(tmp_path_factory):
             for i in range(12)]
     config = PackerConfig(seq_len=8)
     path = tmp_path_factory.mktemp("fuzz")
-    write_packed(path / "base.xlda", list(pack_stream(docs, sampler(rho=0.5, seed=3), config)),
-                 config)
+    seqs = list(pack_stream(docs, sampler(rho=0.5, seed=3), config))
+    assert len(seqs) >= 3
+    write_packed(path / "base.xlda", seqs, config)
     return path
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_fuzzed_packed_file_loads_or_raises_data_error(fuzz_dir, data):
+def fuzzed_file(fuzz_dir, data):
+    """The base file cut at a drawn length, with up to four drawn bit flips."""
     base = (fuzz_dir / "base.xlda").read_bytes()
     blob = bytearray(base[: data.draw(st.integers(0, len(base)), label="keep")])
     for bit in data.draw(st.lists(st.integers(0, 8 * len(base) - 1), max_size=4), label="flips"):
@@ -408,12 +428,42 @@ def test_fuzzed_packed_file_loads_or_raises_data_error(fuzz_dir, data):
             blob[bit // 8] ^= 1 << (bit % 8)
     path = fuzz_dir / "fuzzed.xlda"
     path.write_bytes(bytes(blob))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_packed_file_loads_or_raises_data_error(fuzz_dir, data):
+    path = fuzzed_file(fuzz_dir, data)
     try:
         seqs, config = read_packed(path)
     except DataError:
         return
     for seq in seqs:
         assert seq.seq_len == config.seq_len
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_packed_file_one_record_read_matches_full_read(fuzz_dir, data):
+    path = fuzzed_file(fuzz_dir, data)
+    try:
+        full, config = read_packed(path)
+    except DataError:
+        for index in range(len(read_packed(fuzz_dir / "base.xlda")[0])):
+            with pytest.raises(DataError):
+                read_packed(path, index=index)
+        return
+    with pytest.raises(XldaKitError, match="outside") as past_end:
+        read_packed(path, index=len(full))
+    assert not isinstance(past_end.value, DataError)
+    for index, want in enumerate(full):
+        [seq], one_config = read_packed(path, index=index)
+        assert one_config == config
+        assert seq.tokens.tolist() == want.tokens.tolist()
+        assert seq.spans == want.spans and seq.pad_start == want.pad_start
+        assert (seq.ntp_labels == want.ntp_labels).all()
+        assert (seq.mtp_labels == want.mtp_labels).all()
 
 
 # --- realised language shares ------------------------------------------------

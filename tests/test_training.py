@@ -67,6 +67,12 @@ def test_zero_steps_leaves_params_unchanged():
         assert (tensor == before[name]).all()
 
 
+@pytest.mark.parametrize("batch_sequences", [0, -2])
+def test_cycle_batches_needs_at_least_one_sequence_per_batch(batch_sequences):
+    with pytest.raises(ConfigError, match="batch_sequences must be >= 1"):
+        next(cycle_batches(copy_task_sequences(), MaskPolicy.XLDA_FULL_CAUSAL, batch_sequences))
+
+
 def test_copy_task_loss_decreases():
     params = toy.init(MODEL)
     seqs = copy_task_sequences()
