@@ -1,10 +1,14 @@
 """The ``xlda-kit`` command: one entry point dispatching to all modules.
 
-Exit codes: 0 success, 1 usage error, 2 data error. Settings merge in three
-layers: built-in defaults, then an INI-style config file (flat sections of
-``key = value``), then command-line flags. Every command echoes the settings
-it actually used, and ``--emit-config`` writes them back out as a config
-file that reproduces the run.
+Exit codes: 0 success, 1 usage error, 2 data error. Every setting is one row
+of ``SETTINGS``: a ``[section] key`` with a type, a default and, for some, the
+flag that overrides it. Values merge in three layers: the defaults, then an
+INI-style config file (flat sections of ``key = value``), then flags. A config
+file may name only the table's sections and keys, plus the ``RETIRED`` keys,
+which are ignored; any other section or key, any key under ``[DEFAULT]`` and
+any value its key's type rejects is a config error. Every command echoes the
+settings it used, as the strings it was given, and ``--emit-config`` writes
+them back out as a config file that reproduces the run.
 """
 
 from __future__ import annotations
@@ -13,60 +17,147 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 from bisect import bisect_left
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__, consistency, corpus, masks, model as toy, packing
 from . import quality, sampling, schedule as sched, training
 from .errors import ConfigError, XldaKitError
 
-_SECTION_DEFAULTS: dict[str, dict[str, str]] = {
-    "global": {"seed": "0"},
-    "sampler": {"alpha": "1.0", "rho": "0.0", "beta": ""},
-    "packer": {
-        "seq_len": "4096",
-        "split": "split",
-        "pad_token": "0",
-        "cross_doc_labels": "false",
-    },
-    "schedule": {
-        "peak_lr": "2e-4",
-        "warmup_steps": "2000",
-        "total_steps": "100000",
-        "decay_fraction": "0.1",
-        "final_ratio": "0.1",
-        "batch_start_tokens": "1000000",
-        "batch_end_tokens": "2000000",
-        "batch_ramp_tokens": "1000000000000",
-        "seq_len": "4096",
-    },
-    "model": {
-        "n_layers": "2",
-        "d_model": "32",
-        "d_ff": "64",
-        "n_heads": "4",
-        "vocab_size": "64",
-        "rope_theta": "100000",
-        "mtp_alpha": "0.2",
-    },
-    "filter": {"stage": "pretrain", "class": "english"},
+
+class _Type(NamedTuple):
+    """How a setting's string parses, and the argparse keywords of its flag."""
+
+    what: str  # completes "must be ..." in the error for a bad string
+    parse: Callable[[str], object]  # raises ValueError or KeyError for a bad string
+    flag: dict
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _integer(low: int | None = None) -> _Type:
+    def parse(text: str) -> int:
+        value = int(text)
+        if low is not None and value < low:
+            raise ValueError(text)
+        return value
+    return _Type("an integer" if low is None else f"an integer >= {low}", parse, {"type": int})
+
+
+def _argument(what: str, parse: Callable[[str], object]):
+    """Argument type from a setting parser: a bad value is a usage error."""
+    def checked(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+    return checked
+
+
+_finite_float = _argument("a finite number", _finite)
+_at_least_one = _argument("an integer >= 1", _integer(1).parse)
+
+
+def _choice(names: dict[str, str]) -> _Type:
+    """One of ``names``; a config file may also give the value a name stands for."""
+    accepted = {**{value: value for value in names.values()}, **names}
+    return _Type("one of " + "|".join(names), accepted.__getitem__, {"choices": list(names)})
+
+
+def _code_values(text: str, what: str) -> dict[str, float]:
+    """Parse ``en=0.85,ko=0.10,...`` into finite numbers by language code."""
+    values: dict[str, float] = {}
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        code, _, value = part.partition("=")
+        try:
+            values[code.strip()] = _finite(value)
+        except ValueError:
+            raise ConfigError(f"bad {what} entry {part!r}; expected code=finite value") from None
+    return values
+
+
+def _beta(text: str) -> dict[str, float] | None:
+    """``[sampler] beta``; empty means a uniform share per corpus language.
+
+    Float dust in the sum is absorbed into the largest share.
+    """
+    if not text.strip():
+        return None
+    beta = _code_values(text, "beta")
+    if not beta:
+        raise ConfigError("beta is empty")
+    total = sum(beta.values())
+    if abs(total - 1.0) > 1e-6:
+        raise ConfigError(f"beta must sum to 1, got {total!r}")
+    largest = max(beta, key=lambda c: beta[c])
+    beta[largest] += 1.0 - sum(beta.values())
+    return beta
+
+
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
+_BOOL = _Type("a boolean (true|false)", lambda text: _BOOLEANS[text.strip().lower()], {})
+_FLOAT = _Type("a finite number", _finite, {"type": _finite_float})
+_BETA = _Type("code=value pairs summing to 1", _beta, {})
+
+
+class Setting(NamedTuple):
+    type: _Type
+    default: str
+    flag: str | None = None  # overrides the key in the commands that bind it
+
+
+SETTINGS: dict[tuple[str, str], Setting] = {
+    ("global", "seed"): Setting(_integer(), "0", "--seed"),
+    ("sampler", "alpha"): Setting(_FLOAT, "1.0", "--alpha"),
+    ("sampler", "rho"): Setting(_FLOAT, "0.0", "--rho"),
+    ("sampler", "beta"): Setting(_BETA, "", "--beta"),
+    ("packer", "seq_len"): Setting(_integer(8), "4096", "--seq-len"),
+    ("packer", "split"): Setting(_choice({"split": packing.SPLIT_ACROSS_SEQUENCES,
+                                          "drop": packing.DROP_TAIL_DOC}), "split", "--split"),
+    ("packer", "cross_doc_labels"): Setting(_BOOL, "false"),
+    ("schedule", "peak_lr"): Setting(_FLOAT, "2e-4", "--peak"),
+    ("schedule", "warmup_steps"): Setting(_integer(0), "2000", "--warmup"),
+    ("schedule", "total_steps"): Setting(_integer(1), "100000", "--total"),
+    ("schedule", "decay_fraction"): Setting(_FLOAT, "0.1", "--decay-frac"),
+    ("schedule", "final_ratio"): Setting(_FLOAT, "0.1", "--final-ratio"),
+    ("schedule", "batch_start_tokens"): Setting(_integer(1), "1000000"),
+    ("schedule", "batch_end_tokens"): Setting(_integer(1), "2000000"),
+    ("schedule", "batch_ramp_tokens"): Setting(_integer(1), "1000000000000"),
+    ("schedule", "seq_len"): Setting(_integer(1), "4096"),
+    ("model", "n_layers"): Setting(_integer(1), "2"),
+    ("model", "d_model"): Setting(_integer(1), "32"),
+    ("model", "d_ff"): Setting(_integer(1), "64"),
+    ("model", "n_heads"): Setting(_integer(1), "4"),
+    ("model", "vocab_size"): Setting(_integer(1), "64"),
+    ("model", "rope_theta"): Setting(_FLOAT, "100000"),
+    ("model", "mtp_alpha"): Setting(_FLOAT, "0.2"),
+    ("filter", "stage"): Setting(_choice({s: s for s in quality.STAGES}), "pretrain", "--stage"),
+    ("filter", "class"): Setting(_choice({c: c for c in corpus.LANGUAGE_CLASSES}),
+                                 "english", "--class"),
 }
+# keys older config files may hold: accepted, ignored and not echoed
+RETIRED = {("global", "threads"), ("filter", "binarize_threshold"), ("packer", "pad_token")}
+
+
+def _parse(section: str, key: str, raw: str):
+    kind = SETTINGS[section, key].type
+    try:
+        return kind.parse(raw)
+    except (ValueError, KeyError):
+        raise ConfigError(f"[{section}] {key} must be {kind.what}, got {raw!r}") from None
 
 
 class _UsageError(Exception):
     pass
-
-
-def _at_least_one(text: str) -> int:
-    """Argument type for counts and spacings: an integer, at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,55 +166,52 @@ class _Parser(argparse.ArgumentParser):
 
 
 class RunConfig:
-    """Defaults merged with a config file and then with flag overrides."""
+    """``SETTINGS`` defaults, then a config file; ``dispatch`` applies the flags."""
 
     def __init__(self, config_path: str | None):
-        self.values = {s: dict(kv) for s, kv in _SECTION_DEFAULTS.items()}
+        self.raw = {name: setting.default for name, setting in SETTINGS.items()}
         self.used: dict[str, dict[str, str]] = {}
         if config_path:
-            path = Path(config_path)
-            if not path.exists():
-                raise XldaKitError(f"no such config file: {path}")
-            parser = configparser.ConfigParser()
-            try:
-                parser.read(path, encoding="utf-8")
-            except (configparser.Error, UnicodeDecodeError) as exc:
-                raise ConfigError(f"malformed config file {path}: {exc}") from None
-            for section in parser.sections():
-                store = self.values.setdefault(section, {})
-                for key, value in parser.items(section):
-                    store[key] = value
+            self._read(Path(config_path))
 
-    def override(self, section: str, key: str, value) -> None:
-        if value is not None:
-            self.values.setdefault(section, {})[key] = str(value)
-
-    def get(self, section: str, key: str) -> str:
-        value = self.values[section][key]
-        self.used.setdefault(section, {})[key] = value
-        return value
-
-    def get_int(self, section: str, key: str) -> int:
-        raw = self.get(section, key)
+    def _read(self, path: Path) -> None:
+        if not path.exists():
+            raise XldaKitError(f"no such config file: {path}")
+        parser = configparser.ConfigParser(interpolation=None)
         try:
-            return int(raw)
-        except ValueError:
-            raise XldaKitError(f"[{section}] {key} must be an integer, got {raw!r}") from None
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}") from None
+        if parser.defaults():
+            raise ConfigError(f"config file {path}: keys under [DEFAULT] are not settings; "
+                              f"put each of {', '.join(parser.defaults())} under its section")
+        for section in parser.sections():
+            keys = [k for s, k in SETTINGS if s == section]
+            if not keys:
+                raise ConfigError(f"config file {path}: unknown section [{section}]; sections "
+                                  f"are {', '.join(dict.fromkeys(s for s, _ in SETTINGS))}")
+            for key, value in parser.items(section):
+                if key in keys:
+                    _parse(section, key, value)
+                    self.raw[section, key] = value
+                elif (section, key) not in RETIRED:
+                    raise ConfigError(f"config file {path}: unknown key {key!r} in "
+                                      f"[{section}]; keys are {', '.join(keys)}")
 
-    def get_float(self, section: str, key: str) -> float:
-        raw = self.get(section, key)
-        try:
-            return float(raw)
-        except ValueError:
-            raise XldaKitError(f"[{section}] {key} must be a number, got {raw!r}") from None
+    def get(self, section: str, key: str, given=None):
+        """The typed value of ``[section] key``.
 
-    def get_bool(self, section: str, key: str) -> bool:
-        raw = self.get(section, key).strip().lower()
-        if raw in ("1", "true", "yes", "on"):
-            return True
-        if raw in ("0", "false", "no", "off"):
-            return False
-        raise XldaKitError(f"[{section}] {key} must be a boolean, got {raw!r}")
+        ``given`` is a value the command derives itself; it replaces the
+        default, the file and the flags, and is echoed like them.
+        """
+        raw = self.raw[section, key] if given is None else str(given)
+        self.used.setdefault(section, {})[key] = raw
+        return _parse(section, key, raw)
+
+    def section(self, section: str, **given) -> dict:
+        """Every key of ``section`` by name, typed; see ``get`` for ``given``."""
+        return {key: self.get(section, key, given.get(key)) for s, key in SETTINGS if s == section}
 
     def echo_lines(self) -> list[str]:
         lines = []
@@ -134,7 +222,7 @@ class RunConfig:
         return lines
 
     def emit(self, path: str) -> None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         for section in sorted(self.used):
             parser[section] = dict(sorted(self.used[section].items()))
         with open(path, "w", encoding="utf-8") as fh:
@@ -142,30 +230,6 @@ class RunConfig:
 
     def as_json(self) -> dict:
         return {s: dict(sorted(kv.items())) for s, kv in sorted(self.used.items())}
-
-
-def _parse_beta(raw: str) -> dict[str, float]:
-    """Parse ``en=0.85,ko=0.10,...`` and absorb float dust into the largest."""
-    beta: dict[str, float] = {}
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise XldaKitError(f"bad beta entry {part!r}; expected code=value")
-        code, _, value = part.partition("=")
-        try:
-            beta[code.strip()] = float(value)
-        except ValueError:
-            raise XldaKitError(f"bad beta value in {part!r}") from None
-    if not beta:
-        raise XldaKitError("beta is empty")
-    total = sum(beta.values())
-    if abs(total - 1.0) > 1e-6:
-        raise XldaKitError(f"beta must sum to 1, got {total!r}")
-    largest = max(beta, key=lambda c: beta[c])
-    beta[largest] += 1.0 - sum(beta.values())
-    return beta
 
 
 def _uniform_beta(codes: list[str]) -> dict[str, float]:
@@ -191,18 +255,16 @@ def _finish(args, run: RunConfig, payload: dict, text_lines: list[str]) -> int:
 
 def _sampler_from(run: RunConfig, fallback_langs: list[str] | None = None
                   ) -> sampling.SamplerConfig:
-    raw_beta = run.get("sampler", "beta")
-    if raw_beta.strip():
-        beta = _parse_beta(raw_beta)
-    elif fallback_langs:
+    beta = run.get("sampler", "beta")
+    if beta is None:
+        if not fallback_langs:
+            raise XldaKitError("no beta given and no corpus to infer languages from")
         beta = _uniform_beta(sorted(fallback_langs))
-    else:
-        raise XldaKitError("no beta given and no corpus to infer languages from")
     return sampling.SamplerConfig(
-        alpha_temp=run.get_float("sampler", "alpha"),
+        alpha_temp=run.get("sampler", "alpha"),
         beta=beta,
-        rho=run.get_float("sampler", "rho"),
-        seed=run.get_int("global", "seed"),
+        rho=run.get("sampler", "rho"),
+        seed=run.get("global", "seed"),
     )
 
 
@@ -210,8 +272,6 @@ def _sampler_from(run: RunConfig, fallback_langs: list[str] | None = None
 
 
 def _cmd_filter(args, run: RunConfig) -> int:
-    run.override("filter", "stage", args.stage)
-    run.override("filter", "class", args.lang_class)
     stage = run.get("filter", "stage")
     lang_class = run.get("filter", "class")
     keep = args.keep if args.keep is not None else quality.stage_preset(stage, lang_class)
@@ -236,9 +296,6 @@ def _cmd_filter(args, run: RunConfig) -> int:
 
 
 def _cmd_plan(args, run: RunConfig) -> int:
-    run.override("sampler", "alpha", args.alpha)
-    run.override("sampler", "beta", args.beta)
-    run.override("sampler", "rho", args.rho)
     if args.stats:
         with open(args.stats, "r", encoding="utf-8") as fh:
             stats = corpus.CorpusStats.from_json(json.load(fh))
@@ -248,19 +305,7 @@ def _cmd_plan(args, run: RunConfig) -> int:
     dist = sampling.language_distribution(config, stats)
     plan = sampling.MixturePlan(shares=dist)
     if args.upsample:
-        factors = {}
-        for part in args.upsample.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise XldaKitError(f"bad upsample entry {part!r}; expected code=factor")
-            code, _, value = part.partition("=")
-            try:
-                factors[code.strip()] = float(value)
-            except ValueError:
-                raise XldaKitError(f"bad upsample factor in {part!r}") from None
-        plan = plan.upsample(factors)
+        plan = plan.upsample(_code_values(args.upsample, "upsample"))
     payload = {
         "distribution": dist,
         "token_shares": dict(plan.shares),
@@ -278,29 +323,13 @@ def _cmd_plan(args, run: RunConfig) -> int:
 
 
 def _cmd_pack(args, run: RunConfig) -> int:
-    run.override("global", "seed", args.seed)
-    run.override("sampler", "alpha", args.alpha)
-    run.override("sampler", "beta", args.beta)
-    run.override("sampler", "rho", args.rho)
-    run.override("packer", "seq_len", args.seq_len)
-    run.override("packer", "split", args.split)
     docs = list(corpus.ingest(args.input))
     langs = sorted({d.lang.code for d in docs})
     sampler = _sampler_from(run, fallback_langs=langs)
-    split = run.get("packer", "split")
-    policy = {
-        "split": packing.SPLIT_ACROSS_SEQUENCES,
-        "drop": packing.DROP_TAIL_DOC,
-        packing.SPLIT_ACROSS_SEQUENCES: packing.SPLIT_ACROSS_SEQUENCES,
-        packing.DROP_TAIL_DOC: packing.DROP_TAIL_DOC,
-    }.get(split)
-    if policy is None:
-        raise XldaKitError(f"unknown split policy {split!r}; use split|drop")
     config = packing.PackerConfig(
-        seq_len=run.get_int("packer", "seq_len"),
-        split_policy=policy,
-        pad_token=run.get_int("packer", "pad_token"),
-        cross_doc_labels=run.get_bool("packer", "cross_doc_labels"),
+        seq_len=run.get("packer", "seq_len"),
+        split_policy=run.get("packer", "split"),
+        cross_doc_labels=run.get("packer", "cross_doc_labels"),
     )
     report = packing.PackReport()
     sequences = list(packing.pack_stream(docs, sampler, config, report=report))
@@ -354,27 +383,8 @@ def _cmd_mask(args, run: RunConfig) -> int:
     return _finish(args, run, {"result": payload}, text)
 
 
-def _schedule_from(run: RunConfig) -> sched.ScheduleConfig:
-    return sched.ScheduleConfig(
-        peak_lr=run.get_float("schedule", "peak_lr"),
-        warmup_steps=run.get_int("schedule", "warmup_steps"),
-        total_steps=run.get_int("schedule", "total_steps"),
-        decay_fraction=run.get_float("schedule", "decay_fraction"),
-        final_ratio=run.get_float("schedule", "final_ratio"),
-        batch_start_tokens=run.get_int("schedule", "batch_start_tokens"),
-        batch_end_tokens=run.get_int("schedule", "batch_end_tokens"),
-        batch_ramp_tokens=run.get_int("schedule", "batch_ramp_tokens"),
-        seq_len=run.get_int("schedule", "seq_len"),
-    )
-
-
 def _cmd_schedule(args, run: RunConfig) -> int:
-    run.override("schedule", "peak_lr", args.peak)
-    run.override("schedule", "warmup_steps", args.warmup)
-    run.override("schedule", "total_steps", args.total)
-    run.override("schedule", "decay_fraction", args.decay_frac)
-    run.override("schedule", "final_ratio", args.final_ratio)
-    config = _schedule_from(run)
+    config = sched.ScheduleConfig(**run.section("schedule"))
     every = args.every or max(1, config.total_steps // 20)
     marks = sorted(
         set(range(0, config.total_steps + 1, every))
@@ -429,22 +439,13 @@ def _cmd_advise(args, run: RunConfig) -> int:
 
 
 def _model_from(run: RunConfig, vocab_floor: int = 0) -> toy.ModelConfig:
-    vocab = run.get_int("model", "vocab_size")
-    if vocab_floor > vocab:
+    shape = run.section("model")
+    if vocab_floor > shape["vocab_size"]:
         raise XldaKitError(
-            f"model vocab_size {vocab} too small for packed token ids "
+            f"model vocab_size {shape['vocab_size']} too small for packed token ids "
             f"(max id {vocab_floor - 1}); raise [model] vocab_size"
         )
-    return toy.ModelConfig(
-        n_layers=run.get_int("model", "n_layers"),
-        d_model=run.get_int("model", "d_model"),
-        d_ff=run.get_int("model", "d_ff"),
-        n_heads=run.get_int("model", "n_heads"),
-        vocab_size=vocab,
-        rope_theta=run.get_float("model", "rope_theta"),
-        mtp_alpha=run.get_float("model", "mtp_alpha"),
-        seed=run.get_int("global", "seed"),
-    )
+    return toy.ModelConfig(**shape, seed=run.get("global", "seed"))
 
 
 def _params_digest(params: toy.Parameters) -> str:
@@ -456,22 +457,19 @@ def _params_digest(params: toy.Parameters) -> str:
 
 
 def _cmd_train_toy(args, run: RunConfig) -> int:
-    run.override("global", "seed", args.seed)
-    run.override("schedule", "peak_lr", args.peak)
-    run.override("schedule", "total_steps", max(args.steps, 2))
-    run.override(
-        "schedule",
-        "warmup_steps",
-        args.warmup if args.warmup is not None else args.steps // 20,
-    )
     policy = masks.MaskPolicy.parse(args.policy)
     sequences, pack_cfg = packing.read_packed(args.packed)
     if not sequences:
         raise XldaKitError(f"no sequences in {args.packed}")
-    run.override("schedule", "seq_len", pack_cfg.seq_len)
     max_id = max(int(s.tokens.max()) for s in sequences)
     config = _model_from(run, vocab_floor=max_id + 1)
-    schedule_cfg = _schedule_from(run)
+    # derived from --steps, --warmup and the packed file, not read from a file
+    schedule_cfg = sched.ScheduleConfig(**run.section(
+        "schedule",
+        total_steps=max(args.steps, 2),
+        warmup_steps=args.warmup if args.warmup is not None else args.steps // 20,
+        seq_len=pack_cfg.seq_len,
+    ))
     params = toy.init(config)
     batches = training.cycle_batches(sequences, policy, args.batch_seqs)
     opt = training.OptimizerConfig(weight_decay=args.weight_decay)
@@ -502,7 +500,6 @@ def _cmd_train_toy(args, run: RunConfig) -> int:
 
 
 def _cmd_grad_check(args, run: RunConfig) -> int:
-    run.override("global", "seed", args.seed)
     config = toy.ModelConfig(
         n_layers=1,
         d_model=8,
@@ -510,7 +507,7 @@ def _cmd_grad_check(args, run: RunConfig) -> int:
         n_heads=2,
         vocab_size=11,
         mtp_alpha=0.2,
-        seed=run.get_int("global", "seed"),
+        seed=run.get("global", "seed"),
     )
     reports = {}
     worst = 0.0
@@ -542,7 +539,6 @@ def _cmd_grad_check(args, run: RunConfig) -> int:
 
 
 def _cmd_transfer(args, run: RunConfig) -> int:
-    run.override("global", "seed", args.seed)
     overrides = {
         key: value
         for key, value in (
@@ -555,7 +551,7 @@ def _cmd_transfer(args, run: RunConfig) -> int:
     }
     spec = training.TransferSpec(
         steps=args.steps,
-        seed=run.get_int("global", "seed"),
+        seed=run.get("global", "seed"),
         **overrides,
     )
     report = training.transfer_experiment(spec)
@@ -588,13 +584,21 @@ def _cmd_eval_consistency(args, run: RunConfig) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+def _bind(p: _Parser, *flags: str) -> None:
+    """Add the ``SETTINGS`` flags named; ``dispatch`` applies what they are given."""
+    for (section, key), setting in SETTINGS.items():
+        if setting.flag in flags:
+            p.add_argument(setting.flag, dest=f"{section}.{key}", default=None,
+                           help=setting.type.what, **setting.type.flag)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="xlda-kit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p: _Parser):
-        p.add_argument("--seed", type=int, default=None, help="global seed")
+        _bind(p, "--seed")
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--emit-config", default=None,
@@ -604,18 +608,14 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--stage", choices=quality.STAGES, default=None)
-    p.add_argument("--class", dest="lang_class",
-                   choices=corpus.LANGUAGE_CLASSES, default=None)
-    p.add_argument("--keep", type=float, default=None,
+    _bind(p, "--stage", "--class")
+    p.add_argument("--keep", type=_finite_float, default=None,
                    help="explicit keep fraction (overrides the stage preset)")
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("plan", help="language sampling distribution and mixture")
     common(p)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", default=None, help="en=0.85,ko=0.10,...")
-    p.add_argument("--rho", type=float, default=None)
+    _bind(p, "--alpha", "--beta", "--rho")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--stats", default=None, help="corpus stats JSON")
     group.add_argument("--corpus", default=None, help="corpus record file")
@@ -626,11 +626,7 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--seq-len", type=int, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", default=None)
-    p.add_argument("--split", choices=["split", "drop"], default=None)
+    _bind(p, "--seq-len", "--rho", "--alpha", "--beta", "--split")
     p.set_defaults(func=_cmd_pack)
 
     p = sub.add_parser("mask", help="inspect the attention mask of a packed sequence")
@@ -643,21 +639,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("schedule", help="emit the lr/batch schedule table")
     common(p)
-    p.add_argument("--peak", type=float, default=None)
-    p.add_argument("--warmup", type=int, default=None)
-    p.add_argument("--total", type=int, default=None)
-    p.add_argument("--decay-frac", type=float, default=None)
-    p.add_argument("--final-ratio", type=float, default=None)
+    _bind(p, "--peak", "--warmup", "--total", "--decay-frac", "--final-ratio")
     p.add_argument("--every", type=_at_least_one, default=None, help="row spacing in steps")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("advise", help="scaling-law lr and vocab factors")
     common(p)
-    p.add_argument("--params-from", type=float, required=True)
-    p.add_argument("--tokens-from", type=float, required=True)
-    p.add_argument("--params-to", type=float, required=True)
-    p.add_argument("--tokens-to", type=float, required=True)
+    p.add_argument("--params-from", type=_finite_float, required=True)
+    p.add_argument("--tokens-from", type=_finite_float, required=True)
+    p.add_argument("--params-to", type=_finite_float, required=True)
+    p.add_argument("--tokens-to", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_advise)
 
     p = sub.add_parser("train-toy", help="train the reference model on a packed file")
@@ -666,15 +658,16 @@ def build_parser() -> _Parser:
     p.add_argument("--policy", required=True, help="xlda|intra|bridge")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--batch-seqs", type=_at_least_one, default=4)
-    p.add_argument("--peak", type=float, default=None)
-    p.add_argument("--warmup", type=int, default=None)
-    p.add_argument("--weight-decay", type=float, default=0.1)
+    _bind(p, "--peak")
+    p.add_argument("--warmup", type=int, default=None,
+                   help="[schedule] warmup_steps (default: steps // 20)")
+    p.add_argument("--weight-decay", type=_finite_float, default=0.1)
     p.add_argument("--metrics", default=None, help="metrics CSV output path")
     p.set_defaults(func=_cmd_train_toy)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient verification")
     common(p)
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--tolerance", type=_finite_float, default=1e-6)
     p.set_defaults(func=_cmd_grad_check)
 
     p = sub.add_parser("transfer", help="cross-lingual transfer smoke experiment")
@@ -707,9 +700,11 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:  # --help / --version paths
         return int(exc.code or 0)
     try:
-        run = RunConfig(getattr(args, "config", None))
-        if getattr(args, "seed", None) is not None:
-            run.override("global", "seed", args.seed)
+        run = RunConfig(args.config)
+        for section, key in SETTINGS:  # the flags _bind added
+            value = getattr(args, f"{section}.{key}", None)
+            if value is not None:
+                run.raw[section, key] = str(value)
         return args.func(args, run)
     except (XldaKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

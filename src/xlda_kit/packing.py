@@ -62,7 +62,6 @@ class DocSpan:
 class PackerConfig:
     seq_len: int = 4096
     split_policy: str = SPLIT_ACROSS_SEQUENCES
-    pad_token: int = 0
     cross_doc_labels: bool = False
 
     def __post_init__(self):
@@ -218,7 +217,7 @@ class _Filler:
         cfg = self.config
         flag = constraint_flag(self.sampler, index)
         gen = rng.stream(self.sampler.seed, rng.STREAM_PACK, index)
-        tokens = np.full(cfg.seq_len, cfg.pad_token, dtype=np.uint32)
+        tokens = np.zeros(cfg.seq_len, dtype=np.uint32)
         spans: list[DocSpan] = []
         langs: set[str] = set()
         pos = 0

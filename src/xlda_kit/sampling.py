@@ -106,7 +106,8 @@ def language_distribution(
         + (1.0 - alpha) * float(config.beta[code])
         for code in langs
     }
-    assert abs(sum(dist.values()) - 1.0) <= _SUM_TOL
+    if not abs(sum(dist.values()) - 1.0) <= _SUM_TOL:
+        raise ConfigError(f"sampling distribution sums to {sum(dist.values())!r}, not 1")
     return dist
 
 

@@ -302,7 +302,7 @@ def _packed_episodes(
     gen = rng.stream(spec.seed, rng.STREAM_TRANSFER, stream_index)
     hi = LanguageTag(spec.high_lang, "english")
     lo = LanguageTag(spec.low_lang, "multilingual")
-    packer = PackerConfig(seq_len=spec.seq_len, pad_token=0)
+    packer = PackerConfig(seq_len=spec.seq_len)
     windows: list[PackedSequence] = []
     episode = 0
     doc_serial = 0

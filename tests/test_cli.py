@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import xlda_kit
-from xlda_kit.cli import dispatch
+from xlda_kit.cli import RETIRED, SETTINGS, dispatch
 from xlda_kit.packing import read_packed
 from xlda_kit.schedule import ScheduleConfig, batch_size_at, lr_at
 
@@ -362,6 +365,39 @@ def test_emit_config_reproduces_run(tmp_path, capsys):
     assert code == 0
     assert first.read_bytes() == second.read_bytes()
 
+    # every command that reads settings: a run's emitted file, given back
+    # without the setting flags, echoes the same settings and emits them again
+    scored = tmp_path / "scored.jsonl"
+    write_corpus(scored, n_en=10, n_ko=10, seed=2, scores=True)
+    base = tmp_path / "base.ini"
+    base.write_text("[model]\nvocab_size = 100\nd_model = 16\nn_heads = 2\n"
+                    "[schedule]\nbatch_start_tokens = 64\n", encoding="utf-8")
+    cases = {  # name: (setting flags, the other arguments)
+        "filter": (["--stage", "anneal", "--class", "multilingual", "--seed", "3"],
+                   ["filter", "--input", str(scored), "--output", str(tmp_path / "k.jsonl")]),
+        "plan": (["--alpha", "0.5", "--rho", "0.25", "--beta", "en=0.7,ko=0.3"],
+                 ["plan", "--corpus", str(src)]),
+        "pack": (["--seq-len", "32", "--split", "drop", "--alpha", "0.5", "--seed", "4"],
+                 ["pack", "--input", str(src), "--output", str(tmp_path / "p.xlda")]),
+        "schedule": (["--peak", "3e-4", "--warmup", "10", "--total", "500",
+                      "--decay-frac", "0.2", "--final-ratio", "0.05"],
+                     ["schedule"]),
+        "train-toy": (["--peak", "1e-3", "--seed", "5", "--config", str(base)],
+                      ["train-toy", "--packed", str(first), "--policy", "bridge",
+                       "--steps", "3", "--warmup", "1"]),
+    }
+    for name, (flags, argv) in cases.items():
+        emitted, again = tmp_path / f"{name}.ini", tmp_path / f"{name}-again.ini"
+        code, out, err = run(capsys, *argv, *flags, "--json", "--emit-config", str(emitted))
+        assert code == 0, (name, err)
+        settings_used = json.loads(out)["config"]
+        code, out, err = run(capsys, *argv, "--config", str(emitted), "--json",
+                             "--emit-config", str(again))
+        assert code == 0, (name, err)
+        assert json.loads(out)["config"] == settings_used, name
+        assert again.read_bytes() == emitted.read_bytes(), name
+    assert "vocab_size = 100" in (tmp_path / "train-toy.ini").read_text()
+
 
 def test_missing_input_file_exit_2(tmp_path, capsys):
     code, out, err = run(
@@ -474,3 +510,121 @@ def test_python_dash_m_runs_the_cli():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == xlda_kit.__version__
+
+
+# --- the settings table: typed keys, unknown keys and non-finite values ---
+
+
+@pytest.fixture(scope="module")
+def settings_dir(tmp_path_factory):
+    """A tiny corpus and a file packed from it at seq_len 16, ids below 64."""
+    base = tmp_path_factory.mktemp("settings")
+    write_corpus(base / "corpus.jsonl", n_en=12, n_ko=12, seed=3, max_id=60)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(["pack", "--input", str(base / "corpus.jsonl"),
+                         "--output", str(base / "batch.xlda"), "--seq-len", "16"]) == 0
+    return base
+
+
+def settings_commands(base):
+    corpus, packed = str(base / "corpus.jsonl"), str(base / "batch.xlda")
+    return [
+        ["pack", "--input", corpus, "--output", str(base / "out.xlda")],
+        ["schedule"],
+        ["plan", "--corpus", corpus],
+        ["train-toy", "--packed", packed, "--policy", "xlda", "--steps", "1"],
+    ]
+
+
+_REAL_KEYS = sorted(set(SETTINGS) | RETIRED)
+_JUNK_KEYS = st.tuples(
+    st.sampled_from(sorted({s for s, _ in SETTINGS}) + ["DEFAULT", "pack", "Model", "x"]),
+    st.sampled_from(sorted({k for _, k in SETTINGS}) + ["sequence_len", "pad", "SEED"]),
+)
+_VALUES = st.one_of(
+    # small, so no drawn model shape or window length allocates more than a few MB
+    st.integers(-3, 64).map(str),
+    st.floats().map(repr),
+    st.sampled_from(sorted({setting.default for setting in SETTINGS.values()})),
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "1e309", "true", "off", "drop",
+                     "split_across_sequences", "anneal", "math_code", "en=0.5,ko=0.5",
+                     "en=nan,ko=0.5", "en=1", "5%"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=8),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(entries=st.lists(st.tuples(
+    st.one_of(st.sampled_from(_REAL_KEYS), st.sampled_from(_REAL_KEYS), _JUNK_KEYS),
+    _VALUES), max_size=5))
+def test_random_ini_file_exits_0_or_2(settings_dir, entries):
+    sections: dict[str, dict[str, str]] = {}
+    for (section, key), value in entries:
+        sections.setdefault(section, {})[key] = value
+    ini = settings_dir / "random.ini"
+    ini.write_text("".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                           for s, kv in sections.items()), encoding="utf-8")
+    for argv in settings_commands(settings_dir):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch([*argv, "--config", str(ini)])
+        event(f"{argv[0]} exit {code}")
+        assert code in (0, 2), (argv, err.getvalue())
+        assert (code == 2) == err.getvalue().startswith("error: "), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("argv, ini, code, message", [
+    (["schedule"], "[pack]\nseq_len = 16\n", 2, "unknown section [pack]"),
+    (["pack", "--input", "CORPUS", "--output", "OUT"], "[packer]\nsequence_len = 16\n", 2,
+     "unknown key 'sequence_len' in [packer]"),
+    (["schedule"], "[DEFAULT]\nseed = 3\n", 2, "keys under [DEFAULT]"),
+    (["schedule"], "[schedule]\npeak_lr = nan\n", 2,
+     "[schedule] peak_lr must be a finite number, got 'nan'"),
+    (["schedule"], "[schedule]\npeak_lr = 5%\n", 2, "peak_lr must be a finite number"),
+    (["schedule"], "[model]\nd_model = 0\n", 2, "[model] d_model must be an integer >= 1"),
+    (["pack", "--input", "CORPUS", "--output", "OUT"], "[packer]\ncross_doc_labels = maybe\n",
+     2, "[packer] cross_doc_labels must be a boolean"),
+    (["schedule", "--config", "DIR"], None, 2, "Is a directory"),
+    (["schedule", "--peak", "nan"], None, 1, "--peak: expected a finite number, got 'nan'"),
+    (["train-toy", "--packed", "PACKED", "--policy", "intra", "--steps", "2", "--peak", "nan"],
+     None, 1, "--peak: expected a finite number"),
+    (["train-toy", "--packed", "PACKED", "--policy", "intra", "--steps", "2",
+      "--weight-decay", "nan"], None, 1, "--weight-decay: expected a finite number"),
+    (["grad-check", "--tolerance", "nan"], None, 1, "--tolerance: expected a finite number"),
+    (["advise", "--params-from", "inf", "--tokens-from", "1e11", "--params-to", "7e9",
+      "--tokens-to", "2e12"], None, 1, "--params-from: expected a finite number, got 'inf'"),
+    (["plan", "--corpus", "CORPUS", "--beta", "en=nan,ko=0.5"], None, 2,
+     "bad beta entry 'en=nan'"),
+    (["plan", "--corpus", "CORPUS", "--upsample", "ko=nan"], None, 2,
+     "bad upsample entry 'ko=nan'"),
+    (["plan", "--corpus", "CORPUS", "--upsample", "ko=inf"], None, 2,
+     "bad upsample entry 'ko=inf'"),
+], ids=["unknown-section", "unknown-key", "default-section", "config-nan", "config-percent",
+        "config-int-below-bound", "config-bool", "config-directory", "schedule-peak-nan",
+        "train-peak-nan", "train-weight-decay-nan", "grad-check-tolerance-nan",
+        "advise-inf", "plan-beta-nan", "plan-upsample-nan", "plan-upsample-inf"])
+def test_bad_setting_is_a_named_error(settings_dir, tmp_path, capsys, argv, ini, code, message):
+    places = {"CORPUS": settings_dir / "corpus.jsonl", "PACKED": settings_dir / "batch.xlda",
+              "OUT": tmp_path / "o.xlda", "DIR": tmp_path}
+    argv = [str(places.get(a, a)) for a in argv]
+    if ini is not None:
+        (tmp_path / "bad.ini").write_text(ini, encoding="utf-8")
+        argv += ["--config", str(tmp_path / "bad.ini")]
+    got, out, err = run(capsys, *argv)
+    assert got == code and not out
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("pad_token", ["-1", "100"])
+def test_retired_pad_token_is_ignored(settings_dir, tmp_path, capsys, pad_token):
+    cfg = tmp_path / "old.ini"
+    cfg.write_text(f"[packer]\npad_token = {pad_token}\n", encoding="utf-8")
+    corpus = str(settings_dir / "corpus.jsonl")
+    code, out, err = run(capsys, "pack", "--input", corpus, "--output", str(tmp_path / "o.xlda"),
+                         "--seq-len", "16", "--config", str(cfg))
+    assert code == 0 and "# pad_token" not in out
+    assert (tmp_path / "o.xlda").read_bytes() == (settings_dir / "batch.xlda").read_bytes()
+    code, out, err = run(capsys, "train-toy", "--packed", str(tmp_path / "o.xlda"),
+                         "--policy", "xlda", "--steps", "1")
+    assert code == 0, err

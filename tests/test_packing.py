@@ -68,7 +68,7 @@ def test_hand_enumerated_split_example():
         doc("b", EN, [4, 5, 6, 7]),
         doc("c", EN, [8, 9]),
     ]
-    config = PackerConfig(seq_len=8, pad_token=0)
+    config = PackerConfig(seq_len=8)
     # seq_len minimum is 8; emulate the hand example at seq_len 8:
     # [a(3), b(4), c(1)] then [c(1)]
     report = PackReport()

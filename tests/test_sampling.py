@@ -71,6 +71,13 @@ def test_language_mismatch_is_error():
         language_distribution(config2, make_stats({"en": 5}))
 
 
+def test_non_finite_beta_is_config_error():
+    # nan passes the per-share and sum checks, which compare with < and >
+    config = SamplerConfig(alpha_temp=0.5, beta={"en": float("nan"), "ko": 0.5})
+    with pytest.raises(ConfigError, match="sums to nan"):
+        language_distribution(config, make_stats({"en": 5, "ko": 5}))
+
+
 def test_beta_must_be_distribution():
     with pytest.raises(ConfigError):
         SamplerConfig(alpha_temp=0.5, beta={"en": 0.5, "ko": 0.6})
