@@ -170,6 +170,7 @@ class RunConfig:
 
     def __init__(self, config_path: str | None):
         self.raw = {name: setting.default for name, setting in SETTINGS.items()}
+        self.file: dict[tuple[str, str], str] = {}  # what the config file set
         self.used: dict[str, dict[str, str]] = {}
         if config_path:
             self._read(Path(config_path))
@@ -194,18 +195,27 @@ class RunConfig:
             for key, value in parser.items(section):
                 if key in keys:
                     _parse(section, key, value)
-                    self.raw[section, key] = value
+                    self.raw[section, key] = self.file[section, key] = value
                 elif (section, key) not in RETIRED:
                     raise ConfigError(f"config file {path}: unknown key {key!r} in "
                                       f"[{section}]; keys are {', '.join(keys)}")
 
-    def get(self, section: str, key: str, given=None):
+    def get(self, section: str, key: str, given: tuple[object, str] | None = None):
         """The typed value of ``[section] key``.
 
-        ``given`` is a value the command derives itself; it replaces the
-        default, the file and the flags, and is echoed like them.
+        ``given`` is ``(value, source)`` for a value the command derives
+        itself from ``source``; it replaces the default and the flags and is
+        echoed like them. A config file that sets the key to another value is
+        a ``ConfigError``.
         """
-        raw = self.raw[section, key] if given is None else str(given)
+        raw = self.raw[section, key]
+        if given is not None:
+            value, source = given
+            in_file = self.file.get((section, key))
+            if in_file is not None and _parse(section, key, in_file) != value:
+                raise ConfigError(f"[{section}] {key} = {in_file} in the config file "
+                                  f"conflicts with {value}, set by {source}")
+            raw = str(value)
         self.used.setdefault(section, {})[key] = raw
         return _parse(section, key, raw)
 
@@ -331,8 +341,11 @@ def _cmd_pack(args, run: RunConfig) -> int:
         split_policy=run.get("packer", "split"),
         cross_doc_labels=run.get("packer", "cross_doc_labels"),
     )
+    # the packer falls back to size-proportional shares for a beta that does
+    # not name the corpus languages; the CLI rejects that beta as `plan` does
+    distribution = sampling.language_distribution(sampler, corpus.stats(docs))
     report = packing.PackReport()
-    sequences = list(packing.pack_stream(docs, sampler, config, report=report))
+    sequences = list(packing.pack_stream(docs, sampler, config, distribution, report))
     packing.write_packed(args.output, sequences, config)
     payload = {"report": report.to_json(), "output": str(args.output)}
     text = [
@@ -463,12 +476,12 @@ def _cmd_train_toy(args, run: RunConfig) -> int:
         raise XldaKitError(f"no sequences in {args.packed}")
     max_id = max(int(s.tokens.max()) for s in sequences)
     config = _model_from(run, vocab_floor=max_id + 1)
-    # derived from --steps, --warmup and the packed file, not read from a file
     schedule_cfg = sched.ScheduleConfig(**run.section(
         "schedule",
-        total_steps=max(args.steps, 2),
-        warmup_steps=args.warmup if args.warmup is not None else args.steps // 20,
-        seq_len=pack_cfg.seq_len,
+        total_steps=(max(args.steps, 2), "--steps"),
+        warmup_steps=(args.warmup, "--warmup") if args.warmup is not None
+        else (args.steps // 20, "--steps"),
+        seq_len=(pack_cfg.seq_len, "the packed file"),
     ))
     params = toy.init(config)
     batches = training.cycle_batches(sequences, policy, args.batch_seqs)
@@ -708,6 +721,9 @@ def dispatch(argv: list[str]) -> int:
         return args.func(args, run)
     except (XldaKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -89,11 +89,6 @@ class ForwardOutput:
 
 
 _BLOCK_NORMS = ("attn_norm_in", "attn_norm_out", "ffn_norm_in", "ffn_norm_out")
-_BLOCK_MATS = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
-
-
-def _block_names(prefix: str) -> list[str]:
-    return [f"{prefix}.{n}" for n in _BLOCK_NORMS + _BLOCK_MATS]
 
 
 def init(config: ModelConfig) -> Parameters:
@@ -425,34 +420,43 @@ class LossBreakdown:
     total: float
     ntp: float
     mtp: float
-    ntp_support: int
-    mtp_support: int
 
 
-def _ce_and_grad(logits: Array, labels: Array):
-    """Mean cross entropy over non-ignored positions and its logit gradient."""
-    b, l, v = logits.shape
-    flat_logits = logits.reshape(-1, v)
+def token_ce(logits: Array, labels: Array) -> tuple[Array, Array, Array]:
+    """Cross entropy at every position whose label is not ``IGNORE_LABEL``.
+
+    ``logits`` is [..., V] and ``labels`` has its leading shape. Returns the
+    flat indices of the labelled positions (into ``labels.reshape(-1)``), the
+    cross entropy at each, and their softmax rows. A label outside the
+    vocabulary is a ``DataError``.
+    """
+    v = logits.shape[-1]
     flat_labels = labels.reshape(-1).astype(np.int64)
-    support = flat_labels != np.int64(IGNORE_LABEL)
-    n = int(support.sum())
-    dlogits = np.zeros_like(flat_logits)
-    if n == 0:
-        return 0.0, dlogits.reshape(b, l, v), 0
-    idx = np.nonzero(support)[0]
-    sel = flat_logits[idx]
+    idx = np.flatnonzero(flat_labels != np.int64(IGNORE_LABEL))
+    sel = logits.reshape(-1, v)[idx]
     lab = flat_labels[idx]
+    if idx.size == 0:
+        return idx, np.zeros(0), sel
     if lab.min() < 0 or int(lab.max()) >= v:
         raise DataError("label id out of vocabulary")
     m = sel.max(axis=-1, keepdims=True)
     e = np.exp(sel - m)
     z = e.sum(axis=-1, keepdims=True)
-    log_probs = (sel - m) - np.log(z)
-    ce = -log_probs[np.arange(n), lab].mean()
-    soft = e / z
-    soft[np.arange(n), lab] -= 1.0
+    rows = np.arange(idx.size)
+    ce = np.log(z[:, 0]) - (sel[rows, lab] - m[:, 0])
+    return idx, ce, e / z
+
+
+def _ce_and_grad(logits: Array, labels: Array):
+    """Mean cross entropy over non-ignored positions and its logit gradient."""
+    idx, ce, soft = token_ce(logits, labels)
+    n = idx.size
+    dlogits = np.zeros((labels.size, logits.shape[-1]))
+    if n == 0:
+        return 0.0, dlogits.reshape(logits.shape), 0
+    soft[np.arange(n), labels.reshape(-1)[idx].astype(np.int64)] -= 1.0
     dlogits[idx] = soft / n
-    return float(ce), dlogits.reshape(b, l, v), n
+    return float(ce.mean()), dlogits.reshape(logits.shape), n
 
 
 def _loss_breakdown(output: ForwardOutput, ntp_labels: Array, mtp_labels: Array,
@@ -464,13 +468,7 @@ def _loss_breakdown(output: ForwardOutput, ntp_labels: Array, mtp_labels: Array,
     ce_mtp, dmtp_logits, n_mtp = _ce_and_grad(output.mtp_logits, mtp_labels)
     if n_ntp == 0 and n_mtp == 0:
         raise DataError("empty loss support: every label is the ignore marker")
-    breakdown = LossBreakdown(
-        total=ce_ntp + mtp_alpha * ce_mtp,
-        ntp=ce_ntp,
-        mtp=ce_mtp,
-        ntp_support=n_ntp,
-        mtp_support=n_mtp,
-    )
+    breakdown = LossBreakdown(total=ce_ntp + mtp_alpha * ce_mtp, ntp=ce_ntp, mtp=ce_mtp)
     return breakdown, dntp_logits, dmtp_logits * mtp_alpha
 
 

@@ -213,6 +213,13 @@ class _Filler:
     def has_material(self) -> bool:
         return self.carry is not None or any(self.queues[l] for l in self.lang_order)
 
+    def _stop(self, reason: str, pos: int) -> None:
+        """End the stream: the flagged sequence cannot be made cross-lingual,
+        and its ``pos`` tokens so far count as unconsumed."""
+        self.report.stopped_early = True
+        self.report.stop_reason = f"cross-lingual constraint infeasible: {reason}"
+        self.aborted_tokens += pos
+
     def fill(self, index: int) -> PackedSequence | None:
         cfg = self.config
         flag = constraint_flag(self.sampler, index)
@@ -231,13 +238,7 @@ class _Filler:
                 if flag and len(langs) == 1:
                     pool = [l for l in avail if l not in langs]
                     if not pool:
-                        self.report.stopped_early = True
-                        self.report.stop_reason = (
-                            "cross-lingual constraint infeasible: only "
-                            f"{sorted(langs)[0]!r} still has documents"
-                        )
-                        self.aborted_tokens += pos
-                        return None
+                        return self._stop(f"only {sorted(langs)[0]!r} still has documents", pos)
                 else:
                     pool = avail
                 code = categorical_draw(self.dist, pool, gen)
@@ -251,15 +252,9 @@ class _Filler:
                 # closing the sequence unilingual would violate the flag;
                 # reserve the last slot for a different language
                 if room == 1 or not self._other_material_exists(lang.code):
-                    self.report.stopped_early = True
-                    self.report.stop_reason = (
-                        "cross-lingual constraint infeasible: only "
-                        f"{lang.code!r} still has documents"
-                    )
                     # put the item back so the leftover count is accurate
                     self.queues[lang.code].appendleft(item)
-                    self.aborted_tokens += pos
-                    return None
+                    return self._stop(f"only {lang.code!r} still has documents", pos)
                 take = room - 1
                 leftover = _QueueItem(item.doc, item.offset + take, item.piece + 1)
                 if cfg.split_policy == SPLIT_ACROSS_SEQUENCES:
@@ -292,13 +287,7 @@ class _Filler:
         if pos == 0:
             return None
         if flag and len(langs) < 2:
-            self.report.stopped_early = True
-            self.report.stop_reason = (
-                "cross-lingual constraint infeasible: material ran out with "
-                f"only {sorted(langs)[0]!r} available"
-            )
-            self.aborted_tokens += pos
-            return None
+            return self._stop(f"material ran out with only {sorted(langs)[0]!r} available", pos)
         clash = np.flatnonzero(tokens[:pos] == IGNORE_LABEL)
         if clash.size:
             doc_id = next(s.doc_id for s in spans if s.end > clash[0])
@@ -368,13 +357,11 @@ def pack_stream(
     while filler.has_material():
         seq = filler.fill(index)
         if seq is None:
-            if report.stopped_early:
-                if report.sequences == 0:
-                    raise ConstraintInfeasibleError(report.stop_reason)
-                break
             break
         yield seq
         index += 1
+    if report.stopped_early and report.sequences == 0:
+        raise ConstraintInfeasibleError(report.stop_reason)
     report.tokens_unconsumed = filler.leftover_tokens()
 
 

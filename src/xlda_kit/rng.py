@@ -18,7 +18,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 # Stream ids. Append only; reordering changes every downstream result.
-STREAM_LANGUAGE = 1
+STREAM_LANGUAGE = 1  # no longer drawn from; kept so the ids below keep their values
 STREAM_FLAGS = 2
 STREAM_PACK = 3
 STREAM_INIT = 4

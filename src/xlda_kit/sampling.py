@@ -129,19 +129,6 @@ def categorical_draw(
     return pool[-1]
 
 
-def draw_language(
-    config: SamplerConfig, distribution: Mapping[str, float], index: int
-) -> str:
-    """Draw number ``index`` from the categorical distribution.
-
-    Each index is an independent counter-based stream, so draws can be made
-    out of order or in parallel and still match a serial run. It is the
-    packer's draw over all languages in sorted order.
-    """
-    gen = rng.stream(config.seed, rng.STREAM_LANGUAGE, index)
-    return categorical_draw(distribution, sorted(distribution), gen)
-
-
 def constraint_flags(config: SamplerConfig, n_sequences: int) -> np.ndarray:
     """Per-sequence "must be cross-lingual" flags: independent Bernoulli(rho)."""
     if n_sequences < 0:

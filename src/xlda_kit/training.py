@@ -17,13 +17,7 @@ from . import rng
 from .corpus import Document, LanguageTag
 from .errors import ConfigError, TrainingDivergedError
 from .masks import MaskPolicy, MaskSpec, segment_ids
-from .packing import (
-    IGNORE_LABEL,
-    DocSpan,
-    PackedSequence,
-    PackerConfig,
-    pack_stream,
-)
+from .packing import DocSpan, PackedSequence, PackerConfig, pack_stream
 from .sampling import SamplerConfig
 from .schedule import ScheduleConfig, lr_at
 
@@ -250,6 +244,8 @@ class TransferSpec:
             raise ConfigError("infeasible budget: fewer training windows than a batch")
         if self.episode_windows < 1 or self.eval_windows < 1:
             raise ConfigError("episode_windows and eval_windows must be positive")
+        if self.n_probe_docs < 2:
+            raise ConfigError("n_probe_docs must be >= 2: the probe alternates languages")
 
     @property
     def lang_offset(self) -> int:
@@ -340,26 +336,25 @@ def _packed_episodes(
     return windows[:n_windows]
 
 
-def _probe_documents(spec: TransferSpec, stream_index: int) -> list[Document]:
-    """Single-document probe set: per-document tables, facts with repeats."""
+def _probe_windows(spec: TransferSpec, stream_index: int) -> list[PackedSequence]:
+    """Single-document probe set: one-span windows, per-document tables,
+    facts with repeats."""
     gen = rng.stream(spec.seed, rng.STREAM_TRANSFER, stream_index)
     hi = LanguageTag(spec.high_lang, "english")
     lo = LanguageTag(spec.low_lang, "multilingual")
-    docs = []
+    windows = []
     for i in range(spec.n_probe_docs):
         table = _episode_table(spec, (stream_index << 8) + 1, i)
         low = i % 2 == 1  # balanced probe
         fact_ids = gen.integers(0, spec.n_keys, size=spec.probe_facts_per_doc)
         toks = _fact_tokens(spec, fact_ids, table, low)
         lang = lo if low else hi
-        docs.append(Document(id=f"probe-{lang.code}-{i:05d}", lang=lang, tokens=toks))
-    return docs
+        span = DocSpan(start=0, end=len(toks), lang=lang, doc_id=f"probe-{lang.code}-{i:05d}")
+        windows.append(PackedSequence(np.array(toks, dtype=np.uint32), (span,), len(toks)))
+    return windows
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - m)
-    return (logits - m) - np.log(e.sum(axis=-1, keepdims=True))
+_EVAL_CHUNK = 32  # windows per forward pass in held-out evaluation
 
 
 def _language_ce(
@@ -367,46 +362,22 @@ def _language_ce(
     seqs: Sequence[PackedSequence],
     policy: MaskPolicy,
     codes: tuple[str, str],
-    chunk: int = 32,
 ) -> dict[str, float]:
     """Mean next-token CE per language over packed sequences under a policy."""
     sums = {c: 0.0 for c in codes}
     counts = {c: 0 for c in codes}
     lang_to_id = {c: i for i, c in enumerate(codes)}
-    for start in range(0, len(seqs), chunk):
-        part = seqs[start : start + chunk]
+    for start in range(0, len(seqs), _EVAL_CHUNK):
+        part = seqs[start : start + _EVAL_CHUNK]
         batch = batch_from_sequences(part, policy)
         out = toy.forward(params, batch.tokens, batch.specs)
-        logp = _log_softmax(out.ntp_logits)
-        labels = batch.ntp
-        support = labels != np.int64(IGNORE_LABEL)
-        safe = np.where(support, labels, 0)
-        ce = -np.take_along_axis(logp, safe[..., None], axis=-1)[..., 0]
-        lang_ids = np.stack([segment_ids(seq, lang_to_id)[1] for seq in part])
+        idx, ce, _ = toy.token_ce(out.ntp_logits, batch.ntp)
+        lang_ids = np.concatenate([segment_ids(seq, lang_to_id)[1] for seq in part])[idx]
         for code, lid in lang_to_id.items():
-            sel = support & (lang_ids == lid)
+            sel = lang_ids == lid
             sums[code] += float(ce[sel].sum())
             counts[code] += int(sel.sum())
     return {c: (sums[c] / counts[c]) if counts[c] else float("nan") for c in codes}
-
-
-def _probe_ce(
-    params: toy.Parameters, docs: Sequence[Document], codes: tuple[str, str]
-) -> dict[str, float]:
-    """Per-language NTP CE over single-document sequences (policy-neutral:
-    a one-span window yields the same mask under every policy)."""
-    results = {}
-    for code in codes:
-        subset = [d for d in docs if d.lang.code == code]
-        length = len(subset[0].tokens)
-        tokens = np.array([d.tokens for d in subset], dtype=np.int64)
-        spans = (DocSpan(start=0, end=length, lang=subset[0].lang, doc_id="probe"),)
-        spec = MaskSpec(MaskPolicy.XLDA_FULL_CAUSAL, spans, length, length)
-        out = toy.forward(params, tokens, spec)
-        logp = _log_softmax(out.ntp_logits)
-        ce = -np.take_along_axis(logp[:, :-1, :], tokens[:, 1:, None], axis=-1)
-        results[code] = float(ce.mean())
-    return results
 
 
 def transfer_experiment(spec: TransferSpec) -> TransferReport:
@@ -418,7 +389,7 @@ def transfer_experiment(spec: TransferSpec) -> TransferReport:
         spec, 1, min(spec.train_windows, max(spec.steps, 1) * spec.batch_sequences)
     )
     packed_eval = _packed_episodes(spec, 2, spec.eval_windows)
-    probe_docs = _probe_documents(spec, 3)
+    probe_windows = _probe_windows(spec, 3)
 
     model_cfg = toy.ModelConfig(
         n_layers=spec.n_layers,
@@ -443,7 +414,8 @@ def transfer_experiment(spec: TransferSpec) -> TransferReport:
     opt = OptimizerConfig(weight_decay=spec.weight_decay)
 
     init_params = toy.init(model_cfg)
-    initial_probe = _probe_ce(init_params, probe_docs, codes)
+    # a one-span window has the same mask under every policy
+    initial_probe = _language_ce(init_params, probe_windows, spec.policies[0], codes)
 
     packed_losses: dict[str, dict[str, float]] = {}
     probe_losses: dict[str, dict[str, float]] = {}
@@ -452,7 +424,7 @@ def transfer_experiment(spec: TransferSpec) -> TransferReport:
         batches = cycle_batches(packed_train, policy, spec.batch_sequences)
         train(params, batches, sched, opt, spec.steps, mtp_alpha=spec.mtp_alpha)
         packed_losses[policy.value] = _language_ce(params, packed_eval, policy, codes)
-        probe_losses[policy.value] = _probe_ce(params, probe_docs, codes)
+        probe_losses[policy.value] = _language_ce(params, probe_windows, policy, codes)
     return TransferReport(
         packed=packed_losses,
         single_doc=probe_losses,

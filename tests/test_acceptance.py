@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from xlda_kit import model as toy
+from xlda_kit import rng
 from xlda_kit.cli import dispatch
 from xlda_kit.consistency import PredictionPair, consistency_metrics
 from xlda_kit.corpus import Document, LanguageTag
@@ -27,7 +28,7 @@ from xlda_kit.masks import (
     spans_from_lengths,
 )
 from xlda_kit.packing import IGNORE_LABEL, PackReport, PackerConfig, pack_stream
-from xlda_kit.sampling import SamplerConfig, draw_language, language_distribution
+from xlda_kit.sampling import SamplerConfig, categorical_draw, language_distribution
 from xlda_kit.schedule import ScheduleConfig, compute_ratio, lr_at, lr_scale_factor, vocab_scale_factor
 from xlda_kit.corpus import CorpusStats, LanguageStats
 from xlda_kit.training import TransferSpec, transfer_experiment
@@ -237,9 +238,13 @@ def test_criterion_05_sampler_correctness():
         prop = language_distribution(SamplerConfig(alpha_temp=1.0, beta=beta), stats)
         assert prop == {"en": 0.85, "ko": 0.10, "other": 0.05}
         assert language_distribution(SamplerConfig(alpha_temp=0.0, beta=beta), stats) == beta
-        # empirical frequencies over 100k seeded draws
+        # empirical frequencies over 100k seeded draws, each the packer's
+        # first draw of a sequence (its STREAM_PACK stream, sorted languages)
         cfg = SamplerConfig(alpha_temp=1.0, beta=beta, seed=7)
-        draws = Counter(draw_language(cfg, prop, i) for i in range(100_000))
+        draws = Counter(
+            categorical_draw(prop, sorted(prop), rng.stream(cfg.seed, rng.STREAM_PACK, i))
+            for i in range(100_000)
+        )
         for code, p in prop.items():
             assert abs(draws[code] / 100_000 - p) <= 0.01
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -599,10 +600,23 @@ def test_random_ini_file_exits_0_or_2(settings_dir, entries):
      "bad upsample entry 'ko=nan'"),
     (["plan", "--corpus", "CORPUS", "--upsample", "ko=inf"], None, 2,
      "bad upsample entry 'ko=inf'"),
+    (["pack", "--input", "CORPUS", "--output", "OUT", "--alpha", "0.0", "--beta", "en=1.0"],
+     None, 2, "languages in stats missing from beta: ['ko']"),
+    (["train-toy", "--packed", "PACKED", "--policy", "intra", "--steps", "3"],
+     "[schedule]\ntotal_steps = 500\n", 2,
+     "[schedule] total_steps = 500 in the config file conflicts with 3, set by --steps"),
+    (["train-toy", "--packed", "PACKED", "--policy", "intra", "--steps", "3", "--warmup", "1"],
+     "[schedule]\nwarmup_steps = 50\n", 2,
+     "[schedule] warmup_steps = 50 in the config file conflicts with 1, set by --warmup"),
+    (["train-toy", "--packed", "PACKED", "--policy", "intra", "--steps", "3"],
+     "[schedule]\nseq_len = 32\n", 2,
+     "[schedule] seq_len = 32 in the config file conflicts with 16, set by the packed file"),
 ], ids=["unknown-section", "unknown-key", "default-section", "config-nan", "config-percent",
         "config-int-below-bound", "config-bool", "config-directory", "schedule-peak-nan",
         "train-peak-nan", "train-weight-decay-nan", "grad-check-tolerance-nan",
-        "advise-inf", "plan-beta-nan", "plan-upsample-nan", "plan-upsample-inf"])
+        "advise-inf", "plan-beta-nan", "plan-upsample-nan", "plan-upsample-inf",
+        "pack-beta-misses-language", "train-total-steps-conflict",
+        "train-warmup-conflict", "train-seq-len-conflict"])
 def test_bad_setting_is_a_named_error(settings_dir, tmp_path, capsys, argv, ini, code, message):
     places = {"CORPUS": settings_dir / "corpus.jsonl", "PACKED": settings_dir / "batch.xlda",
               "OUT": tmp_path / "o.xlda", "DIR": tmp_path}
@@ -613,6 +627,23 @@ def test_bad_setting_is_a_named_error(settings_dir, tmp_path, capsys, argv, ini,
     got, out, err = run(capsys, *argv)
     assert got == code and not out
     assert message in err
+    assert "Traceback" not in err
+
+
+def test_window_too_large_to_allocate_is_a_named_error(settings_dir, tmp_path, capsys):
+    # 10**13 uint32 tokens are 36.4 TiB; a 1 TiB address-space limit makes
+    # the allocation fail at once whatever the host's overcommit policy
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 1 << 40 if hard == resource.RLIM_INFINITY else min(1 << 40, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        code, out, err = run(capsys, "pack", "--input", str(settings_dir / "corpus.jsonl"),
+                             "--output", str(tmp_path / "o.xlda"),
+                             "--seq-len", "10000000000000")
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert code == 2 and not out
+    assert err.startswith("error: out of memory: ")
     assert "Traceback" not in err
 
 

@@ -192,6 +192,41 @@ def test_loss_empty_support_is_error():
         toy.loss(out, all_ignored, all_ignored, mtp_alpha=0.2)
 
 
+def test_token_ce_matches_per_position_log_softmax():
+    gen = np.random.Generator(np.random.Philox(key=np.array([17, 0], dtype=np.uint64)))
+    b, l, v = 3, 7, 11
+    logits = gen.normal(0.0, 4.0, size=(b, l, v))
+    labels = gen.integers(0, v, size=(b, l)).astype(np.int64)
+    labels[gen.random((b, l)) < 0.3] = IGN
+    labels[1] = IGN  # one fully ignored row
+    idx, ce, soft = toy.token_ce(logits, labels)
+    want_idx, want_ce, want_soft = [], [], []
+    for i in range(b):
+        for t in range(l):
+            if labels[i, t] == IGN:
+                continue
+            row = logits[i, t]
+            log_z = math.log(sum(math.exp(x - row.max()) for x in row)) + row.max()
+            want_idx.append(i * l + t)
+            want_ce.append(log_z - row[labels[i, t]])
+            want_soft.append([math.exp(x - log_z) for x in row])
+    assert idx.tolist() == want_idx
+    assert not set(idx.tolist()) & set(range(l, 2 * l))
+    np.testing.assert_allclose(ce, want_ce, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(soft, want_soft, rtol=1e-12, atol=1e-300)
+    # the training loss is the mean of these values
+    out = toy.ForwardOutput(ntp_logits=logits, mtp_logits=logits)
+    assert toy.loss(out, labels, labels, mtp_alpha=0.0).ntp == ce.mean()
+
+
+def test_token_ce_all_ignored_and_out_of_vocab():
+    logits = np.zeros((2, 3, 5))
+    idx, ce, soft = toy.token_ce(logits, np.full((2, 3), IGN))
+    assert idx.size == ce.size == len(soft) == 0
+    with pytest.raises(DataError, match="out of vocabulary"):
+        toy.token_ce(logits, np.full((2, 3), 5, dtype=np.int64))
+
+
 def test_grad_check_passes_both_alphas():
     for alpha in (0.0, 0.2):
         report = toy.grad_check(TINY, tolerance=1e-6, mtp_alpha=alpha)

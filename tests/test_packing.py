@@ -118,6 +118,28 @@ def test_rho_one_single_language_is_constraint_error():
                          PackerConfig(seq_len=8)))
 
 
+@pytest.mark.parametrize("tail, reason", [
+    # the second window holds one English document, then material runs out
+    ([2], "material ran out with only 'en' available"),
+    # a second English document can only follow the first one
+    ([2, 2], "only 'en' still has documents"),
+    # an English document filling the whole window would close it unilingual
+    ([10], "only 'en' still has documents"),
+], ids=["ran-out", "draw", "close"])
+def test_rho_one_stop_reasons_conserve_tokens(tail, reason):
+    # the first window is exactly one 4-token document per language
+    docs = [doc("e0", EN, [1] * 4), doc("k0", KO, [2] * 4)]
+    docs += [doc(f"e{i + 1}", EN, [3] * n) for i, n in enumerate(tail)]
+    report = PackReport()
+    seqs = list(pack_stream(docs, sampler(rho=1.0), PackerConfig(seq_len=8), report=report))
+    assert len(seqs) == report.sequences == 1
+    assert report.stopped_early
+    assert report.stop_reason == f"cross-lingual constraint infeasible: {reason}"
+    total = sum(len(d.tokens) for d in docs)
+    assert report.tokens_packed + report.tokens_dropped + report.tokens_unconsumed == total
+    assert report.tokens_unconsumed == sum(tail)
+
+
 def test_empty_input_is_empty_stream():
     assert list(pack_stream([], sampler(), PackerConfig(seq_len=8))) == []
 

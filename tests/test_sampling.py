@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from xlda_kit import rng
 from xlda_kit.corpus import CorpusStats, LanguageStats
 from xlda_kit.errors import ConfigError, DataError
 from xlda_kit.sampling import (
     MixturePlan,
     SamplerConfig,
+    categorical_draw,
     constraint_flags,
-    draw_language,
     language_distribution,
 )
 
@@ -87,27 +88,35 @@ def test_beta_must_be_distribution():
         SamplerConfig(alpha_temp=1.5, beta={"en": 1.0})
 
 
+def pack_draw(config: SamplerConfig, dist: dict[str, float], index: int) -> str:
+    """The packer's first language draw for sequence ``index``, all languages
+    available: ``categorical_draw`` over them in sorted order, on the
+    sequence's ``STREAM_PACK`` stream."""
+    gen = rng.stream(config.seed, rng.STREAM_PACK, index)
+    return categorical_draw(dist, sorted(dist), gen)
+
+
 def test_draw_language_degenerate():
     config = SamplerConfig(alpha_temp=1.0, beta={"en": 1.0}, seed=9)
     dist = {"en": 1.0, "ko": 0.0, "other": 0.0}
-    assert all(draw_language(config, dist, i) == "en" for i in range(50))
+    assert all(pack_draw(config, dist, i) == "en" for i in range(50))
 
 
 def test_draw_language_deterministic_given_seed():
     config = SamplerConfig(alpha_temp=1.0, beta=UNIFORM_BETA, seed=123)
     dist = {"en": 0.85, "ko": 0.10, "other": 0.05}
-    run1 = [draw_language(config, dist, i) for i in range(200)]
-    run2 = [draw_language(config, dist, i) for i in range(200)]
+    run1 = [pack_draw(config, dist, i) for i in range(200)]
+    run2 = [pack_draw(config, dist, i) for i in range(200)]
     assert run1 == run2
     other_seed = SamplerConfig(alpha_temp=1.0, beta=UNIFORM_BETA, seed=124)
-    assert [draw_language(other_seed, dist, i) for i in range(200)] != run1
+    assert [pack_draw(other_seed, dist, i) for i in range(200)] != run1
 
 
 def test_draw_language_empirical_frequencies():
     config = SamplerConfig(alpha_temp=1.0, beta=UNIFORM_BETA, seed=7)
     dist = {"en": 0.85, "ko": 0.10, "other": 0.05}
     n = 100_000
-    draws = [draw_language(config, dist, i) for i in range(n)]
+    draws = [pack_draw(config, dist, i) for i in range(n)]
     for code, p in dist.items():
         freq = draws.count(code) / n
         assert abs(freq - p) <= 0.01

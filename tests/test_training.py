@@ -11,6 +11,8 @@ from xlda_kit.schedule import ScheduleConfig, lr_at
 from xlda_kit.training import (
     OptimizerConfig,
     TransferSpec,
+    _language_ce,
+    _probe_windows,
     batch_from_sequences,
     cycle_batches,
     train,
@@ -160,6 +162,36 @@ def test_transfer_zero_budget_probe_losses_equal():
     assert a == b
     assert report.single_doc[spec.policies[0].value] == report.initial_single_doc
     assert report.token_budget == 0
+
+
+def test_probe_windows_score_as_single_documents():
+    spec = TransferSpec(steps=0, train_windows=24, eval_windows=8, n_probe_docs=32, seq_len=64)
+    windows = _probe_windows(spec, 3)
+    length = 2 * spec.probe_facts_per_doc
+    assert len(windows) == spec.n_probe_docs
+    assert all(len(w.spans) == 1 and w.pad_start == w.seq_len == length for w in windows)
+    codes = (spec.high_lang, spec.low_lang)
+    params = toy.init(toy.ModelConfig(n_layers=spec.n_layers, d_model=spec.d_model,
+                                      d_ff=spec.d_ff, n_heads=spec.n_heads,
+                                      vocab_size=spec.vocab_size, seed=5))
+    for policy in MaskPolicy:
+        got = _language_ce(params, windows, policy, codes)
+        for code in codes:
+            # per-language mean of -log p(tokens[1:]) over whole documents
+            subset = [w for w in windows if w.spans[0].lang.code == code]
+            tokens = np.stack([w.tokens for w in subset]).astype(np.int64)
+            mask = MaskSpec(MaskPolicy.XLDA_FULL_CAUSAL, subset[0].spans, length, length)
+            logits = toy.forward(params, tokens, mask).ntp_logits[:, :-1]
+            m = logits.max(axis=-1, keepdims=True)
+            logp = logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+            want = -np.take_along_axis(logp, tokens[:, 1:, None], axis=-1).mean()
+            assert got[code] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n_probe_docs", [-1, 0, 1])
+def test_transfer_probe_needs_both_languages(n_probe_docs):
+    with pytest.raises(ConfigError, match="n_probe_docs"):
+        TransferSpec(n_probe_docs=n_probe_docs)
 
 
 def test_transfer_swapping_policies_swaps_columns():
