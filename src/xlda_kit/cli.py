@@ -21,7 +21,9 @@ import math
 import sys
 from bisect import bisect_left
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
+
+import numpy as np
 
 from . import __version__, consistency, corpus, masks, model as toy, packing
 from . import quality, sampling, schedule as sched, training
@@ -388,12 +390,18 @@ def _cmd_mask(args, run: RunConfig) -> int:
         text.append(f"  span [{s.start}, {s.end}) lang={s.lang.code} doc={s.doc_id}")
     if args.dense:
         dense = masks.materialize_dense(spec, config.seq_len)
-        text.append("P1")
-        text.append(f"{config.seq_len} {config.seq_len}")
-        for row in dense:
-            text.append(" ".join("1" if cell else "0" for cell in row))
         payload["dense_true_cells"] = int(dense.sum())
+        if not args.json:  # the grid is O(L²) text: build it only to print it
+            text += ["P1", f"{config.seq_len} {config.seq_len}", _grid_text(dense)]
     return _finish(args, run, {"result": payload}, text)
+
+
+def _grid_text(grid: np.ndarray) -> str:
+    """A boolean grid as rows of space-separated 0/1 cells, one row a line."""
+    cells = np.full((grid.shape[0], 2 * grid.shape[1]), ord(" "), dtype=np.uint8)
+    cells[:, 0::2] = grid.view(np.uint8) + ord("0")
+    cells[:, -1] = ord("\n")
+    return cells.tobytes()[:-1].decode("ascii")
 
 
 def _cmd_schedule(args, run: RunConfig) -> int:
@@ -605,106 +613,109 @@ def _bind(p: _Parser, *flags: str) -> None:
                            help=setting.type.what, **setting.type.flag)
 
 
-def build_parser() -> _Parser:
+COMMANDS: dict[str, tuple[str, Callable[..., int]]] = {
+    "filter": ("quantile quality filtering", _cmd_filter),
+    "plan": ("language sampling distribution and mixture", _cmd_plan),
+    "pack": ("pack documents into fixed-length sequences", _cmd_pack),
+    "mask": ("inspect the attention mask of a packed sequence", _cmd_mask),
+    "schedule": ("emit the lr/batch schedule table", _cmd_schedule),
+    "advise": ("scaling-law lr and vocab factors", _cmd_advise),
+    "train-toy": ("train the reference model on a packed file", _cmd_train_toy),
+    "grad-check": ("finite-difference gradient verification", _cmd_grad_check),
+    "transfer": ("cross-lingual transfer smoke experiment", _cmd_transfer),
+    "eval-consistency": ("cross-lingual consistency metrics", _cmd_eval_consistency),
+}
+
+
+def _add_arguments(name: str, p: _Parser) -> None:
+    """The arguments of command ``name`` beyond the common ones."""
+    match name:
+        case "filter":
+            p.add_argument("--input", required=True)
+            p.add_argument("--output", required=True)
+            _bind(p, "--stage", "--class")
+            p.add_argument("--keep", type=_finite_float, default=None,
+                           help="explicit keep fraction (overrides the stage preset)")
+        case "plan":
+            _bind(p, "--alpha", "--beta", "--rho")
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--stats", default=None, help="corpus stats JSON")
+            group.add_argument("--corpus", default=None, help="corpus record file")
+            p.add_argument("--upsample", default=None, help="code=factor,... share rescale")
+        case "pack":
+            p.add_argument("--input", required=True)
+            p.add_argument("--output", required=True)
+            _bind(p, "--seq-len", "--rho", "--alpha", "--beta", "--split")
+        case "mask":
+            p.add_argument("--policy", required=True, help="xlda|intra|bridge")
+            p.add_argument("--from", dest="packed", required=True, help="packed batch file")
+            p.add_argument("--index", type=int, default=0)
+            p.add_argument("--dense", action="store_true", help="emit the 0/1 grid")
+        case "schedule":
+            _bind(p, "--peak", "--warmup", "--total", "--decay-frac", "--final-ratio")
+            p.add_argument("--every", type=_at_least_one, default=None,
+                           help="row spacing in steps")
+            p.add_argument("--csv", action="store_true")
+        case "advise":
+            for flag in ("--params-from", "--tokens-from", "--params-to", "--tokens-to"):
+                p.add_argument(flag, type=_finite_float, required=True)
+        case "train-toy":
+            p.add_argument("--packed", required=True)
+            p.add_argument("--policy", required=True, help="xlda|intra|bridge")
+            p.add_argument("--steps", type=int, required=True)
+            p.add_argument("--batch-seqs", type=_at_least_one, default=4)
+            _bind(p, "--peak")
+            p.add_argument("--warmup", type=int, default=None,
+                           help="[schedule] warmup_steps (default: steps // 20)")
+            p.add_argument("--weight-decay", type=_finite_float, default=0.1)
+            p.add_argument("--metrics", default=None, help="metrics CSV output path")
+        case "grad-check":
+            p.add_argument("--tolerance", type=_finite_float, default=1e-6)
+        case "transfer":
+            p.add_argument("--steps", type=int, default=3000)
+            for flag in ("--seq-len", "--train-windows", "--eval-windows", "--probe-docs"):
+                p.add_argument(flag, type=int, default=None)
+            p.add_argument("--report", default=None, help="JSON report output path")
+        case "eval-consistency":
+            p.add_argument("--pairs", required=True,
+                           help="line-delimited {item_id, src_correct, tgt_correct}")
+
+
+def build_parser(names: Iterable[str] = COMMANDS) -> _Parser:
+    """The parser with the subcommands ``names``, by default all of them.
+
+    The usage line lists every command whichever are built, so a usage
+    error reads the same from a parser holding one command as from the full
+    one.
+    """
+    names = list(names)
     parser = _Parser(prog="xlda-kit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def common(p: _Parser):
+    # argparse names an explicit metavar, not `command`, in the errors for a
+    # missing or unknown command; only the full parser can meet those
+    metavar = None if len(names) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
+                                metavar=metavar)
+    for name in names:
+        summary, func = COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
         _bind(p, "--seed")
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--emit-config", default=None,
                        help="write the effective config to this file")
-
-    p = sub.add_parser("filter", help="quantile quality filtering")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    _bind(p, "--stage", "--class")
-    p.add_argument("--keep", type=_finite_float, default=None,
-                   help="explicit keep fraction (overrides the stage preset)")
-    p.set_defaults(func=_cmd_filter)
-
-    p = sub.add_parser("plan", help="language sampling distribution and mixture")
-    common(p)
-    _bind(p, "--alpha", "--beta", "--rho")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--stats", default=None, help="corpus stats JSON")
-    group.add_argument("--corpus", default=None, help="corpus record file")
-    p.add_argument("--upsample", default=None, help="code=factor,... share rescale")
-    p.set_defaults(func=_cmd_plan)
-
-    p = sub.add_parser("pack", help="pack documents into fixed-length sequences")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    _bind(p, "--seq-len", "--rho", "--alpha", "--beta", "--split")
-    p.set_defaults(func=_cmd_pack)
-
-    p = sub.add_parser("mask", help="inspect the attention mask of a packed sequence")
-    common(p)
-    p.add_argument("--policy", required=True, help="xlda|intra|bridge")
-    p.add_argument("--from", dest="packed", required=True, help="packed batch file")
-    p.add_argument("--index", type=int, default=0)
-    p.add_argument("--dense", action="store_true", help="emit the 0/1 grid")
-    p.set_defaults(func=_cmd_mask)
-
-    p = sub.add_parser("schedule", help="emit the lr/batch schedule table")
-    common(p)
-    _bind(p, "--peak", "--warmup", "--total", "--decay-frac", "--final-ratio")
-    p.add_argument("--every", type=_at_least_one, default=None, help="row spacing in steps")
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=_cmd_schedule)
-
-    p = sub.add_parser("advise", help="scaling-law lr and vocab factors")
-    common(p)
-    p.add_argument("--params-from", type=_finite_float, required=True)
-    p.add_argument("--tokens-from", type=_finite_float, required=True)
-    p.add_argument("--params-to", type=_finite_float, required=True)
-    p.add_argument("--tokens-to", type=_finite_float, required=True)
-    p.set_defaults(func=_cmd_advise)
-
-    p = sub.add_parser("train-toy", help="train the reference model on a packed file")
-    common(p)
-    p.add_argument("--packed", required=True)
-    p.add_argument("--policy", required=True, help="xlda|intra|bridge")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--batch-seqs", type=_at_least_one, default=4)
-    _bind(p, "--peak")
-    p.add_argument("--warmup", type=int, default=None,
-                   help="[schedule] warmup_steps (default: steps // 20)")
-    p.add_argument("--weight-decay", type=_finite_float, default=0.1)
-    p.add_argument("--metrics", default=None, help="metrics CSV output path")
-    p.set_defaults(func=_cmd_train_toy)
-
-    p = sub.add_parser("grad-check", help="finite-difference gradient verification")
-    common(p)
-    p.add_argument("--tolerance", type=_finite_float, default=1e-6)
-    p.set_defaults(func=_cmd_grad_check)
-
-    p = sub.add_parser("transfer", help="cross-lingual transfer smoke experiment")
-    common(p)
-    p.add_argument("--steps", type=int, default=3000)
-    p.add_argument("--seq-len", type=int, default=None)
-    p.add_argument("--train-windows", type=int, default=None)
-    p.add_argument("--eval-windows", type=int, default=None)
-    p.add_argument("--probe-docs", type=int, default=None)
-    p.add_argument("--report", default=None, help="JSON report output path")
-    p.set_defaults(func=_cmd_transfer)
-
-    p = sub.add_parser("eval-consistency", help="cross-lingual consistency metrics")
-    common(p)
-    p.add_argument("--pairs", required=True,
-                   help="line-delimited {item_id, src_correct, tgt_correct}")
-    p.set_defaults(func=_cmd_eval_consistency)
-
+        _add_arguments(name, p)
+        p.set_defaults(func=func)
     return parser
 
 
 def dispatch(argv: list[str]) -> int:
-    """Run one subcommand; returns the process exit status."""
-    parser = build_parser()
+    """Run one subcommand; returns the process exit status.
+
+    Only the named command's parser is built; anything else (no command, an
+    unknown one, a leading option) goes to the parser holding every command.
+    """
+    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -147,27 +147,28 @@ def materialize_dense(
 
 
 def allowed_pair_count(spec: MaskSpec) -> int:
-    """Number of allowed (q, k) pairs, from span arithmetic alone.
+    """Number of allowed (q, k) pairs, in closed form over the span table.
 
-    Within a span the allowed region is the lower triangle including the
-    diagonal, n(n+1)/2; between an earlier span j and a later span i every
-    pair is causal, contributing n_i * n_j when the policy permits the pair
-    of documents at all.
+    With P = ``pad_start`` live positions, spans of n tokens and N_lang
+    live tokens per language:
+
+    * ``xlda``: the causal triangle over the live positions, P(P+1)/2;
+    * ``intra``: each span's own triangle, the sum of n(n+1)/2;
+    * ``bridge``: the ``intra`` sum plus every pair of positions in
+      different languages, once each, (P² − Σ N_lang²)/2. Two positions in
+      different languages are in different spans, and the later one is the
+      query.
     """
-    total = 0
-    spans = spec.spans
-    for i, si in enumerate(spans):
-        n_i = len(si)
-        total += n_i * (n_i + 1) // 2
-        if spec.policy is MaskPolicy.INTRA_DOCUMENT_CAUSAL:
-            continue
-        for j in range(i):
-            sj = spans[j]
-            if spec.policy is MaskPolicy.XLDA_FULL_CAUSAL or (
-                si.lang.code != sj.lang.code
-            ):
-                total += n_i * len(sj)
-    return total
+    live = spec.pad_start
+    if spec.policy is MaskPolicy.XLDA_FULL_CAUSAL:
+        return live * (live + 1) // 2
+    total = sum(len(s) * (len(s) + 1) for s in spec.spans) // 2
+    if spec.policy is MaskPolicy.INTRA_DOCUMENT_CAUSAL:
+        return total
+    per_lang: dict[str, int] = {}
+    for s in spec.spans:
+        per_lang[s.lang.code] = per_lang.get(s.lang.code, 0) + len(s)
+    return total + (live * live - sum(n * n for n in per_lang.values())) // 2
 
 
 def segment_ids(

@@ -427,6 +427,7 @@ def test_criterion_10_loss_wiring():
         assert abs(breakdown.mtp - math.log(v)) <= 1e-12
 
 
+@pytest.mark.slow
 def test_criterion_11_transfer_smoke():
     with criterion(11, "transfer: XLDA low-resource held-out loss <= intra baseline"):
         report = transfer_experiment(TransferSpec())

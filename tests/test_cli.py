@@ -12,7 +12,8 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import xlda_kit
-from xlda_kit.cli import RETIRED, SETTINGS, dispatch
+from xlda_kit.cli import COMMANDS, RETIRED, SETTINGS, _UsageError, build_parser, dispatch
+from xlda_kit.masks import MaskPolicy, MaskSpec, materialize_dense
 from xlda_kit.packing import read_packed
 from xlda_kit.schedule import ScheduleConfig, batch_size_at, lr_at
 
@@ -238,6 +239,59 @@ def test_mask_index_at_or_past_count_exit_2(tmp_path, capsys):
         capsys, "mask", "--policy", "xlda", "--from", str(packed), "--index", str(count - 1),
     )
     assert code == 0
+
+
+def test_dense_grid_matches_per_cell_formatting(tmp_path, capsys):
+    src = tmp_path / "corpus.jsonl"
+    packed = tmp_path / "batch.xlda"
+    write_corpus(src)
+    run(capsys, "pack", "--input", str(src), "--output", str(packed), "--seq-len", "16")
+    sequences, config = read_packed(packed)
+    padded = [i for i, seq in enumerate(sequences) if seq.pad_start < config.seq_len]
+    assert padded, "the last window should be padded"
+    for index in (0, padded[-1]):
+        for policy in ("xlda", "intra", "bridge"):
+            argv = ["mask", "--policy", policy, "--from", str(packed), "--index", str(index)]
+            code, out, err = run(capsys, *argv, "--dense")
+            assert code == 0, err
+            spec = MaskSpec.for_sequence(sequences[index], MaskPolicy.parse(policy))
+            dense = materialize_dense(spec, config.seq_len)
+            grid = [" ".join("1" if cell else "0" for cell in row) for row in dense]
+            head = out[: out.index("P1\n")]
+            assert out == head + "\n".join(["P1", "16 16", *grid]) + "\n"
+            code, out, err = run(capsys, *argv, "--dense", "--json")
+            assert code == 0, err
+            assert json.loads(out)["result"]["dense_true_cells"] == int(dense.sum())
+            assert "P1" not in out
+
+
+def _parse_with_every_command(argv):
+    """Exit code of ``build_parser()``, holding every command, on ``argv``,
+    for argvs that end in argparse: help, version or a usage error."""
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help / --version
+        return int(exc.code or 0)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    raise AssertionError(f"{argv} parsed: it would run the command")
+
+
+# never a bare `transfer` or `grad-check`: they run the full command
+PARITY_ARGVS = [
+    [], ["--help"], ["--version"], ["frobnicate"], ["-x", "mask"], ["mask"], ["mask", "--policy"],
+    *([name, flag] for name in COMMANDS for flag in ("--help", "--bogus")),
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=" ".join)
+def test_one_command_parser_reads_as_the_full_parser(capsys, argv):
+    got = run(capsys, *argv)
+    code = _parse_with_every_command(argv)
+    captured = capsys.readouterr()
+    assert got == (code, captured.out, captured.err)
+    assert got[2] or got[1]  # something was printed
 
 
 def test_pack_byte_identical_across_runs(tmp_path, capsys):

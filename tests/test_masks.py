@@ -90,6 +90,41 @@ def test_dense_counts_closed_forms():
     assert allowed_pair_count(intra) == 12
 
 
+def pair_count_by_span_pairs(spec):
+    """The span-pair double loop: each span's triangle, plus n_i * n_j for
+    every earlier span j whose document the policy lets span i reach."""
+    total = 0
+    for i, si in enumerate(spec.spans):
+        total += len(si) * (len(si) + 1) // 2
+        if spec.policy is MaskPolicy.INTRA_DOCUMENT_CAUSAL:
+            continue
+        for sj in spec.spans[:i]:
+            if spec.policy is MaskPolicy.XLDA_FULL_CAUSAL or si.lang.code != sj.lang.code:
+                total += len(si) * len(sj)
+    return total
+
+
+@pytest.mark.parametrize("lengths, codes, pad_start, seq_len", [
+    ([], [], 0, 8),  # no spans: all padding
+    ([5, 2, 7], ["en", "en", "en"], None, None),  # one language
+    ([3, 1, 4, 2], ["en", "ko", "ja", "sw"], None, None),  # all distinct
+    ([2, 3, 1, 4, 2], ["en", "ko", "en", "ja", "ko"], None, None),  # repeats, not adjacent
+    ([4, 3, 2], ["ko", "en", "ko"], 9, 16),  # padding
+])
+def test_closed_form_pair_count_edge_cases(lengths, codes, pad_start, seq_len):
+    counts = {}
+    for policy in POLICIES:
+        spec = spec_for(lengths, codes, policy, pad_start, seq_len)
+        counts[policy] = allowed_pair_count(spec)
+        assert counts[policy] == int(materialize_dense(spec, spec.seq_len).sum())
+        assert counts[policy] == pair_count_by_span_pairs(spec)
+    bridge = counts[MaskPolicy.CROSS_LINGUAL_BRIDGE]
+    if len(set(codes)) == 1:
+        assert bridge == counts[MaskPolicy.INTRA_DOCUMENT_CAUSAL]
+    if len(set(codes)) == len(codes):
+        assert bridge == counts[MaskPolicy.XLDA_FULL_CAUSAL]
+
+
 def test_padding_rows_and_cols_fully_false():
     spec = spec_for([2, 2], ["en", "ko"], MaskPolicy.XLDA_FULL_CAUSAL,
                     pad_start=4, seq_len=6)
