@@ -18,6 +18,7 @@ import configparser
 import hashlib
 import json
 import math
+import os
 import sys
 from bisect import bisect_left
 from pathlib import Path
@@ -244,14 +245,6 @@ class RunConfig:
         return {s: dict(sorted(kv.items())) for s, kv in sorted(self.used.items())}
 
 
-def _uniform_beta(codes: list[str]) -> dict[str, float]:
-    n = len(codes)
-    beta = {code: 1.0 / n for code in codes}
-    largest = codes[0]
-    beta[largest] += 1.0 - sum(beta.values())
-    return beta
-
-
 def _finish(args, run: RunConfig, payload: dict, text_lines: list[str]) -> int:
     if args.emit_config:
         run.emit(args.emit_config)
@@ -271,7 +264,7 @@ def _sampler_from(run: RunConfig, fallback_langs: list[str] | None = None
     if beta is None:
         if not fallback_langs:
             raise XldaKitError("no beta given and no corpus to infer languages from")
-        beta = _uniform_beta(sorted(fallback_langs))
+        beta = sampling.MixturePlan.from_ratios(dict.fromkeys(fallback_langs, 1.0)).shares
     return sampling.SamplerConfig(
         alpha_temp=run.get("sampler", "alpha"),
         beta=beta,
@@ -309,8 +302,8 @@ def _cmd_filter(args, run: RunConfig) -> int:
 
 def _cmd_plan(args, run: RunConfig) -> int:
     if args.stats:
-        with open(args.stats, "r", encoding="utf-8") as fh:
-            stats = corpus.CorpusStats.from_json(json.load(fh))
+        stats = corpus.CorpusStats.from_json(
+            corpus.parse_json_object(Path(args.stats).read_bytes()))
     else:
         stats = corpus.stats(corpus.ingest(args.corpus))
     config = _sampler_from(run, fallback_langs=stats.languages())
@@ -469,6 +462,10 @@ def _model_from(run: RunConfig, vocab_floor: int = 0) -> toy.ModelConfig:
     return toy.ModelConfig(**shape, seed=run.get("global", "seed"))
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _params_digest(params: toy.Parameters) -> str:
     h = hashlib.sha256()
     for name in sorted(params.tensors):
@@ -491,12 +488,16 @@ def _cmd_train_toy(args, run: RunConfig) -> int:
         else (args.steps // 20, "--steps"),
         seq_len=(pack_cfg.seq_len, "the packed file"),
     ))
+    # refuse a run the machine cannot hold before allocating any of it
+    need = toy.working_set_bytes(config, args.batch_seqs, pack_cfg.seq_len)
+    if need > _physical_memory():
+        raise ConfigError(f"training needs about {need / 2**30:.1f} GiB, more than the "
+                          f"{_physical_memory() / 2**30:.1f} GiB of physical memory; "
+                          "shrink [model] or --batch-seqs")
     params = toy.init(config)
     batches = training.cycle_batches(sequences, policy, args.batch_seqs)
     opt = training.OptimizerConfig(weight_decay=args.weight_decay)
-    log = training.train(
-        params, batches, schedule_cfg, opt, args.steps, mtp_alpha=config.mtp_alpha
-    )
+    log = training.train(params, batches, schedule_cfg, opt, args.steps)
     if args.metrics:
         training.write_metrics_csv(args.metrics, log)
     digest = _params_digest(params)

@@ -13,11 +13,11 @@ never as zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .corpus import parse_json_object
 from .errors import DataError
 
 
@@ -109,34 +109,27 @@ def read_pairs(path: str | Path) -> list[PredictionPair]:
     if not path.exists():
         raise DataError(f"no such file: {path}")
     pairs = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with path.open("rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {line_no}: not valid JSON: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise DataError(f"line {line_no}: record is not a JSON object")
-            item_id = record.get("item_id")
-            if not isinstance(item_id, str) or not item_id:
-                raise DataError(f"line {line_no}: missing or empty item_id")
-            values = []
-            for key in ("src_correct", "tgt_correct"):
-                v = record.get(key)
-                if isinstance(v, bool):
-                    values.append(v)
-                elif v in (0, 1):
-                    values.append(bool(v))
-                else:
-                    raise DataError(
-                        f"line {line_no}: {key} must be a boolean (item answered "
-                        "in both languages is required)"
-                    )
-            pairs.append(PredictionPair(item_id, values[0], values[1]))
+                record = parse_json_object(raw)
+                if record is not None:
+                    pairs.append(_parse_pair(record))
+            except DataError as exc:
+                raise DataError(f"line {line_no}: {exc}") from None
     return pairs
+
+
+def _parse_pair(record: dict) -> PredictionPair:
+    item_id = record.get("item_id")
+    if not isinstance(item_id, str) or not item_id:
+        raise DataError("missing or empty item_id")
+    src, tgt = (record.get(key) for key in ("src_correct", "tgt_correct"))
+    for key, v in (("src_correct", src), ("tgt_correct", tgt)):
+        if v not in (0, 1):  # true, false, 1 or 0
+            raise DataError(f"{key} must be a boolean (item answered in both languages "
+                            "is required)")
+    return PredictionPair(item_id, bool(src), bool(tgt))
 
 
 def format_report(report: ConsistencyReport) -> str:

@@ -110,25 +110,29 @@ class IngestReport:
         return len(self.errors)
 
 
-def _decode_line(raw: bytes) -> str:
+def parse_json_object(raw: bytes) -> dict | None:
+    """The JSON object in UTF-8 ``raw``, such as one line of a record file,
+    or None if ``raw`` is blank; anything else is a ``DataError``."""
     try:
-        return raw.decode("utf-8").strip()
+        line = raw.decode("utf-8").strip()
     except UnicodeDecodeError as exc:
         raise DataError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
-
-
-def _parse_line(
-    line: str,
-    schema: RecordSchema,
-    tokenizer: Callable[[str], Sequence[int]] | None,
-) -> Document:
+    if not line:
+        return None
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise DataError(f"not valid JSON: {exc.msg}") from exc
     if not isinstance(record, dict):
         raise DataError("record is not a JSON object")
+    return record
 
+
+def _parse_record(
+    record: dict,
+    schema: RecordSchema,
+    tokenizer: Callable[[str], Sequence[int]] | None,
+) -> Document:
     doc_id = record.get(schema.id)
     if not isinstance(doc_id, str) or not doc_id:
         raise DataError(f"missing or empty {schema.id!r} field")
@@ -190,10 +194,10 @@ def ingest(
     with path.open("rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
-                line = _decode_line(raw)
-                if not line:
+                record = parse_json_object(raw)
+                if record is None:
                     continue
-                doc = _parse_line(line, schema, tokenizer)
+                doc = _parse_record(record, schema, tokenizer)
             except DataError as exc:
                 if fail_fast:
                     raise DataError(f"line {line_no}: {exc}") from exc
@@ -256,15 +260,21 @@ class CorpusStats:
         }
 
     @classmethod
-    def from_json(cls, payload: dict) -> "CorpusStats":
-        try:
-            per_language = {
-                code: LanguageStats(int(v["documents"]), int(v["tokens"]))
-                for code, v in payload["per_language"].items()
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed stats payload: {exc}") from exc
-        return cls(per_language=per_language)
+    def from_json(cls, payload) -> "CorpusStats":
+        """The inverse of ``to_json``: codes follow the ``LanguageTag`` rules
+        and both counts are non-negative JSON integers."""
+        per_language = payload.get("per_language") if isinstance(payload, dict) else None
+        if not isinstance(per_language, dict):
+            raise DataError("malformed stats payload: 'per_language' is not an object")
+        for code, entry in per_language.items():
+            LanguageTag(code)
+            for key in ("documents", "tokens"):
+                n = entry.get(key) if isinstance(entry, dict) else None
+                if type(n) is not int or n < 0:  # not a float, bool or missing count
+                    raise DataError(f"malformed stats payload: {code} {key} must be a "
+                                    f"non-negative integer, got {n!r}")
+        return cls({code: LanguageStats(entry["documents"], entry["tokens"])
+                    for code, entry in per_language.items()})
 
 
 def stats(docs: Iterable[Document]) -> CorpusStats:

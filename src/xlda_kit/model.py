@@ -30,7 +30,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DataError
-from .masks import MaskSpec, allowed_block, earliest_keys
+from .masks import MaskPolicy, MaskSpec, allowed_block, earliest_keys, spans_from_lengths
 from .packing import IGNORE_LABEL, make_labels
 
 Array = np.ndarray
@@ -70,16 +70,23 @@ class ModelConfig:
 
 @dataclass
 class Parameters:
-    """Named parameter tensors plus the config they were built for."""
+    """Every parameter in one float64 vector, ``flat``; ``tensors`` holds
+    named views into it, laid end to end in ``init``'s order."""
 
     config: ModelConfig
+    flat: Array
     tensors: dict[str, Array]
 
+    def like(self, flat: Array) -> "Parameters":
+        """The same names and shapes laid over ``flat``, a vector of this size."""
+        return Parameters(self.config, flat,
+                          _views({name: t.shape for name, t in self.tensors.items()}, flat))
+
     def copy(self) -> "Parameters":
-        return Parameters(self.config, {k: v.copy() for k, v in self.tensors.items()})
+        return self.like(self.flat.copy())
 
     def n_params(self) -> int:
-        return sum(t.size for t in self.tensors.values())
+        return self.flat.size
 
 
 @dataclass
@@ -91,33 +98,47 @@ class ForwardOutput:
 _BLOCK_NORMS = ("attn_norm_in", "attn_norm_out", "ffn_norm_in", "ffn_norm_out")
 
 
-def init(config: ModelConfig) -> Parameters:
-    """Deterministic scaled-normal initialization from the config seed."""
-    gen = rng.stream(config.seed, rng.STREAM_INIT)
+def _shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in layout (and init draw) order."""
     d, f, v = config.d_model, config.d_ff, config.vocab_size
-    shapes: dict[str, tuple[int, ...]] = {"embed": (v, d)}
-    prefixes = [f"blocks.{i}" for i in range(config.n_layers)] + ["mtp_block"]
-    for p in prefixes:
-        for n in _BLOCK_NORMS:
-            shapes[f"{p}.{n}"] = (d,)
-        shapes[f"{p}.wq"] = (d, d)
-        shapes[f"{p}.wk"] = (d, d)
-        shapes[f"{p}.wv"] = (d, d)
-        shapes[f"{p}.wo"] = (d, d)
-        shapes[f"{p}.w_gate"] = (d, f)
-        shapes[f"{p}.w_up"] = (d, f)
-        shapes[f"{p}.w_down"] = (f, d)
-    shapes["ntp_norm"] = (d,)
-    shapes["mtp_norm"] = (d,)
+    block = {**dict.fromkeys(_BLOCK_NORMS, (d,)), "wq": (d, d), "wk": (d, d), "wv": (d, d),
+             "wo": (d, d), "w_gate": (d, f), "w_up": (d, f), "w_down": (f, d)}
+    shapes = {"embed": (v, d)}
+    for prefix in [f"blocks.{i}" for i in range(config.n_layers)] + ["mtp_block"]:
+        shapes.update({f"{prefix}.{name}": shape for name, shape in block.items()})
+    return {**shapes, "ntp_norm": (d,), "mtp_norm": (d,)}
 
-    tensors: dict[str, Array] = {}
+
+def _views(shapes: Mapping[str, tuple[int, ...]], flat: Array) -> dict[str, Array]:
+    views, start = {}, 0
     for name, shape in shapes.items():
-        if len(shape) == 1:
-            tensors[name] = np.ones(shape, dtype=np.float64)
-        else:
-            fan_in = shape[0]
-            tensors[name] = gen.standard_normal(shape) / math.sqrt(fan_in)
-    return Parameters(config=config, tensors=tensors)
+        views[name] = flat[start:start + math.prod(shape)].reshape(shape)
+        start += views[name].size
+    return views
+
+
+def init(config: ModelConfig) -> Parameters:
+    """Deterministic scaled-normal initialization from the config seed; the
+    norm gains start at one."""
+    gen = rng.stream(config.seed, rng.STREAM_INIT)
+    shapes = _shapes(config)
+    flat = np.ones(sum(map(math.prod, shapes.values())))
+    tensors = _views(shapes, flat)
+    for tensor in tensors.values():
+        if tensor.ndim == 2:  # fan-in is the first axis
+            tensor[...] = gen.standard_normal(tensor.shape) / math.sqrt(tensor.shape[0])
+    return Parameters(config, flat, tensors)
+
+
+def working_set_bytes(config: ModelConfig, batch: int, seq_len: int) -> int:
+    """An upper estimate of a training process's peak memory, from shapes
+    alone: 64 MiB for the interpreter, seven parameter vectors (AdamW's four
+    and three temporaries), six [B, L, V] and six [B, L, d_ff] arrays, and per
+    block three [B, L, d_ff], sixteen [B, L, d] and [B, H, L, L] weights."""
+    n_params = sum(map(math.prod, _shapes(config).values()))
+    per_row = 6 * config.vocab_size + 6 * config.d_ff + (config.n_layers + 1) * (
+        3 * config.d_ff + config.n_heads * seq_len + 16 * config.d_model)
+    return (64 << 20) + 8 * (7 * n_params + batch * seq_len * per_row)
 
 
 # --- primitive layers (forward returns a cache consumed by backward) -------
@@ -166,13 +187,7 @@ def _rope_fwd(x: Array, cos: Array, sin: Array) -> Array:
 
 def _rope_bwd(dy: Array, cos: Array, sin: Array) -> Array:
     # transpose of a rotation is the rotation by the opposite angle
-    c = cos[None, :, None, :]
-    s = sin[None, :, None, :]
-    de, do = dy[..., 0::2], dy[..., 1::2]
-    dx = np.empty_like(dy)
-    dx[..., 0::2] = de * c + do * s
-    dx[..., 1::2] = -de * s + do * c
-    return dx
+    return _rope_fwd(dy, cos, -sin)
 
 
 ATTENTION_TILE = 64  # query rows per attention tile
@@ -352,6 +367,22 @@ def _block_bwd(cache, dy: Array, p: Mapping[str, Array], grads: dict[str, Array]
     return dx
 
 
+def _head_fwd(x: Array, p: Mapping[str, Array], norm: str, eps: float):
+    """Final norm ``norm``, then the tied projection onto the vocabulary."""
+    hidden, c_norm = _rmsnorm_fwd(x, p[norm], eps)
+    return hidden @ p["embed"].T, (hidden, c_norm, norm)
+
+
+def _head_bwd(cache, dlogits: Array, p: Mapping[str, Array],
+              grads: dict[str, Array]) -> Array:
+    hidden, c_norm, norm = cache
+    v, d = p["embed"].shape
+    grads["embed"] += dlogits.reshape(-1, v).T @ hidden.reshape(-1, d)
+    dx, dg = _rmsnorm_bwd(c_norm, dlogits @ p["embed"])
+    grads[norm] += dg
+    return dx
+
+
 def _check_tokens(tokens: Array, vocab_size: int):
     if tokens.size == 0:
         return
@@ -380,23 +411,11 @@ def _forward_with_cache(params: Parameters, tokens: Array | Sequence[int],
     for i in range(cfg.n_layers):
         x, cache = _block_fwd(x, bands, p, f"blocks.{i}", cfg, cos, sin)
         block_caches.append(cache)
-    trunk = x
-    ntp_hidden, c_ntp_norm = _rmsnorm_fwd(trunk, p["ntp_norm"], cfg.norm_eps)
-    ntp_logits = ntp_hidden @ p["embed"].T
-    mtp_x, c_mtp_block = _block_fwd(trunk, bands, p, "mtp_block", cfg, cos, sin)
-    mtp_hidden, c_mtp_norm = _rmsnorm_fwd(mtp_x, p["mtp_norm"], cfg.norm_eps)
-    mtp_logits = mtp_hidden @ p["embed"].T
-    cache = {
-        "tokens": tokens,
-        "cos": cos,
-        "sin": sin,
-        "blocks": block_caches,
-        "ntp_norm": c_ntp_norm,
-        "ntp_hidden": ntp_hidden,
-        "mtp_block": c_mtp_block,
-        "mtp_norm": c_mtp_norm,
-        "mtp_hidden": mtp_hidden,
-    }
+    ntp_logits, c_ntp_head = _head_fwd(x, p, "ntp_norm", cfg.norm_eps)
+    mtp_x, c_mtp_block = _block_fwd(x, bands, p, "mtp_block", cfg, cos, sin)
+    mtp_logits, c_mtp_head = _head_fwd(mtp_x, p, "mtp_norm", cfg.norm_eps)
+    cache = {"tokens": tokens, "cos": cos, "sin": sin, "blocks": block_caches,
+             "ntp_head": c_ntp_head, "mtp_block": c_mtp_block, "mtp_head": c_mtp_head}
     return ForwardOutput(ntp_logits=ntp_logits, mtp_logits=mtp_logits), cache
 
 
@@ -487,45 +506,27 @@ def loss(
     return _loss_breakdown(output, ntp_labels, mtp_labels, mtp_alpha)[0]
 
 
-def loss_and_grads(
-    params: Parameters,
-    tokens: Array,
-    masks: MaskSpec | Sequence[MaskSpec],
-    ntp_labels: Array,
-    mtp_labels: Array,
-    mtp_alpha: float,
-) -> tuple[LossBreakdown, dict[str, Array]]:
-    """Forward, loss, and full analytic parameter gradients; ``masks`` as
-    for ``forward``."""
+def loss_and_grads(params: Parameters, tokens: Array, masks: MaskSpec | Sequence[MaskSpec],
+                   ntp_labels: Array, mtp_labels: Array,
+                   mtp_alpha: float) -> tuple[LossBreakdown, Parameters]:
+    """Forward, loss, and full analytic parameter gradients, laid out like
+    ``params``; ``masks`` as for ``forward``."""
     cfg = params.config
     p = params.tensors
     out, cache = _forward_with_cache(params, tokens, masks)
-    breakdown, dntp_logits, dmtp_logits = _loss_breakdown(
-        out, ntp_labels, mtp_labels, mtp_alpha
-    )
-
-    grads = {name: np.zeros_like(t) for name, t in p.items()}
+    breakdown, dntp_logits, dmtp_logits = _loss_breakdown(out, ntp_labels, mtp_labels,
+                                                          mtp_alpha)
+    grads = params.like(np.zeros(params.flat.size))
+    g = grads.tensors
     cos, sin = cache["cos"], cache["sin"]
-    d = cfg.d_model
-    v = cfg.vocab_size
-
-    # heads: logits = hidden @ embed.T
-    ntp_hidden = cache["ntp_hidden"]
-    mtp_hidden = cache["mtp_hidden"]
-    grads["embed"] += dntp_logits.reshape(-1, v).T @ ntp_hidden.reshape(-1, d)
-    grads["embed"] += dmtp_logits.reshape(-1, v).T @ mtp_hidden.reshape(-1, d)
-    dntp_hidden = dntp_logits @ p["embed"]
-    dmtp_hidden = dmtp_logits @ p["embed"]
-
-    dtrunk_ntp, dg = _rmsnorm_bwd(cache["ntp_norm"], dntp_hidden)
-    grads["ntp_norm"] += dg
-    dmtp_x, dg = _rmsnorm_bwd(cache["mtp_norm"], dmtp_hidden)
-    grads["mtp_norm"] += dg
-    dtrunk_mtp = _block_bwd(cache["mtp_block"], dmtp_x, p, grads, cfg, cos, sin)
+    # the embed gradient gathers the NTP head, then the MTP head, then the input
+    dtrunk_ntp = _head_bwd(cache["ntp_head"], dntp_logits, p, g)
+    dmtp_x = _head_bwd(cache["mtp_head"], dmtp_logits, p, g)
+    dtrunk_mtp = _block_bwd(cache["mtp_block"], dmtp_x, p, g, cfg, cos, sin)
     dx = dtrunk_ntp + dtrunk_mtp
     for i in range(cfg.n_layers - 1, -1, -1):
-        dx = _block_bwd(cache["blocks"][i], dx, p, grads, cfg, cos, sin)
-    np.add.at(grads["embed"], cache["tokens"].reshape(-1), dx.reshape(-1, d))
+        dx = _block_bwd(cache["blocks"][i], dx, p, g, cfg, cos, sin)
+    np.add.at(g["embed"], cache["tokens"].reshape(-1), dx.reshape(-1, cfg.d_model))
     return breakdown, grads
 
 
@@ -547,8 +548,6 @@ class GradCheckReport:
 
 def _grad_check_batch(config: ModelConfig, gen: np.random.Generator):
     """A small random batch with two-document spans and boundary-masked labels."""
-    from .masks import MaskPolicy, spans_from_lengths
-
     seq_len = 12
     b = 2
     tokens = gen.integers(0, config.vocab_size, size=(b, seq_len), dtype=np.int64)
@@ -608,7 +607,7 @@ def grad_check(
             skipped.append(f"{name}: zero-parameter slice, skipped")
             continue
         flat = tensor.reshape(-1)
-        gflat = grads[name].reshape(-1)
+        gflat = grads.tensors[name].reshape(-1)
         if max_coords_per_tensor is not None and tensor.size > max_coords_per_tensor:
             coords = gen.choice(tensor.size, size=max_coords_per_tensor, replace=False)
         else:

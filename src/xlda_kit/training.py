@@ -31,29 +31,27 @@ class OptimizerConfig:
 
 
 class AdamW:
-    """Decoupled weight decay Adam over a named tensor dict."""
+    """Decoupled weight decay Adam: one elementwise pass over the flat
+    parameter vector, with both moments kept as flat vectors of its size."""
 
     def __init__(self, params: toy.Parameters, config: OptimizerConfig):
         self.config = config
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
 
-    def step(self, params: toy.Parameters, grads: dict[str, np.ndarray], lr: float):
+    def step(self, params: toy.Parameters, grads: toy.Parameters, lr: float):
         cfg = self.config
         self.t += 1
         bc1 = 1.0 - cfg.beta1**self.t
         bc2 = 1.0 - cfg.beta2**self.t
-        for name, w in params.tensors.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            w -= lr * cfg.weight_decay * w
-            w -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        w, g, m, v = params.flat, grads.flat, self.m, self.v
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        w -= lr * cfg.weight_decay * w
+        w -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
 
 
 @dataclass
@@ -128,12 +126,12 @@ def train(
     schedule: ScheduleConfig,
     optimizer: OptimizerConfig,
     steps: int,
-    mtp_alpha: float | None = None,
 ) -> list[StepMetrics]:
     """Run ``steps`` optimizer steps, logging (step, lr, tokens, losses).
 
-    The learning rate at step s is exactly ``lr_at(schedule, s)``. Aborts if
-    the loss stops being finite.
+    The learning rate at step s is exactly ``lr_at(schedule, s)``; the MTP
+    loss weight is the model config's ``mtp_alpha``. Aborts if the loss stops
+    being finite.
     """
     if steps < 0:
         raise ConfigError(f"steps must be >= 0: {steps}")
@@ -141,15 +139,13 @@ def train(
         raise ConfigError(
             f"steps ({steps}) exceed schedule total_steps ({schedule.total_steps})"
         )
-    alpha = params.config.mtp_alpha if mtp_alpha is None else mtp_alpha
     opt = AdamW(params, optimizer)
     log: list[StepMetrics] = []
     for step in range(steps):
         batch = next(batches)
         lr = lr_at(schedule, step)
-        breakdown, grads = toy.loss_and_grads(
-            params, batch.tokens, batch.specs, batch.ntp, batch.mtp, mtp_alpha=alpha
-        )
+        breakdown, grads = toy.loss_and_grads(params, batch.tokens, batch.specs, batch.ntp,
+                                              batch.mtp, mtp_alpha=params.config.mtp_alpha)
         if not math.isfinite(breakdown.total):
             raise TrainingDivergedError(
                 f"non-finite loss {breakdown.total} at step {step}"
@@ -422,7 +418,7 @@ def transfer_experiment(spec: TransferSpec) -> TransferReport:
     for policy in spec.policies:
         params = init_params.copy()
         batches = cycle_batches(packed_train, policy, spec.batch_sequences)
-        train(params, batches, sched, opt, spec.steps, mtp_alpha=spec.mtp_alpha)
+        train(params, batches, sched, opt, spec.steps)
         packed_losses[policy.value] = _language_ce(params, packed_eval, policy, codes)
         probe_losses[policy.value] = _language_ce(params, probe_windows, policy, codes)
     return TransferReport(

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import xlda_kit
+from xlda_kit import cli
 from xlda_kit.cli import COMMANDS, RETIRED, SETTINGS, _UsageError, build_parser, dispatch
 from xlda_kit.masks import MaskPolicy, MaskSpec, materialize_dense
 from xlda_kit.packing import read_packed
@@ -509,6 +511,40 @@ def test_plan_stats_file_and_upsample(tmp_path, capsys):
     assert sum(shares.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def _stats_with(code="ko", **entry):
+    return json.dumps({"per_language": {"en": {"documents": 2, "tokens": 9},
+                                        code: {"documents": 1, "tokens": 4, **entry}}})
+
+
+@pytest.mark.parametrize("command, content, message", [
+    ("plan", b'{"per_language": {"en": ', "not valid JSON"),
+    ("plan", b'{"per_language": [1, 2]}', "'per_language' is not an object"),
+    ("plan", b'{"per_language": {"en": 5}}', "en documents must be a non-negative integer"),
+    ("plan", b'{"per_language": {"en": {"tokens": 9}}}', "got None"),
+    ("plan", b"\xff\xfe{}", "not valid UTF-8"),
+    ("plan", b"", "'per_language' is not an object"),
+    ("plan", _stats_with(tokens=1.9).encode(), "ko tokens must be a non-negative integer, "
+                                               "got 1.9"),
+    ("plan", _stats_with(tokens=True).encode(), "got True"),
+    ("plan", _stats_with(documents=-1).encode(), "ko documents must be a non-negative "
+                                                 "integer, got -1"),
+    ("plan", _stats_with(code="EN").encode(), "language code must be"),
+    ("eval-consistency", b'{"item_id": "a", "src_correct": true, "tgt_correct": true}\n'
+                         b'{"item_id": "b\xff", "src_correct": true, "tgt_correct": true}\n',
+     "line 2: not valid UTF-8"),
+], ids=["stats-malformed-json", "stats-per-language-list", "stats-entry-not-object",
+        "stats-count-missing", "stats-not-utf8", "stats-empty-file", "stats-float-count",
+        "stats-bool-count", "stats-negative-count", "stats-uppercase-code", "pairs-not-utf8"])
+def test_bad_json_input_is_a_named_error(tmp_path, capsys, command, content, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    flag = "--stats" if command == "plan" else "--pairs"
+    code, out, err = run(capsys, command, flag, str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and message in err, err
+    assert "Traceback" not in err
+
+
 def test_invalid_utf8_line_is_skipped_by_filter(tmp_path, capsys):
     src = tmp_path / "raw.jsonl"
     write_corpus(src, n_en=5, n_ko=0, scores=True)
@@ -699,6 +735,30 @@ def test_window_too_large_to_allocate_is_a_named_error(settings_dir, tmp_path, c
     assert code == 2 and not out
     assert err.startswith("error: out of memory: ")
     assert "Traceback" not in err
+
+
+def test_train_toy_beyond_physical_memory_is_a_config_error(settings_dir, tmp_path, capsys,
+                                                           monkeypatch):
+    argv = ["train-toy", "--packed", str(settings_dir / "batch.xlda"), "--policy", "xlda",
+            "--steps", "1"]
+    # the default model needs about 67 MiB; a host reading of 32 MiB refuses it
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 32 << 20)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert "training needs about 0.1 GiB, more than the 0.0 GiB of physical memory" in err
+    monkeypatch.undo()
+    assert run(capsys, *argv)[0] == 0
+    # 4e12 parameters: refused from the shapes, before anything is allocated
+    (tmp_path / "wide.ini").write_text("[model]\nd_model = 1000000\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, "--config", str(tmp_path / "wide.ini"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and not out
+    assert err.startswith("error: training needs about ") and "Traceback" not in err
+    assert peak < 16 << 20
 
 
 @pytest.mark.parametrize("pad_token", ["-1", "100"])

@@ -46,6 +46,60 @@ def test_init_deterministic_and_shapes():
                if a.tensors[n].ndim > 1)
 
 
+def _offset(view, base):
+    return view.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+
+
+def _assert_tiles(params, names):
+    """``params.tensors`` are views named ``names`` laid end to end over ``flat``."""
+    assert list(params.tensors) == list(names)
+    start = 0
+    for tensor in params.tensors.values():
+        assert np.shares_memory(tensor, params.flat)
+        assert _offset(tensor, params.flat) == start * params.flat.itemsize
+        start += tensor.size
+    assert start == params.flat.size == params.n_params()
+    assert params.flat.dtype == np.float64 and params.flat.ndim == 1
+
+
+def test_parameters_tile_one_flat_vector_in_init_order():
+    params = toy.init(TINY)
+    _assert_tiles(params, toy._shapes(TINY))
+    # the draws of the per-name init the flat layout replaced, in its order
+    gen = toy.rng.stream(TINY.seed, toy.rng.STREAM_INIT)
+    for name, shape in toy._shapes(TINY).items():
+        old = (np.ones(shape) if len(shape) == 1
+               else gen.standard_normal(shape) / math.sqrt(shape[0]))
+        assert params.tensors[name].tobytes() == old.tobytes(), name
+    params.tensors["blocks.0.wq"][1, 2] = 7.0
+    assert 7.0 in params.flat
+
+
+def test_parameters_copy_does_not_alias():
+    params = toy.init(TINY)
+    twin = params.copy()
+    _assert_tiles(twin, params.tensors)
+    assert not np.shares_memory(twin.flat, params.flat)
+    assert twin.flat.tobytes() == params.flat.tobytes()
+    twin.tensors["embed"][0, 0] += 1.0
+    twin.flat[-1] -= 1.0
+    assert (params.flat == toy.init(TINY).flat).all()
+
+
+def test_gradients_share_the_parameter_layout():
+    params = toy.init(TINY)
+    gen = np.random.default_rng(5)
+    tokens = random_tokens(gen, TINY, 2, 8)
+    ntp, mtp = shifted_labels(tokens)
+    spec = two_doc_spec(MaskPolicy.INTRA_DOCUMENT_CAUSAL)
+    _, grads = toy.loss_and_grads(params, tokens, [spec, spec], ntp, mtp, mtp_alpha=0.2)
+    _assert_tiles(grads, params.tensors)
+    assert not np.shares_memory(grads.flat, params.flat)
+    for name, tensor in params.tensors.items():
+        assert grads.tensors[name].shape == tensor.shape
+    assert np.isfinite(grads.flat).all() and (grads.flat != 0).any()
+
+
 def test_init_shape_errors():
     with pytest.raises(ConfigError):
         toy.ModelConfig(n_layers=1, d_model=8, d_ff=16, n_heads=3, vocab_size=11)
@@ -324,8 +378,8 @@ def _assert_matches_dense(params, tokens, specs, labels, tol=1e-12):
         dense_out, dense_grads = _run_model(params, tokens, specs, labels)
     assert np.abs(tiled_out.ntp_logits - dense_out.ntp_logits).max() <= tol
     assert np.abs(tiled_out.mtp_logits - dense_out.mtp_logits).max() <= tol
-    for name, g in dense_grads.items():
-        assert np.abs(tiled_grads[name] - g).max() <= tol, name
+    for name, g in dense_grads.tensors.items():
+        assert np.abs(tiled_grads.tensors[name] - g).max() <= tol, name
 
 
 @st.composite

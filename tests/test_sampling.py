@@ -141,6 +141,15 @@ def test_mixture_plan_from_ratios():
     assert sum(plan.shares.values()) == 1.0
 
 
+@pytest.mark.parametrize("n", range(1, 12))
+def test_equal_ratios_put_the_rounding_residue_on_the_first_code(n):
+    codes = [f"l{i:02d}" for i in range(n)]
+    expected = {code: 1.0 / n for code in codes}
+    expected[codes[0]] += 1.0 - sum(expected.values())
+    shares = MixturePlan.from_ratios(dict.fromkeys(reversed(codes), 1.0)).shares
+    assert list(shares.items()) == list(expected.items())
+
+
 def test_mixture_plan_upsample():
     plan = MixturePlan.from_ratios({"en": 8.5, "ko": 1.0, "other": 0.5})
     tripled = plan.upsample({"ko": 3.0, "other": 3.0})

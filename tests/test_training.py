@@ -9,6 +9,7 @@ from xlda_kit.packing import PackerConfig, pack_stream
 from xlda_kit.sampling import SamplerConfig
 from xlda_kit.schedule import ScheduleConfig, lr_at
 from xlda_kit.training import (
+    AdamW,
     OptimizerConfig,
     TransferSpec,
     _language_ce,
@@ -67,6 +68,35 @@ def test_zero_steps_leaves_params_unchanged():
     assert log == []
     for name, tensor in params.tensors.items():
         assert (tensor == before[name]).all()
+
+
+def test_adamw_flat_pass_matches_the_per_name_loop():
+    params = toy.init(MODEL)
+    oracle = {name: t.copy() for name, t in params.tensors.items()}
+    cfg = OptimizerConfig(weight_decay=0.1)
+    opt = AdamW(params, cfg)
+    m = {name: np.zeros_like(t) for name, t in oracle.items()}
+    v = {name: np.zeros_like(t) for name, t in oracle.items()}
+    gen = np.random.default_rng(11)
+    for t in range(1, 8):
+        grads = params.like(gen.standard_normal(params.flat.size) * 10.0 ** -t)
+        lr = 1e-3 * t
+        opt.step(params, grads, lr)
+        # the per-name AdamW loop the flat pass replaced
+        bc1 = 1.0 - cfg.beta1**t
+        bc2 = 1.0 - cfg.beta2**t
+        for name, w in oracle.items():
+            g = grads.tensors[name]
+            m[name] *= cfg.beta1
+            m[name] += (1.0 - cfg.beta1) * g
+            v[name] *= cfg.beta2
+            v[name] += (1.0 - cfg.beta2) * (g * g)
+            w -= lr * cfg.weight_decay * w
+            w -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.eps)
+    for name, w in oracle.items():
+        assert params.tensors[name].tobytes() == w.tobytes(), name
+    assert opt.m.tobytes() == np.concatenate([a.reshape(-1) for a in m.values()]).tobytes()
+    assert opt.v.tobytes() == np.concatenate([a.reshape(-1) for a in v.values()]).tobytes()
 
 
 @pytest.mark.parametrize("batch_sequences", [0, -2])
