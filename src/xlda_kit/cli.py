@@ -462,8 +462,15 @@ def _model_from(run: RunConfig, vocab_floor: int = 0) -> toy.ModelConfig:
     return toy.ModelConfig(**shape, seed=run.get("global", "seed"))
 
 
-def _physical_memory() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+def _available_memory(meminfo: str = "/proc/meminfo") -> int:
+    """Bytes a new allocation can get: ``MemAvailable`` from ``meminfo``, or
+    the physical memory where that cannot be read."""
+    try:
+        with open(meminfo, encoding="ascii") as fh:
+            fields = dict(line.split(":", 1) for line in fh)
+        return int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, ValueError, KeyError, IndexError):
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _params_digest(params: toy.Parameters) -> str:
@@ -490,9 +497,10 @@ def _cmd_train_toy(args, run: RunConfig) -> int:
     ))
     # refuse a run the machine cannot hold before allocating any of it
     need = toy.working_set_bytes(config, args.batch_seqs, pack_cfg.seq_len)
-    if need > _physical_memory():
+    available = _available_memory()
+    if need > available:
         raise ConfigError(f"training needs about {need / 2**30:.1f} GiB, more than the "
-                          f"{_physical_memory() / 2**30:.1f} GiB of physical memory; "
+                          f"{available / 2**30:.1f} GiB of available memory; "
                           "shrink [model] or --batch-seqs")
     params = toy.init(config)
     batches = training.cycle_batches(sequences, policy, args.batch_seqs)

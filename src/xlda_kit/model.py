@@ -625,7 +625,8 @@ def grad_check(
             numeric = (8.0 * (up1 - down1) - (up2 - down2)) / (12.0 * h)
             analytic = float(gflat[c])
             err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-3)
-            worst = max(worst, float(err))
+            # a NaN error must fail the check, and max() would drop it
+            worst = max(worst, float(err) if math.isfinite(err) else math.inf)
             checked += 1
         per_tensor[name] = worst
     return GradCheckReport(

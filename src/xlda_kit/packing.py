@@ -37,7 +37,7 @@ DROP_TAIL_DOC = "drop_tail_doc"
 IGNORE_LABEL = 0xFFFFFFFF
 
 _MAGIC = b"XLDA"
-_VERSION = 2
+_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -366,46 +366,35 @@ def pack_stream(
 
 
 # ---------------------------------------------------------------------------
-# Packed-batch binary file format, version 2 (all integers little-endian)
+# Packed-batch binary file format, version 3 (all integers little-endian)
 #
-# header: magic "XLDA", version u32 (= 2), seq_len u32, count u64,
+# header: magic "XLDA", version u32 (= 3), seq_len u32, count u64,
 #         cross_doc_labels u8 (0 or 1), language count u16,
 #         per language: code (u8 length + UTF-8), class (u8 length + UTF-8)
-# per sequence: tokens u32[seq_len], pad_start u32, span_count u32,
-#               spans (start u32, end u32, lang_idx u16, doc_hash u64)*
+# columns, each one array over the records in order, with no framing or
+# padding between them:
+#   pad_start u32[count], span_count u32[count], tokens u32[count, seq_len],
+#   spans (start u32, end u32, lang_idx u16, doc_hash u64)[sum of span_count]
+# Record i's spans are the span_count[i] rows after those of records 0..i-1.
 # Labels (from tokens, spans and cross_doc_labels) and the pad token
-# (tokens[pad_start:]) are not stored. Version 1 files are not read.
+# (tokens[pad_start:]) are not stored. Version 1 and 2 files are not read.
 # ---------------------------------------------------------------------------
 
 _PREFIX = struct.Struct("<4sI")  # magic, version
 _HEADER = struct.Struct("<IQBH")  # seq_len, count, cross_doc_labels, languages
-_RECORD = struct.Struct("<II")  # pad_start, span_count
-_LENGTH = struct.Struct("<B")
-_TOKENS = np.dtype("<u4")
+_U32 = np.dtype("<u4")
 _SPANS = np.dtype([("start", "<u4"), ("end", "<u4"), ("lang", "<u2"), ("doc", "<u8")])
 
 
 def _short_text(text: str) -> bytes:
     raw = text.encode("utf-8")
-    return _LENGTH.pack(len(raw)) + raw
-
-
-def _encode_sequence(seq: PackedSequence, lang_index: Mapping[str, int]) -> bytes:
-    spans = np.array(
-        [(s.start, s.end, lang_index[s.lang.code], _doc_hash(s.doc_id)) for s in seq.spans],
-        dtype=_SPANS,
-    )
-    return b"".join((
-        seq.tokens.astype(_TOKENS).tobytes(),
-        _RECORD.pack(seq.pad_start, len(seq.spans)),
-        spans.tobytes(),
-    ))
+    return bytes([len(raw)]) + raw
 
 
 def write_packed(
     path: str | Path, sequences: Iterable[PackedSequence], config: PackerConfig
 ) -> int:
-    """Write sequences to the packed-batch format (version 2). Returns the count.
+    """Write sequences to the packed-batch format (version 3). Returns the count.
 
     Every sequence must have the config's ``seq_len`` and ``cross_doc_labels``,
     since the file records both once, in its header.
@@ -419,49 +408,51 @@ def write_packed(
             tags.setdefault(span.lang.code, span.lang)
     codes = sorted(tags)
     lang_index = {code: i for i, code in enumerate(codes)}
+    columns = [
+        np.array([seq.pad_start for seq in seqs], dtype=_U32),
+        np.array([len(seq.spans) for seq in seqs], dtype=_U32),
+        np.array([seq.tokens for seq in seqs], dtype=_U32),
+    ]
+    # the span table is built one record at a time: a tuple per span of the
+    # whole file, all alive at once, sets off the cyclic garbage collector
+    columns += [np.array([(s.start, s.end, lang_index[s.lang.code], _doc_hash(s.doc_id))
+                          for s in seq.spans], dtype=_SPANS) for seq in seqs]
     with Path(path).open("wb") as fh:
         fh.write(_PREFIX.pack(_MAGIC, _VERSION))
         fh.write(_HEADER.pack(config.seq_len, len(seqs), config.cross_doc_labels, len(codes)))
         for code in codes:
             fh.write(_short_text(code) + _short_text(tags[code].lang_class))
-        for seq in seqs:
-            fh.write(_encode_sequence(seq, lang_index))
+        for column in columns:
+            fh.write(column)
     return len(seqs)
 
 
-class _Cursor:
-    """Bounds-checked reads over the bytes of a packed-batch file."""
+def _read_header(data: bytes) -> tuple[int, int, bool, list[LanguageTag], int]:
+    """Parse the header and language table after the prefix.
 
-    def __init__(self, data: bytes, pos: int = 0):
-        self.data = data
-        self.pos = pos
+    Returns ``seq_len``, the record count, ``cross_doc_labels``, the language
+    tags and the offset of the first column.
+    """
+    pos = _PREFIX.size
 
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
-
-    def _take(self, n: int) -> int:
-        if n > self.remaining():
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n > len(data) - pos:
             raise DataError("file ends early (truncated)")
-        start = self.pos
-        self.pos += n
-        return start
+        pos += n
+        return data[pos - n : pos]
 
-    def unpack(self, fmt: struct.Struct) -> tuple:
-        return fmt.unpack_from(self.data, self._take(fmt.size))
-
-    def array(self, dtype: np.dtype, count: int) -> np.ndarray:
-        return np.frombuffer(self.data, dtype, count, self._take(count * dtype.itemsize))
-
-    def chunk(self, n: int) -> bytes:
-        start = self._take(n)
-        return self.data[start : self.pos]
-
-    def text(self) -> str:
-        (n,) = self.unpack(_LENGTH)
+    def text() -> str:
         try:
-            return self.chunk(n).decode("utf-8")
+            return take(take(1)[0]).decode("utf-8")
         except UnicodeDecodeError:
             raise DataError("language table entry is not UTF-8") from None
+
+    seq_len, count, cross_doc, n_langs = _HEADER.unpack(take(_HEADER.size))
+    if seq_len < 8 or cross_doc > 1:
+        raise DataError(f"bad header (seq_len {seq_len}, cross_doc_labels {cross_doc})")
+    tags = [LanguageTag(code=text(), lang_class=text()) for _ in range(n_langs)]
+    return seq_len, count, bool(cross_doc), tags, pos
 
 
 def _first(bad: np.ndarray) -> int | None:
@@ -469,79 +460,68 @@ def _first(bad: np.ndarray) -> int | None:
     return int(bad.argmax()) if bad.any() else None
 
 
-def _scan(cur: _Cursor, seq_len: int, count: int, n_langs: int) -> list[int]:
-    """Check every record from the cursor to the end of the file; return their offsets.
+def _columns(data: bytes, pos: int, seq_len: int, count: int, n_langs: int):
+    """Map the four columns that start at ``pos`` and check every record.
 
-    One pass locates the records (their span counts set their sizes) and
-    checks the framing; the span tables, ``pad_start`` values and token
-    buffers are then checked with numpy, building no Python objects per span.
-    Each check reports the first record that fails it.
+    Returns ``pad_start``, the token array, the span table and the span-table
+    edges: record i's spans are rows ``edges[i]`` to ``edges[i + 1]``. Each
+    check runs over a whole column and reports the first record or span that
+    fails it.
     """
-    offsets, tokens, pads, counts, tables = [], [], [], [], []
-    for _ in range(count):
-        offsets.append(cur.pos)
-        tokens.append(cur.array(_TOKENS, seq_len))
-        pad_start, span_count = cur.unpack(_RECORD)
-        if span_count > seq_len:
-            raise DataError(f"span count {span_count} above seq_len {seq_len}")
-        pads.append(pad_start)
-        counts.append(span_count)
-        tables.append(cur.chunk(span_count * _SPANS.itemsize))
-    if cur.remaining():
-        raise DataError(f"{cur.remaining()} trailing bytes after {count} sequences")
-    spans = np.frombuffer(b"".join(tables), _SPANS)
+    fixed = count * (2 + seq_len) * _U32.itemsize
+    if fixed > len(data) - pos:
+        raise DataError(f"file ends early (truncated): header says {count} sequences")
+    pads = np.frombuffer(data, _U32, count, pos).astype(np.int64)
+    counts = np.frombuffer(data, _U32, count, pos + 4 * count).astype(np.int64)
+    if (i := _first(counts > seq_len)) is not None:
+        raise DataError(f"span count {counts[i]} above seq_len {seq_len}")
+    edges = np.concatenate(([0], np.cumsum(counts)))
+    n_spans = int(edges[-1])
+    extra = len(data) - pos - fixed - n_spans * _SPANS.itemsize
+    if extra < 0:
+        raise DataError("file ends early (truncated)")
+    if extra:
+        raise DataError(f"{extra} trailing bytes after {count} sequences")
+    tokens = np.frombuffer(data, _U32, count * seq_len, pos + 8 * count).reshape(count, seq_len)
+    spans = np.frombuffer(data, _SPANS, n_spans, pos + fixed)
     starts, ends = spans["start"].astype(np.int64), spans["end"].astype(np.int64)
     if (j := _first(spans["lang"] >= n_langs)) is not None:
         raise DataError(f"language index {spans['lang'][j]} missing from the language table")
     if (j := _first(starts >= ends)) is not None:
         raise DataError(f"invalid span [{starts[j]}, {ends[j]})")
-    pads = np.array(pads, dtype=np.int64)
     if (i := _first(pads > seq_len)) is not None:
         raise DataError(f"pad_start {pads[i]} outside [0, {seq_len}]")
     # each span starts where the one before it in its record ends; a
     # record's first span starts at 0 and its last ends at pad_start
-    counts = np.array(counts, dtype=np.int64)
-    stops = np.cumsum(counts)  # one past each record's last span
     filled = counts > 0
     expected = np.concatenate(([0], ends))[:-1]
-    expected[(stops - counts)[filled]] = 0
+    expected[edges[:-1][filled]] = 0
     if (j := _first(starts != expected)) is not None:
         raise DataError(f"spans do not tile [0, pad_start): gap/overlap at {expected[j]}")
     covered = np.zeros(count, dtype=np.int64)
-    covered[filled] = ends[stops[filled] - 1]
+    covered[filled] = ends[edges[1:][filled] - 1]
     if (i := _first(covered != pads)) is not None:
         raise DataError(f"spans cover [0, {covered[i]}) but pad_start is {pads[i]}")
-    for record, pad_start in zip(tokens, pads):
-        if (record[:pad_start] == IGNORE_LABEL).any():
-            raise DataError(f"token id {IGNORE_LABEL} is reserved as the ignore label")
-    return offsets
-
-
-def _read_sequence(data: bytes, offset: int, seq_len: int, tags: Sequence[LanguageTag],
-                   cross_doc_labels: bool) -> PackedSequence:
-    """Decode the record at ``offset``, which ``_scan`` has already checked."""
-    cur = _Cursor(data, offset)
-    tokens = cur.array(_TOKENS, seq_len).copy()
-    pad_start, span_count = cur.unpack(_RECORD)
-    spans = tuple(
-        DocSpan(start=start, end=end, lang=tags[lang], doc_id=f"h{doc:016x}")
-        for start, end, lang, doc in cur.array(_SPANS, span_count).tolist()
-    )
-    return PackedSequence(tokens, spans, pad_start, cross_doc_labels)
+    hits = np.flatnonzero(tokens == IGNORE_LABEL)
+    if (hits % seq_len < pads[hits // seq_len]).any():
+        raise DataError(f"token id {IGNORE_LABEL} is reserved as the ignore label")
+    return pads, tokens, spans, edges
 
 
 def read_packed(
     path: str | Path, index: int | None = None
 ) -> tuple[list[PackedSequence], PackerConfig]:
-    """Read a packed-batch file back into memory.
+    """Read a packed-batch file (version 3) back into memory.
 
     Returns the sequences and a ``PackerConfig`` with the file's ``seq_len``
-    and ``cross_doc_labels`` (so derived labels match the packer's). Every
-    record of the file is checked first, without decoding it, and any
-    malformed file raises ``DataError``; only then are records decoded into
+    and ``cross_doc_labels`` (so derived labels match the packer's). After
+    the header, the file's columns are mapped as numpy arrays and every
+    record is checked with whole-column expressions; any malformed file
+    raises ``DataError``. Only then are records decoded into
     ``PackedSequence`` objects. With ``index``, only record ``index`` is
     decoded and the list holds just that sequence; an index outside
-    ``[0, count)`` raises ``XldaKitError``.
+    ``[0, count)`` raises ``XldaKitError``. Files of other versions raise
+    ``DataError`` asking for a re-pack.
     """
     path = Path(path)
     if not path.exists():
@@ -549,26 +529,30 @@ def read_packed(
     data = path.read_bytes()
     if len(data) < _PREFIX.size or data[:4] != _MAGIC:
         raise DataError(f"not a packed-batch file: {path}")
-    cur = _Cursor(data)
-    _, version = cur.unpack(_PREFIX)
+    _, version = _PREFIX.unpack_from(data)
     if version != _VERSION:
         raise DataError(
             f"{path} is packed-batch version {version}; only version {_VERSION} "
             "can be read: re-pack the corpus with `xlda-kit pack`"
         )
     try:
-        seq_len, count, cross_doc, n_langs = cur.unpack(_HEADER)
-        if seq_len < 8 or cross_doc > 1:
-            raise DataError(f"bad header (seq_len {seq_len}, cross_doc_labels {cross_doc})")
-        tags = [LanguageTag(code=cur.text(), lang_class=cur.text()) for _ in range(n_langs)]
-        if count * (_TOKENS.itemsize * seq_len + _RECORD.size) > cur.remaining():
-            raise DataError(f"file ends early (truncated): header says {count} sequences")
-        offsets = _scan(cur, seq_len, count, n_langs)
+        seq_len, count, cross_doc, tags, pos = _read_header(data)
+        pads, tokens, spans, edges = _columns(data, pos, seq_len, count, len(tags))
     except DataError as exc:
         raise DataError(f"corrupt packed-batch file {path}: {exc}") from None
+    records = range(count)
     if index is not None:
         if not 0 <= index < count:
             raise XldaKitError(f"sequence index {index} outside [0, {count})")
-        offsets = offsets[index : index + 1]
-    sequences = [_read_sequence(data, o, seq_len, tags, bool(cross_doc)) for o in offsets]
-    return sequences, PackerConfig(seq_len=seq_len, cross_doc_labels=bool(cross_doc))
+        records = records[index : index + 1]
+    sequences = []
+    for i in records:
+        rows = spans[edges[i] : edges[i + 1]].tolist()
+        sequences.append(PackedSequence(
+            tokens[i].copy(),
+            tuple(DocSpan(start=start, end=end, lang=tags[lang], doc_id=f"h{doc:016x}")
+                  for start, end, lang, doc in rows),
+            int(pads[i]),
+            cross_doc,
+        ))
+    return sequences, PackerConfig(seq_len=seq_len, cross_doc_labels=cross_doc)

@@ -130,8 +130,9 @@ def train(
     """Run ``steps`` optimizer steps, logging (step, lr, tokens, losses).
 
     The learning rate at step s is exactly ``lr_at(schedule, s)``; the MTP
-    loss weight is the model config's ``mtp_alpha``. Aborts if the loss stops
-    being finite.
+    loss weight is the model config's ``mtp_alpha``. Aborts before the update
+    if the loss or the gradient stops being finite, so the parameters are
+    left as the previous step made them.
     """
     if steps < 0:
         raise ConfigError(f"steps must be >= 0: {steps}")
@@ -149,6 +150,11 @@ def train(
         if not math.isfinite(breakdown.total):
             raise TrainingDivergedError(
                 f"non-finite loss {breakdown.total} at step {step}"
+            )
+        g2 = float(grads.flat @ grads.flat)
+        if not math.isfinite(g2):
+            raise TrainingDivergedError(
+                f"non-finite gradient (squared norm {g2}) at step {step}"
             )
         opt.step(params, grads, lr)
         log.append(

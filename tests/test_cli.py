@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -490,6 +491,22 @@ def test_grad_check_cli(capsys):
     assert payload["result"]["max_rel_error"] < 1e-6
 
 
+def test_grad_check_cli_fails_on_nan_gradients(capsys, monkeypatch):
+    real = cli.toy.loss_and_grads
+
+    def nan_gradients(*args, **kwargs):
+        breakdown, grads = real(*args, **kwargs)
+        grads.flat[:] = np.nan
+        return breakdown, grads
+
+    monkeypatch.setattr(cli.toy, "loss_and_grads", nan_gradients)
+    code, out, err = run(capsys, "grad-check", "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["result"]["passed"] is False
+    assert payload["result"]["max_rel_error"] == math.inf
+
+
 def test_plan_stats_file_and_upsample(tmp_path, capsys):
     stats = tmp_path / "stats.json"
     stats.write_text(json.dumps({
@@ -742,10 +759,10 @@ def test_train_toy_beyond_physical_memory_is_a_config_error(settings_dir, tmp_pa
     argv = ["train-toy", "--packed", str(settings_dir / "batch.xlda"), "--policy", "xlda",
             "--steps", "1"]
     # the default model needs about 67 MiB; a host reading of 32 MiB refuses it
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 32 << 20)
+    monkeypatch.setattr(cli, "_available_memory", lambda: 32 << 20)
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
-    assert "training needs about 0.1 GiB, more than the 0.0 GiB of physical memory" in err
+    assert "training needs about 0.1 GiB, more than the 0.0 GiB of available memory" in err
     monkeypatch.undo()
     assert run(capsys, *argv)[0] == 0
     # 4e12 parameters: refused from the shapes, before anything is allocated
@@ -759,6 +776,20 @@ def test_train_toy_beyond_physical_memory_is_a_config_error(settings_dir, tmp_pa
     assert code == 2 and not out
     assert err.startswith("error: training needs about ") and "Traceback" not in err
     assert peak < 16 << 20
+
+
+def test_available_memory_reads_meminfo_and_falls_back(tmp_path):
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:        8000000 kB\nMemFree:          100000 kB\n"
+                       "MemAvailable:     2048000 kB\n", encoding="ascii")
+    assert cli._available_memory(str(meminfo)) == 2048000 * 1024
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert cli._available_memory(str(tmp_path / "missing")) == physical
+    # kernels before 3.14 have no MemAvailable line
+    meminfo.write_text("MemTotal:        8000000 kB\n", encoding="ascii")
+    assert cli._available_memory(str(meminfo)) == physical
+    meminfo.write_text("MemAvailable: many\n", encoding="ascii")
+    assert cli._available_memory(str(meminfo)) == physical
 
 
 @pytest.mark.parametrize("pad_token", ["-1", "100"])

@@ -281,15 +281,16 @@ def test_largest_non_reserved_token_id_packs():
     assert seq.ntp_labels[0] == IGNORE_LABEL - 1
 
 
-# --- packed format v2: layout and hardening ---------------------------------
+# --- packed format v3: layout and hardening ---------------------------------
 
 
-def v2_bytes(records, seq_len=8, langs=(("en", "english"),), cross_doc=0,
-             count=None, version=2):
-    """A packed-batch file built by hand from the documented v2 layout.
+def v3_bytes(records, seq_len=8, langs=(("en", "english"),), cross_doc=0,
+             count=None, version=3, span_counts=None):
+    """A packed-batch file built by hand from the documented v3 layout.
 
     ``records`` holds (tokens, pad_start, spans) with spans as
-    (start, end, lang_idx, doc_hash).
+    (start, end, lang_idx, doc_hash); ``span_counts`` replaces the stored
+    span counts, which default to the records' own.
     """
     out = b"XLDA" + struct.pack(
         "<IIQBH", version, seq_len, len(records) if count is None else count,
@@ -298,9 +299,13 @@ def v2_bytes(records, seq_len=8, langs=(("en", "english"),), cross_doc=0,
     for code, lang_class in langs:
         out += bytes([len(code)]) + code.encode() + bytes([len(lang_class)])
         out += lang_class.encode()
-    for tokens, pad_start, spans in records:
+    if span_counts is None:
+        span_counts = [len(spans) for _, _, spans in records]
+    out += struct.pack(f"<{len(records)}I", *(pad_start for _, pad_start, _ in records))
+    out += struct.pack(f"<{len(records)}I", *span_counts)
+    for tokens, _, _ in records:
         out += struct.pack(f"<{seq_len}I", *tokens)
-        out += struct.pack("<II", pad_start, len(spans))
+    for _, _, spans in records:
         for start, end, lang, doc_hash in spans:
             out += struct.pack("<IIHQ", start, end, lang, doc_hash)
     return out
@@ -309,7 +314,7 @@ def v2_bytes(records, seq_len=8, langs=(("en", "english"),), cross_doc=0,
 GOOD = ([1, 2, 3, 4, 5, 0, 0, 0], 5, [(0, 3, 0, 7), (3, 5, 0, 9)])
 
 
-def test_writer_matches_documented_v2_layout(tmp_path):
+def test_writer_matches_documented_v3_layout(tmp_path):
     docs = [doc("a", EN, [1, 2, 3]), doc("b", KO, [4, 5])]
     config = PackerConfig(seq_len=8, cross_doc_labels=True)
     seqs = list(pack_stream(docs, sampler(seed=1), config))
@@ -325,19 +330,30 @@ def test_writer_matches_documented_v2_layout(tmp_path):
          [(sp.start, sp.end, index[sp.lang.code], doc_hash(sp.doc_id)) for sp in s.spans])
         for s in seqs
     ]
-    expected = v2_bytes(records, langs=(("en", "english"), ("ko", "multilingual")),
+    expected = v3_bytes(records, langs=(("en", "english"), ("ko", "multilingual")),
                         cross_doc=1)
     assert path.read_bytes() == expected
 
 
-def test_hand_built_v2_file_loads(tmp_path):
+def test_hand_built_v3_file_loads(tmp_path):
     path = tmp_path / "ok.xlda"
-    path.write_bytes(v2_bytes([GOOD]))
+    path.write_bytes(v3_bytes([GOOD]))
     [seq], config = read_packed(path)
     assert config.seq_len == 8 and not config.cross_doc_labels
     assert seq.tokens.tolist() == GOOD[0] and seq.pad_start == 5
     assert [(s.start, s.end, s.lang.code) for s in seq.spans] == [(0, 3, "en"), (3, 5, "en")]
     assert seq.ntp_labels.tolist()[:5] == [2, 3, IGNORE_LABEL, 5, IGNORE_LABEL]
+
+
+def test_ignore_label_at_or_past_pad_start_loads(tmp_path):
+    # the reserved id is only checked in [0, pad_start); padding is not read
+    tokens = [1, 2, 3, IGNORE_LABEL, IGNORE_LABEL, 0, 0, IGNORE_LABEL]
+    path = tmp_path / "ok.xlda"
+    path.write_bytes(v3_bytes([GOOD, (tokens, 3, [(0, 3, 0, 0)])]))
+    seqs, _ = read_packed(path)
+    assert seqs[1].tokens.tolist() == tokens and seqs[1].pad_start == 3
+    [seq], _ = read_packed(path, index=1)
+    assert seq.tokens.tolist() == tokens
 
 
 def test_cross_doc_labels_roundtrip(tmp_path):
@@ -372,29 +388,34 @@ def test_write_rejects_sequences_that_disagree_with_the_header(tmp_path):
         write_packed(tmp_path / "x.xlda", seqs, PackerConfig(seq_len=16))
 
 
-@pytest.mark.parametrize("name, blob, message", [
-    ("truncated", v2_bytes([GOOD])[:-1], "truncated"),
-    ("trailing", v2_bytes([GOOD]) + b"\0", "trailing bytes"),
-    ("count_too_large", v2_bytes([GOOD], count=2**60), "truncated"),
+MALFORMED = [
+    ("truncated", v3_bytes([GOOD])[:-1], "truncated"),
+    ("trailing", v3_bytes([GOOD]) + b"\0", "trailing bytes"),
+    ("count_too_large", v3_bytes([GOOD], count=2**60), "truncated"),
     ("pad_start_past_seq_len",
-     v2_bytes([([1] * 8, 9, [(0, 9, 0, 0)])]), "pad_start 9 outside"),
+     v3_bytes([([1] * 8, 9, [(0, 9, 0, 0)])]), "pad_start 9 outside"),
     ("span_past_seq_len",
-     v2_bytes([([1] * 8, 8, [(0, 4, 0, 0), (4, 12, 0, 0)])]), "spans cover"),
-    ("span_gap", v2_bytes([([1] * 8, 5, [(0, 2, 0, 0), (3, 5, 0, 0)])]), "do not tile"),
-    ("empty_span", v2_bytes([([1] * 8, 3, [(0, 0, 0, 0), (0, 3, 0, 0)])]), "invalid span"),
+     v3_bytes([([1] * 8, 8, [(0, 4, 0, 0), (4, 12, 0, 0)])]), "spans cover"),
+    ("span_gap", v3_bytes([([1] * 8, 5, [(0, 2, 0, 0), (3, 5, 0, 0)])]), "do not tile"),
+    ("empty_span", v3_bytes([([1] * 8, 3, [(0, 0, 0, 0), (0, 3, 0, 0)])]), "invalid span"),
     ("span_count_above_seq_len",
-     v2_bytes([([1] * 8, 8, [(i, i + 1, 0, 0) for i in range(9)])]), "span count 9"),
-    ("unknown_language", v2_bytes([([1] * 8, 3, [(0, 3, 1, 0)])]), "language index 1"),
-    ("bad_language_code", v2_bytes([GOOD], langs=(("EN", "english"),)), "language code"),
-    ("bad_language_class", v2_bytes([GOOD], langs=(("en", "latin"),)), "language class"),
-    ("short_seq_len", v2_bytes([], seq_len=4), "bad header"),
-    ("bad_flag", v2_bytes([GOOD], cross_doc=2), "bad header"),
+     v3_bytes([([1] * 8, 8, [(i, i + 1, 0, 0) for i in range(9)])]), "span count 9"),
+    ("unknown_language", v3_bytes([([1] * 8, 3, [(0, 3, 1, 0)])]), "language index 1"),
+    ("bad_language_code", v3_bytes([GOOD], langs=(("EN", "english"),)), "language code"),
+    ("bad_language_class", v3_bytes([GOOD], langs=(("en", "latin"),)), "language class"),
+    ("short_seq_len", v3_bytes([], seq_len=4), "bad header"),
+    ("bad_flag", v3_bytes([GOOD], cross_doc=2), "bad header"),
     ("ignore_label_token",
-     v2_bytes([([1, IGNORE_LABEL, 3, 0, 0, 0, 0, 0], 3, [(0, 3, 0, 0)])]), "reserved"),
+     v3_bytes([([1, IGNORE_LABEL, 3, 0, 0, 0, 0, 0], 3, [(0, 3, 0, 0)])]), "reserved"),
     ("not_xlda", b"PK\x03\x04" + bytes(40), "not a packed-batch file"),
     ("empty", b"", "not a packed-batch file"),
-])
-def test_malformed_v2_file_is_data_error(tmp_path, name, blob, message):
+    ("version_2", v3_bytes([GOOD], version=2), r"version 2; only version 3 .*re-pack"),
+    ("span_counts_past_end", v3_bytes([GOOD, GOOD], span_counts=[2, 8]), "truncated"),
+]
+
+
+@pytest.mark.parametrize("name, blob, message", MALFORMED, ids=[row[0] for row in MALFORMED])
+def test_malformed_v3_file_is_data_error(tmp_path, name, blob, message):
     path = tmp_path / f"{name}.xlda"
     path.write_bytes(blob)
     with pytest.raises(DataError, match=message):
@@ -412,7 +433,7 @@ def test_malformed_v2_file_is_data_error(tmp_path, name, blob, message):
 def test_mask_of_a_good_record_rejects_a_file_with_a_corrupt_later_one(
         tmp_path, capsys, name, bad_record, message):
     path = tmp_path / f"{name}.xlda"
-    path.write_bytes(v2_bytes([GOOD, GOOD, bad_record]))
+    path.write_bytes(v3_bytes([GOOD, GOOD, bad_record]))
     with pytest.raises(DataError, match=message):
         read_packed(path, index=0)
     code = dispatch(["mask", "--policy", "xlda", "--from", str(path), "--index", "0"])
@@ -424,7 +445,7 @@ def test_version_one_file_is_rejected_with_repack_hint(tmp_path):
     path = tmp_path / "old.xlda"
     # a version 1 header: magic, version, seq_len, count
     path.write_bytes(b"XLDA" + struct.pack("<IIQ", 1, 8, 0))
-    with pytest.raises(DataError, match=r"version 1; only version 2 .*re-pack"):
+    with pytest.raises(DataError, match=r"version 1; only version 3 .*re-pack"):
         read_packed(path)
 
 

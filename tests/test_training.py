@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from xlda_kit import model as toy
 from xlda_kit.corpus import Document, LanguageTag
-from xlda_kit.errors import ConfigError
+from xlda_kit.errors import ConfigError, TrainingDivergedError
 from xlda_kit.masks import MaskPolicy, MaskSpec
 from xlda_kit.packing import PackerConfig, pack_stream
 from xlda_kit.sampling import SamplerConfig
@@ -154,6 +156,31 @@ def test_training_deterministic():
     for name in p1.tensors:
         assert (p1.tensors[name] == p2.tensors[name]).all()
     assert [(r.loss_total, r.lr) for r in l1] == [(r.loss_total, r.lr) for r in l2]
+
+
+def test_non_finite_gradient_stops_training_before_the_update(monkeypatch):
+    seqs = copy_task_sequences()
+    k = 3
+
+    def run(params, steps):
+        return train(params, cycle_batches(seqs, MaskPolicy.XLDA_FULL_CAUSAL, 2),
+                     small_schedule(10), OptimizerConfig(), steps=steps)
+
+    stopped = toy.init(MODEL)
+    run(stopped, k)
+    real, calls = toy.loss_and_grads, itertools.count()
+
+    def nan_at_step_k(*args, **kwargs):
+        breakdown, grads = real(*args, **kwargs)
+        if next(calls) == k:
+            grads.flat[0] = np.nan
+        return breakdown, grads
+
+    monkeypatch.setattr(toy, "loss_and_grads", nan_at_step_k)
+    params = toy.init(MODEL)
+    with pytest.raises(TrainingDivergedError, match=f"gradient .* at step {k}$"):
+        run(params, 10)
+    assert params.flat.tobytes() == stopped.flat.tobytes()
 
 
 def test_batch_from_sequences_counts_real_tokens():
