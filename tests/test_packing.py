@@ -284,6 +284,15 @@ def test_largest_non_reserved_token_id_packs():
 # --- packed format v3: layout and hardening ---------------------------------
 
 
+def header_bytes(version, seq_len, count, cross_doc, langs):
+    """The header and language table, which v2 and v3 share."""
+    out = b"XLDA" + struct.pack("<IIQBH", version, seq_len, count, cross_doc, len(langs))
+    for code, lang_class in langs:
+        out += bytes([len(code)]) + code.encode() + bytes([len(lang_class)])
+        out += lang_class.encode()
+    return out
+
+
 def v3_bytes(records, seq_len=8, langs=(("en", "english"),), cross_doc=0,
              count=None, version=3, span_counts=None):
     """A packed-batch file built by hand from the documented v3 layout.
@@ -292,13 +301,8 @@ def v3_bytes(records, seq_len=8, langs=(("en", "english"),), cross_doc=0,
     (start, end, lang_idx, doc_hash); ``span_counts`` replaces the stored
     span counts, which default to the records' own.
     """
-    out = b"XLDA" + struct.pack(
-        "<IIQBH", version, seq_len, len(records) if count is None else count,
-        cross_doc, len(langs),
-    )
-    for code, lang_class in langs:
-        out += bytes([len(code)]) + code.encode() + bytes([len(lang_class)])
-        out += lang_class.encode()
+    out = header_bytes(version, seq_len, len(records) if count is None else count,
+                       cross_doc, langs)
     if span_counts is None:
         span_counts = [len(spans) for _, _, spans in records]
     out += struct.pack(f"<{len(records)}I", *(pad_start for _, pad_start, _ in records))
@@ -306,6 +310,19 @@ def v3_bytes(records, seq_len=8, langs=(("en", "english"),), cross_doc=0,
     for tokens, _, _ in records:
         out += struct.pack(f"<{seq_len}I", *tokens)
     for _, _, spans in records:
+        for start, end, lang, doc_hash in spans:
+            out += struct.pack("<IIHQ", start, end, lang, doc_hash)
+    return out
+
+
+def v2_bytes(records, seq_len=8, langs=(("en", "english"),), cross_doc=0, count=None):
+    """A file in the retired v2 layout: the v3 header, then one framed record
+    at a time (tokens, pad_start u32, span count u32, its spans)."""
+    out = header_bytes(2, seq_len, len(records) if count is None else count,
+                       cross_doc, langs)
+    for tokens, pad_start, spans in records:
+        out += struct.pack(f"<{seq_len}I", *tokens)
+        out += struct.pack("<II", pad_start, len(spans))
         for start, end, lang, doc_hash in spans:
             out += struct.pack("<IIHQ", start, end, lang, doc_hash)
     return out
@@ -416,6 +433,42 @@ MALFORMED = [
 
 @pytest.mark.parametrize("name, blob, message", MALFORMED, ids=[row[0] for row in MALFORMED])
 def test_malformed_v3_file_is_data_error(tmp_path, name, blob, message):
+    path = tmp_path / f"{name}.xlda"
+    path.write_bytes(blob)
+    with pytest.raises(DataError, match=message):
+        read_packed(path)
+    with pytest.raises(DataError, match=message):
+        read_packed(path, index=0)
+
+
+# the v2 rows of the table above, each with the message the v2 reader gave
+@pytest.mark.parametrize("name, blob, message", [
+    ("truncated", v2_bytes([GOOD])[:-1], "truncated"),
+    ("trailing", v2_bytes([GOOD]) + b"\0", "trailing bytes"),
+    ("count_too_large", v2_bytes([GOOD], count=2**60), "truncated"),
+    ("pad_start_past_seq_len",
+     v2_bytes([([1] * 8, 9, [(0, 9, 0, 0)])]), "pad_start 9 outside"),
+    ("span_past_seq_len",
+     v2_bytes([([1] * 8, 8, [(0, 4, 0, 0), (4, 12, 0, 0)])]), "spans cover"),
+    ("span_gap", v2_bytes([([1] * 8, 5, [(0, 2, 0, 0), (3, 5, 0, 0)])]), "do not tile"),
+    ("empty_span", v2_bytes([([1] * 8, 3, [(0, 0, 0, 0), (0, 3, 0, 0)])]), "invalid span"),
+    ("span_count_above_seq_len",
+     v2_bytes([([1] * 8, 8, [(i, i + 1, 0, 0) for i in range(9)])]), "span count 9"),
+    ("unknown_language", v2_bytes([([1] * 8, 3, [(0, 3, 1, 0)])]), "language index 1"),
+    ("bad_language_code", v2_bytes([GOOD], langs=(("EN", "english"),)), "language code"),
+    ("bad_language_class", v2_bytes([GOOD], langs=(("en", "latin"),)), "language class"),
+    ("short_seq_len", v2_bytes([], seq_len=4), "bad header"),
+    ("bad_flag", v2_bytes([GOOD], cross_doc=2), "bad header"),
+    ("ignore_label_token",
+     v2_bytes([([1, IGNORE_LABEL, 3, 0, 0, 0, 0, 0], 3, [(0, 3, 0, 0)])]), "reserved"),
+    ("not_xlda", b"PK\x03\x04" + bytes(40), "not a packed-batch file"),
+    ("empty", b"", "not a packed-batch file"),
+])
+def test_malformed_v2_file_is_data_error(tmp_path, name, blob, message):
+    # a v2 file, well formed or not, is refused from its header with the
+    # re-pack hint; a file that is not XLDA at all keeps its own message
+    if blob.startswith(b"XLDA"):
+        message = r"version 2; only version 3 .*re-pack"
     path = tmp_path / f"{name}.xlda"
     path.write_bytes(blob)
     with pytest.raises(DataError, match=message):
