@@ -143,6 +143,7 @@ SETTINGS: dict[tuple[str, str], Setting] = {
     ("model", "vocab_size"): Setting(_integer(1), "64"),
     ("model", "rope_theta"): Setting(_FLOAT, "100000"),
     ("model", "mtp_alpha"): Setting(_FLOAT, "0.2"),
+    ("model", "dtype"): Setting(_choice({name: name for name in toy.DTYPES}), "float32"),
     ("filter", "stage"): Setting(_choice({s: s for s in quality.STAGES}), "pretrain", "--stage"),
     ("filter", "class"): Setting(_choice({c: c for c in corpus.LANGUAGE_CLASSES}),
                                  "english", "--class"),
@@ -473,6 +474,14 @@ def _available_memory(meminfo: str = "/proc/meminfo") -> int:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _check_memory(need: int, advice: str) -> None:
+    """Refuse a run the machine cannot hold before allocating any of it."""
+    available = _available_memory()
+    if need > available:
+        raise ConfigError(f"training needs about {need / 2**30:.1f} GiB, more than the "
+                          f"{available / 2**30:.1f} GiB of available memory; {advice}")
+
+
 def _params_digest(params: toy.Parameters) -> str:
     h = hashlib.sha256()
     for name in sorted(params.tensors):
@@ -495,13 +504,8 @@ def _cmd_train_toy(args, run: RunConfig) -> int:
         else (args.steps // 20, "--steps"),
         seq_len=(pack_cfg.seq_len, "the packed file"),
     ))
-    # refuse a run the machine cannot hold before allocating any of it
-    need = toy.working_set_bytes(config, args.batch_seqs, pack_cfg.seq_len)
-    available = _available_memory()
-    if need > available:
-        raise ConfigError(f"training needs about {need / 2**30:.1f} GiB, more than the "
-                          f"{available / 2**30:.1f} GiB of available memory; "
-                          "shrink [model] or --batch-seqs")
+    _check_memory(toy.working_set_bytes(config, args.batch_seqs, pack_cfg.seq_len),
+                  "shrink [model] or --batch-seqs")
     params = toy.init(config)
     batches = training.cycle_batches(sequences, policy, args.batch_seqs)
     opt = training.OptimizerConfig(weight_decay=args.weight_decay)
@@ -582,8 +586,10 @@ def _cmd_transfer(args, run: RunConfig) -> int:
     spec = training.TransferSpec(
         steps=args.steps,
         seed=run.get("global", "seed"),
+        dtype=run.get("model", "dtype"),
         **overrides,
     )
+    _check_memory(spec.working_set_bytes(), "shrink --seq-len")
     report = training.transfer_experiment(spec)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

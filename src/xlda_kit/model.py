@@ -6,24 +6,25 @@ sublayer output), a final norm ahead of the tied output head, and a
 second-next-token head built from one extra transformer block stacked on the
 trunk's final hidden states.
 
-Everything is float64 numpy with hand-written backward passes, so analytic
-gradients can be checked against central finite differences to tight
-tolerances and runs are bit-reproducible.
+Everything is numpy with hand-written backward passes, in the config's
+``dtype``: float64 by default, so analytic gradients can be checked against
+central finite differences to tight tolerances, or float32, which halves the
+memory traffic of a training step. Runs are bit-reproducible in either.
 
 Masks are ``MaskSpec`` span tables, one per sequence. Attention runs over
 fixed tiles of ``ATTENTION_TILE`` query rows. Each tile scores only its key
 band, the keys some row of the tile may attend to in some sequence: from the
 smallest ``masks.earliest_keys`` of its rows to its last non-padding row, so
 under ``intra`` and ``bridge`` the cost follows the allowed span pairs
-instead of L * L. ``masks.allowed_block`` gives the band's cells, and masked
-cells are kept out of ``exp`` (see ``_band_attention``); tiles with only
-padding rows are skipped.
+instead of L * L. ``masks.allowed_block`` gives the band's cells, turned once
+per forward into an additive 0/-inf mask that every block shares (see
+``_band_attention``); tiles with only padding rows are skipped.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,6 +35,8 @@ from .masks import MaskPolicy, MaskSpec, allowed_block, earliest_keys, spans_fro
 from .packing import IGNORE_LABEL, make_labels
 
 Array = np.ndarray
+
+DTYPES = ("float32", "float64")  # parameter and compute dtypes
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,7 @@ class ModelConfig:
     mtp_alpha: float = 0.2
     norm_eps: float = 1e-6
     seed: int = 0
+    dtype: str = "float64"  # one of DTYPES, for the parameters and every activation
 
     def __post_init__(self):
         for name in ("n_layers", "d_model", "d_ff", "n_heads", "vocab_size"):
@@ -62,6 +66,8 @@ class ModelConfig:
             raise ConfigError(f"mtp_alpha must be in [0, 1]: {self.mtp_alpha}")
         if self.rope_theta <= 0 or self.norm_eps <= 0:
             raise ConfigError("rope_theta and norm_eps must be positive")
+        if self.dtype not in DTYPES:
+            raise ConfigError(f"dtype must be one of {'|'.join(DTYPES)}: {self.dtype!r}")
 
     @property
     def head_dim(self) -> int:
@@ -70,8 +76,9 @@ class ModelConfig:
 
 @dataclass
 class Parameters:
-    """Every parameter in one float64 vector, ``flat``; ``tensors`` holds
-    named views into it, laid end to end in ``init``'s order."""
+    """Every parameter in one vector, ``flat``, of the config's ``dtype``;
+    ``tensors`` holds named views into it, laid end to end in ``init``'s
+    order. The forward and backward passes compute in ``flat``'s dtype."""
 
     config: ModelConfig
     flat: Array
@@ -119,10 +126,10 @@ def _views(shapes: Mapping[str, tuple[int, ...]], flat: Array) -> dict[str, Arra
 
 def init(config: ModelConfig) -> Parameters:
     """Deterministic scaled-normal initialization from the config seed; the
-    norm gains start at one."""
+    norm gains start at one. The draws are float64 whatever the dtype."""
     gen = rng.stream(config.seed, rng.STREAM_INIT)
     shapes = _shapes(config)
-    flat = np.ones(sum(map(math.prod, shapes.values())))
+    flat = np.ones(sum(map(math.prod, shapes.values())), dtype=config.dtype)
     tensors = _views(shapes, flat)
     for tensor in tensors.values():
         if tensor.ndim == 2:  # fan-in is the first axis
@@ -132,62 +139,77 @@ def init(config: ModelConfig) -> Parameters:
 
 def working_set_bytes(config: ModelConfig, batch: int, seq_len: int) -> int:
     """An upper estimate of a training process's peak memory, from shapes
-    alone: 64 MiB for the interpreter, seven parameter vectors (AdamW's four
-    and three temporaries), six [B, L, V] and six [B, L, d_ff] arrays, and per
-    block three [B, L, d_ff], sixteen [B, L, d] and [B, H, L, L] weights."""
+    alone: 64 MiB for the interpreter, then, at the itemsize of the config's
+    dtype, seven parameter vectors (AdamW's four and three temporaries), six
+    [B, L, V] and six [B, L, d_ff] arrays, and per block four [B, L, d_ff],
+    sixteen [B, L, d] and [B, H, L, L] weights."""
     n_params = sum(map(math.prod, _shapes(config).values()))
     per_row = 6 * config.vocab_size + 6 * config.d_ff + (config.n_layers + 1) * (
-        3 * config.d_ff + config.n_heads * seq_len + 16 * config.d_model)
-    return (64 << 20) + 8 * (7 * n_params + batch * seq_len * per_row)
+        4 * config.d_ff + config.n_heads * seq_len + 16 * config.d_model)
+    itemsize = np.dtype(config.dtype).itemsize
+    return (64 << 20) + itemsize * (7 * n_params + batch * seq_len * per_row)
 
 
 # --- primitive layers (forward returns a cache consumed by backward) -------
 
 
 def _rmsnorm_fwd(x: Array, g: Array, eps: float):
-    r = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
-    return x * r * g, (x, g, r)
+    d = x.shape[-1]
+    r = 1.0 / np.sqrt(np.einsum("...i,...i->...", x, x)[..., None] / d + eps)
+    normed = x * r
+    return normed * g, (normed, g, r)
 
 
 def _rmsnorm_bwd(cache, dy: Array):
-    x, g, r = cache
-    d = x.shape[-1]
-    dg = np.sum(dy * x * r, axis=tuple(range(x.ndim - 1)))
-    inner = np.sum(dy * g * x, axis=-1, keepdims=True)
-    dx = dy * g * r - x * (r**3 / d) * inner
-    return dx, dg
+    # with n = x * r: dx = r * (dn - n * mean(dn * n)), where dn = dy * g
+    normed, g, r = cache
+    d = normed.shape[-1]
+    dn = dy * g
+    dg = np.einsum("ij,ij->j", dy.reshape(-1, d), normed.reshape(-1, d))
+    inner = np.einsum("...i,...i->...", dn, normed)[..., None] / d
+    dn -= normed * inner
+    dn *= r
+    return dn, dg
 
 
-def _silu(x: Array) -> Array:
-    return x / (1.0 + np.exp(-x))
+def _swiglu_fwd(gate: Array, up: Array):
+    """silu(gate) * up, caching the sigmoid and silu(gate) for the backward."""
+    sig = np.negative(gate)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
+    silu = gate * sig
+    return silu * up, (sig, silu, up)
 
 
-def _silu_grad(x: Array) -> Array:
-    s = 1.0 / (1.0 + np.exp(-x))
-    return s * (1.0 + x * (1.0 - s))
+def _swiglu_bwd(cache, dact: Array) -> tuple[Array, Array]:
+    # silu'(g) = sig + silu * (1 - sig)
+    sig, silu, up = cache
+    dsilu = 1.0 - sig
+    dsilu *= silu
+    dsilu += sig
+    dgate = dact * up
+    dgate *= dsilu
+    return dgate, dact * silu
 
 
-def _rope_tables(config: ModelConfig, seq_len: int) -> tuple[Array, Array]:
+def _rope_tables(config: ModelConfig, seq_len: int, dtype) -> Array:
+    """Rotations e^(i * angle) as [L, hd/2] complex numbers of ``dtype``'s width."""
     half = config.head_dim // 2
     inv = config.rope_theta ** (-np.arange(half, dtype=np.float64) * 2.0 / config.head_dim)
     ang = np.arange(seq_len, dtype=np.float64)[:, None] * inv[None, :]
-    return np.cos(ang), np.sin(ang)
+    return np.exp(1j * ang).astype(np.result_type(dtype, np.complex64))
 
 
-def _rope_fwd(x: Array, cos: Array, sin: Array) -> Array:
-    # x: [B, L, H, hd]; tables: [L, hd/2]
-    c = cos[None, :, None, :]
-    s = sin[None, :, None, :]
-    xe, xo = x[..., 0::2], x[..., 1::2]
-    y = np.empty_like(x)
-    y[..., 0::2] = xe * c - xo * s
-    y[..., 1::2] = xe * s + xo * c
-    return y
+def _rope_fwd(x: Array, rot: Array) -> Array:
+    # x: [B, L, H, hd], pairs (2j, 2j+1) as one complex number; rot: [L, hd/2]
+    pairs = np.ascontiguousarray(x).view(rot.dtype)
+    return (pairs * rot[:, None, :]).view(x.dtype)
 
 
-def _rope_bwd(dy: Array, cos: Array, sin: Array) -> Array:
+def _rope_bwd(dy: Array, rot: Array) -> Array:
     # transpose of a rotation is the rotation by the opposite angle
-    return _rope_fwd(dy, cos, -sin)
+    return _rope_fwd(dy, rot.conj())
 
 
 ATTENTION_TILE = 64  # query rows per attention tile
@@ -199,15 +221,16 @@ class _Band:
     qe: int
     ks: int  # key columns [ks, ke)
     ke: int
-    allowed: Array  # [B, 1, tq, tk] bool
+    bias: Array  # [B, 1, tq, tk]: 0 where allowed, -inf where masked
 
 
-def _key_bands(specs: Sequence[MaskSpec]) -> list[_Band]:
+def _key_bands(specs: Sequence[MaskSpec], dtype=np.float64) -> list[_Band]:
     """Query tiles with their key bands, from one mask spec per sequence.
 
     A tile's band runs from the earliest key any of its non-padding rows may
     attend to up to its last non-padding row. Tiles with no non-padding row
-    in any sequence are left out; their attention output is zero.
+    in any sequence are left out; their attention output is zero. Each
+    band's mask is an additive bias of ``dtype``.
     """
     seq_len = specs[0].seq_len
     firsts = [earliest_keys(s) for s in specs]
@@ -221,135 +244,141 @@ def _key_bands(specs: Sequence[MaskSpec]) -> list[_Band]:
         ks = min(k for k, _ in live)
         ke = max(k for _, k in live)
         allowed = np.stack([allowed_block(s, qs, qe, ks, ke) for s in specs])
-        bands.append(_Band(qs, qe, ks, ke, allowed=allowed[:, None]))
+        bias = np.where(allowed[:, None], 0.0, -np.inf).astype(dtype)
+        bands.append(_Band(qs, qe, ks, ke, bias=bias))
     return bands
 
 
-def _band_attention(qr: Array, kr: Array, vh: Array, bands: Sequence[_Band],
-                    scale: float) -> tuple[Array, list[Array]]:
-    """Masked softmax attention over key bands; returns context and weights.
+def _band_attention(qr: Array, kr: Array, vh: Array, bands: Sequence[_Band]):
+    """Masked softmax attention over key bands, with the score scale already
+    in ``qr``; returns the context and the cache ``_band_attention_bwd``
+    takes.
 
-    Masked cells never reach ``exp`` as -inf or as an underflowing argument:
-    the shifted scores are multiplied by the 0/1 mask before ``exp`` (so a
-    masked cell becomes exp(0)) and the result by the mask again. ``exp`` is
-    several times slower on -inf and underflowing inputs than on ordinary
-    ones. The shift is the maximum over allowed cells only, so every allowed
-    argument is <= 0. Rows with no allowed key keep zero weights.
+    Per score cell: the bias add, the row max, the shift and ``exp``. The
+    shift is the maximum over allowed cells, so every allowed argument is
+    <= 0 and every masked one -inf, whose ``exp`` is exactly zero. One
+    product with [v, 1] gives the context and the row sums together, and the
+    row sums normalise the [tq, hd] context instead of the [tq, tk] weights.
+    Rows with no allowed key get zero context. Keys and values are kept
+    transposed, [hd, L] per head, the layout in which BLAS runs these small
+    products fastest.
     """
-    ctx = np.zeros(vh.shape)
-    weights = []
+    b, h, l, hd = vh.shape
+    kt = np.ascontiguousarray(kr.swapaxes(-1, -2))
+    vt = np.ones((b, h, hd + 1, l), vh.dtype)
+    vt[:, :, :hd] = vh.swapaxes(-1, -2)
+    ctx = np.zeros_like(vh)
+    weights = []  # per band: unnormalised weights and reciprocal row sums
     for band in bands:
-        s = qr[:, :, band.qs:band.qe] @ kr[:, :, band.ks:band.ke].swapaxes(-1, -2)
-        s *= scale
-        m = np.max(s, axis=-1, keepdims=True, where=band.allowed, initial=-np.inf)
+        e = qr[:, :, band.qs:band.qe] @ kt[..., band.ks:band.ke]  # scores, then exp in place
+        e += band.bias
+        # fmax reduces faster than max, and a NaN score still reaches the
+        # context through exp
+        m = np.fmax.reduce(e, axis=-1, keepdims=True)
         m[m == -np.inf] = 0.0  # rows with nothing allowed
-        s -= m
-        s *= band.allowed
-        np.exp(s, out=s)
-        s *= band.allowed
-        denom = s.sum(axis=-1, keepdims=True)
+        e -= m
+        np.exp(e, out=e)
+        out = e @ vt[..., band.ks:band.ke].swapaxes(-1, -2)
+        denom = out[..., hd:]
         denom[denom == 0.0] = 1.0
-        s /= denom
-        ctx[:, :, band.qs:band.qe] = s @ vh[:, :, band.ks:band.ke]
-        weights.append(s)
-    return ctx, weights
+        inv = 1.0 / denom
+        ctx[:, :, band.qs:band.qe] = out[..., :hd] * inv
+        weights.append((e, inv))
+    return ctx, (vt, weights)
 
 
-def _band_attention_bwd(dctx: Array, ctx: Array, qr: Array, kr: Array, vh: Array,
-                        bands: Sequence[_Band], weights: Sequence[Array],
-                        scale: float) -> tuple[Array, Array, Array]:
+def _band_attention_bwd(dctx: Array, ctx: Array, qr: Array, kr: Array, bands: Sequence[_Band],
+                        cache) -> tuple[Array, Array, Array]:
     """Gradients of ``_band_attention`` w.r.t. qr, kr and vh, tile by tile.
 
-    The softmax backward needs sum_k dw[q, k] * w[q, k] per row, which
-    equals dctx[q] . ctx[q]; it is taken from the context once for all rows.
+    With w = e * inv, the score gradient is w * (dctx . v - dctx . ctx). The
+    row factors go into the [tq, hd + 1] left operand, inv * [dctx, -dctx .
+    ctx], so that one product with [v, 1] and one multiply by e give it.
     """
+    vt, weights = cache
+    hd = ctx.shape[-1]
     dqr = np.zeros_like(qr)
-    dkr = np.zeros_like(kr)
-    dvh = np.zeros_like(vh)
-    row_dot = np.sum(dctx * ctx, axis=-1, keepdims=True)
-    for band, w in zip(bands, weights):
+    dkt = np.zeros_like(vt[:, :, :hd])
+    dvt = np.zeros_like(dkt)
+    left = np.concatenate([dctx, -np.einsum("...i,...i->...", dctx, ctx)[..., None]], axis=-1)
+    for band, (e, inv) in zip(bands, weights):
         q_rows, k_cols = slice(band.qs, band.qe), slice(band.ks, band.ke)
-        dc = dctx[:, :, q_rows]
-        dvh[:, :, k_cols] += w.swapaxes(-1, -2) @ dc
-        dw = dc @ vh[:, :, k_cols].swapaxes(-1, -2)
-        dw -= row_dot[:, :, q_rows]
-        dw *= w  # d(scores)
-        dqr[:, :, q_rows] = (dw @ kr[:, :, k_cols]) * scale
-        dkr[:, :, k_cols] += (dw.swapaxes(-1, -2) @ qr[:, :, q_rows]) * scale
-    return dqr, dkr, dvh
+        dc = left[:, :, q_rows] * inv
+        dvt[..., k_cols] += dc[..., :hd].swapaxes(-1, -2) @ e
+        ds = dc @ vt[..., k_cols]
+        ds *= e  # d(scores)
+        dqr[:, :, q_rows] = ds @ kr[:, :, k_cols]
+        dkt[..., k_cols] += qr[:, :, q_rows].swapaxes(-1, -2) @ ds
+    return dqr, dkt.swapaxes(-1, -2), dvt.swapaxes(-1, -2)
 
 
 def _attention_fwd(x: Array, bands: Sequence[_Band], p: Mapping[str, Array],
-                   prefix: str, config: ModelConfig, cos: Array, sin: Array):
+                   prefix: str, config: ModelConfig, rot: Array):
     b, l, d = x.shape
     h, hd = config.n_heads, config.head_dim
-    q = (x @ p[f"{prefix}.wq"]).reshape(b, l, h, hd)
+    wq = p[f"{prefix}.wq"] * (1.0 / math.sqrt(hd))  # the score scale, folded into wq
+    q = (x @ wq).reshape(b, l, h, hd)
     k = (x @ p[f"{prefix}.wk"]).reshape(b, l, h, hd)
     v = (x @ p[f"{prefix}.wv"]).reshape(b, l, h, hd)
-    qr = _rope_fwd(q, cos, sin).transpose(0, 2, 1, 3)  # [B, H, L, hd]
-    kr = _rope_fwd(k, cos, sin).transpose(0, 2, 1, 3)
+    qr = _rope_fwd(q, rot).transpose(0, 2, 1, 3)  # [B, H, L, hd]
+    kr = _rope_fwd(k, rot).transpose(0, 2, 1, 3)
     vh = v.transpose(0, 2, 1, 3)
-    scale = 1.0 / math.sqrt(hd)
-    ctx, weights = _band_attention(qr, kr, vh, bands, scale)  # [B, H, L, hd]
+    ctx, c_band = _band_attention(qr, kr, vh, bands)  # [B, H, L, hd]
     merged = ctx.transpose(0, 2, 1, 3).reshape(b, l, d)
     out = merged @ p[f"{prefix}.wo"]
-    cache = (x, qr, kr, vh, bands, weights, merged, prefix, scale)
+    cache = (x, qr, kr, bands, c_band, merged, prefix, wq)
     return out, cache
 
 
 def _attention_bwd(cache, dout: Array, p: Mapping[str, Array],
-                   grads: dict[str, Array], config: ModelConfig,
-                   cos: Array, sin: Array) -> Array:
-    x, qr, kr, vh, bands, weights, merged, prefix, scale = cache
+                   grads: dict[str, Array], config: ModelConfig, rot: Array) -> Array:
+    x, qr, kr, bands, c_band, merged, prefix, wq = cache
     b, l, d = x.shape
     h, hd = config.n_heads, config.head_dim
     grads[f"{prefix}.wo"] += merged.reshape(-1, d).T @ dout.reshape(-1, d)
     dmerged = dout @ p[f"{prefix}.wo"].T
     dctx = dmerged.reshape(b, l, h, hd).transpose(0, 2, 1, 3)
     ctx = merged.reshape(b, l, h, hd).transpose(0, 2, 1, 3)
-    dqr, dkr, dvh = _band_attention_bwd(dctx, ctx, qr, kr, vh, bands, weights, scale)
-    dq = _rope_bwd(dqr.transpose(0, 2, 1, 3), cos, sin).reshape(b, l, d)
-    dk = _rope_bwd(dkr.transpose(0, 2, 1, 3), cos, sin).reshape(b, l, d)
+    dqr, dkr, dvh = _band_attention_bwd(dctx, ctx, qr, kr, bands, c_band)
+    dq = _rope_bwd(dqr.transpose(0, 2, 1, 3), rot).reshape(b, l, d)
+    dk = _rope_bwd(dkr.transpose(0, 2, 1, 3), rot).reshape(b, l, d)
     dv = dvh.transpose(0, 2, 1, 3).reshape(b, l, d)
     x_flat = x.reshape(-1, d)
-    grads[f"{prefix}.wq"] += x_flat.T @ dq.reshape(-1, d)
+    grads[f"{prefix}.wq"] += (x_flat.T @ dq.reshape(-1, d)) * (1.0 / math.sqrt(hd))
     grads[f"{prefix}.wk"] += x_flat.T @ dk.reshape(-1, d)
     grads[f"{prefix}.wv"] += x_flat.T @ dv.reshape(-1, d)
-    dx = dq @ p[f"{prefix}.wq"].T
+    dx = dq @ wq.T
     dx += dk @ p[f"{prefix}.wk"].T
     dx += dv @ p[f"{prefix}.wv"].T
     return dx
 
 
 def _block_fwd(x: Array, bands: Sequence[_Band], p: Mapping[str, Array],
-               prefix: str, config: ModelConfig, cos: Array, sin: Array):
+               prefix: str, config: ModelConfig, rot: Array):
     eps = config.norm_eps
     a_in, c_norm1 = _rmsnorm_fwd(x, p[f"{prefix}.attn_norm_in"], eps)
-    attn, c_attn = _attention_fwd(a_in, bands, p, prefix, config, cos, sin)
+    attn, c_attn = _attention_fwd(a_in, bands, p, prefix, config, rot)
     a_out, c_norm2 = _rmsnorm_fwd(attn, p[f"{prefix}.attn_norm_out"], eps)
     h = x + a_out
     f_in, c_norm3 = _rmsnorm_fwd(h, p[f"{prefix}.ffn_norm_in"], eps)
-    gate = f_in @ p[f"{prefix}.w_gate"]
-    up = f_in @ p[f"{prefix}.w_up"]
-    act = _silu(gate) * up
+    act, c_swiglu = _swiglu_fwd(f_in @ p[f"{prefix}.w_gate"], f_in @ p[f"{prefix}.w_up"])
     ffn = act @ p[f"{prefix}.w_down"]
     f_out, c_norm4 = _rmsnorm_fwd(ffn, p[f"{prefix}.ffn_norm_out"], eps)
     y = h + f_out
-    cache = (c_norm1, c_attn, c_norm2, c_norm3, gate, up, act, f_in, c_norm4, prefix)
+    cache = (c_norm1, c_attn, c_norm2, c_norm3, c_swiglu, act, f_in, c_norm4, prefix)
     return y, cache
 
 
 def _block_bwd(cache, dy: Array, p: Mapping[str, Array], grads: dict[str, Array],
-               config: ModelConfig, cos: Array, sin: Array) -> Array:
-    c_norm1, c_attn, c_norm2, c_norm3, gate, up, act, f_in, c_norm4, prefix = cache
+               config: ModelConfig, rot: Array) -> Array:
+    c_norm1, c_attn, c_norm2, c_norm3, c_swiglu, act, f_in, c_norm4, prefix = cache
     d = dy.shape[-1]
     # y = h + rmsnorm(ffn)
     dffn, dg4 = _rmsnorm_bwd(c_norm4, dy)
     grads[f"{prefix}.ffn_norm_out"] += dg4
     dact = dffn @ p[f"{prefix}.w_down"].T
     grads[f"{prefix}.w_down"] += act.reshape(-1, act.shape[-1]).T @ dffn.reshape(-1, d)
-    dgate = dact * up * _silu_grad(gate)
-    dup = dact * _silu(gate)
+    dgate, dup = _swiglu_bwd(c_swiglu, dact)
     df_in = dgate @ p[f"{prefix}.w_gate"].T + dup @ p[f"{prefix}.w_up"].T
     f_flat = f_in.reshape(-1, d)
     grads[f"{prefix}.w_gate"] += f_flat.T @ dgate.reshape(-1, dgate.shape[-1])
@@ -360,7 +389,7 @@ def _block_bwd(cache, dy: Array, p: Mapping[str, Array], grads: dict[str, Array]
     # h = x + rmsnorm(attn)
     dattn, dg2 = _rmsnorm_bwd(c_norm2, dh)
     grads[f"{prefix}.attn_norm_out"] += dg2
-    da_in = _attention_bwd(c_attn, dattn, p, grads, config, cos, sin)
+    da_in = _attention_bwd(c_attn, dattn, p, grads, config, rot)
     dx, dg1 = _rmsnorm_bwd(c_norm1, da_in)
     grads[f"{prefix}.attn_norm_in"] += dg1
     dx += dh  # residual
@@ -404,17 +433,17 @@ def _forward_with_cache(params: Parameters, tokens: Array | Sequence[int],
                         f"{sorted({s.seq_len for s in specs})}) do not match "
                         f"{b} sequences of length {l}")
     _check_tokens(tokens, cfg.vocab_size)
-    cos, sin = _rope_tables(cfg, l)
-    bands = _key_bands(specs)
+    rot = _rope_tables(cfg, l, params.flat.dtype)
+    bands = _key_bands(specs, params.flat.dtype)
     x = p["embed"][tokens]  # [B, L, D]
     block_caches = []
     for i in range(cfg.n_layers):
-        x, cache = _block_fwd(x, bands, p, f"blocks.{i}", cfg, cos, sin)
+        x, cache = _block_fwd(x, bands, p, f"blocks.{i}", cfg, rot)
         block_caches.append(cache)
     ntp_logits, c_ntp_head = _head_fwd(x, p, "ntp_norm", cfg.norm_eps)
-    mtp_x, c_mtp_block = _block_fwd(x, bands, p, "mtp_block", cfg, cos, sin)
+    mtp_x, c_mtp_block = _block_fwd(x, bands, p, "mtp_block", cfg, rot)
     mtp_logits, c_mtp_head = _head_fwd(mtp_x, p, "mtp_norm", cfg.norm_eps)
-    cache = {"tokens": tokens, "cos": cos, "sin": sin, "blocks": block_caches,
+    cache = {"tokens": tokens, "rot": rot, "blocks": block_caches,
              "ntp_head": c_ntp_head, "mtp_block": c_mtp_block, "mtp_head": c_mtp_head}
     return ForwardOutput(ntp_logits=ntp_logits, mtp_logits=mtp_logits), cache
 
@@ -470,7 +499,7 @@ def _ce_and_grad(logits: Array, labels: Array):
     """Mean cross entropy over non-ignored positions and its logit gradient."""
     idx, ce, soft = token_ce(logits, labels)
     n = idx.size
-    dlogits = np.zeros((labels.size, logits.shape[-1]))
+    dlogits = np.zeros((labels.size, logits.shape[-1]), dtype=logits.dtype)
     if n == 0:
         return 0.0, dlogits.reshape(logits.shape), 0
     soft[np.arange(n), labels.reshape(-1)[idx].astype(np.int64)] -= 1.0
@@ -516,16 +545,16 @@ def loss_and_grads(params: Parameters, tokens: Array, masks: MaskSpec | Sequence
     out, cache = _forward_with_cache(params, tokens, masks)
     breakdown, dntp_logits, dmtp_logits = _loss_breakdown(out, ntp_labels, mtp_labels,
                                                           mtp_alpha)
-    grads = params.like(np.zeros(params.flat.size))
+    grads = params.like(np.zeros_like(params.flat))
     g = grads.tensors
-    cos, sin = cache["cos"], cache["sin"]
+    rot = cache["rot"]
     # the embed gradient gathers the NTP head, then the MTP head, then the input
     dtrunk_ntp = _head_bwd(cache["ntp_head"], dntp_logits, p, g)
     dmtp_x = _head_bwd(cache["mtp_head"], dmtp_logits, p, g)
-    dtrunk_mtp = _block_bwd(cache["mtp_block"], dmtp_x, p, g, cfg, cos, sin)
+    dtrunk_mtp = _block_bwd(cache["mtp_block"], dmtp_x, p, g, cfg, rot)
     dx = dtrunk_ntp + dtrunk_mtp
     for i in range(cfg.n_layers - 1, -1, -1):
-        dx = _block_bwd(cache["blocks"][i], dx, p, g, cfg, cos, sin)
+        dx = _block_bwd(cache["blocks"][i], dx, p, g, cfg, rot)
     np.add.at(g["embed"], cache["tokens"].reshape(-1), dx.reshape(-1, cfg.d_model))
     return breakdown, grads
 
@@ -581,9 +610,16 @@ def grad_check(
     truncation error stays far below the 1e-6 tolerance; plain second-order
     differences at this step size leave ~5e-6 of truncation error on the
     tied softmax head.
+
+    The check always runs in float64, whatever ``config.dtype`` is: float32
+    rounding alone is far above the tolerance. ``params`` of another dtype
+    are checked at their float64 values.
     """
+    config = replace(config, dtype="float64")
     if params is None:
         params = init(config)
+    elif params.flat.dtype != np.float64:
+        params = replace(params, config=config).like(params.flat.astype(np.float64))
     if params.n_params() > 8192:
         raise ConfigError(
             f"grad_check expects a model of at most a few thousand parameters, "

@@ -221,6 +221,7 @@ class TransferSpec:
     weight_decay: float = 0.01
     mtp_alpha: float = 0.2
     seed: int = 0
+    dtype: str = "float32"  # the models' parameter and compute dtype
     high_lang: str = "hi"
     low_lang: str = "lo"
     policies: tuple[MaskPolicy, MaskPolicy] = (
@@ -248,10 +249,23 @@ class TransferSpec:
             raise ConfigError("episode_windows and eval_windows must be positive")
         if self.n_probe_docs < 2:
             raise ConfigError("n_probe_docs must be >= 2: the probe alternates languages")
+        self.model_config()  # a bad model setting fails here, not after packing
 
     @property
     def lang_offset(self) -> int:
         return 2 * self.n_keys
+
+    def model_config(self) -> toy.ModelConfig:
+        """The model every policy trains from the same initial weights."""
+        return toy.ModelConfig(n_layers=self.n_layers, d_model=self.d_model, d_ff=self.d_ff,
+                               n_heads=self.n_heads, vocab_size=self.vocab_size,
+                               mtp_alpha=self.mtp_alpha, seed=self.seed, dtype=self.dtype)
+
+    def working_set_bytes(self) -> int:
+        """``model.working_set_bytes`` at the larger of the training batch and
+        the evaluation chunk, whose forward pass holds its caches too."""
+        return toy.working_set_bytes(self.model_config(),
+                                     max(self.batch_sequences, _EVAL_CHUNK), self.seq_len)
 
 
 @dataclass
@@ -393,15 +407,6 @@ def transfer_experiment(spec: TransferSpec) -> TransferReport:
     packed_eval = _packed_episodes(spec, 2, spec.eval_windows)
     probe_windows = _probe_windows(spec, 3)
 
-    model_cfg = toy.ModelConfig(
-        n_layers=spec.n_layers,
-        d_model=spec.d_model,
-        d_ff=spec.d_ff,
-        n_heads=spec.n_heads,
-        vocab_size=spec.vocab_size,
-        mtp_alpha=spec.mtp_alpha,
-        seed=spec.seed,
-    )
     sched = ScheduleConfig(
         peak_lr=spec.peak_lr,
         warmup_steps=max(1, spec.steps // 20) if spec.steps else 1,
@@ -415,7 +420,7 @@ def transfer_experiment(spec: TransferSpec) -> TransferReport:
     )
     opt = OptimizerConfig(weight_decay=spec.weight_decay)
 
-    init_params = toy.init(model_cfg)
+    init_params = toy.init(spec.model_config())
     # a one-span window has the same mask under every policy
     initial_probe = _language_ce(init_params, probe_windows, spec.policies[0], codes)
 

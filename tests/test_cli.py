@@ -718,12 +718,18 @@ def test_random_ini_file_exits_0_or_2(settings_dir, entries):
     (["train-toy", "--packed", "PACKED", "--policy", "intra", "--steps", "3"],
      "[schedule]\nseq_len = 32\n", 2,
      "[schedule] seq_len = 32 in the config file conflicts with 16, set by the packed file"),
+    (["train-toy", "--packed", "PACKED", "--policy", "intra", "--steps", "2"],
+     "[model]\ndtype = float16\n", 2,
+     "[model] dtype must be one of float32|float64, got 'float16'"),
+    (["transfer", "--steps", "1"], "[model]\ndtype = double\n", 2,
+     "[model] dtype must be one of float32|float64, got 'double'"),
 ], ids=["unknown-section", "unknown-key", "default-section", "config-nan", "config-percent",
         "config-int-below-bound", "config-bool", "config-directory", "schedule-peak-nan",
         "train-peak-nan", "train-weight-decay-nan", "grad-check-tolerance-nan",
         "advise-inf", "plan-beta-nan", "plan-upsample-nan", "plan-upsample-inf",
         "pack-beta-misses-language", "train-total-steps-conflict",
-        "train-warmup-conflict", "train-seq-len-conflict"])
+        "train-warmup-conflict", "train-seq-len-conflict", "train-model-dtype",
+        "transfer-model-dtype"])
 def test_bad_setting_is_a_named_error(settings_dir, tmp_path, capsys, argv, ini, code, message):
     places = {"CORPUS": settings_dir / "corpus.jsonl", "PACKED": settings_dir / "batch.xlda",
               "OUT": tmp_path / "o.xlda", "DIR": tmp_path}
@@ -774,6 +780,56 @@ def test_train_toy_beyond_physical_memory_is_a_config_error(settings_dir, tmp_pa
     finally:
         tracemalloc.stop()
     assert code == 2 and not out
+    assert err.startswith("error: training needs about ") and "Traceback" not in err
+    assert peak < 16 << 20
+
+
+def test_model_dtype_reaches_train_toy_and_transfer(settings_dir, tmp_path, capsys,
+                                                    monkeypatch):
+    float64 = tmp_path / "float64.ini"
+    float64.write_text("[model]\ndtype = float64\n", encoding="utf-8")
+    inits = []
+    real_init = cli.toy.init
+    monkeypatch.setattr(cli.toy, "init", lambda config: inits.append(config.dtype)
+                        or real_init(config))
+    train = ["train-toy", "--packed", str(settings_dir / "batch.xlda"), "--policy", "xlda",
+             "--steps", "1"]
+    for extra, dtype in (([], "float32"), (["--config", str(float64)], "float64")):
+        code, out, err = run(capsys, *train, *extra)
+        assert code == 0, err
+        assert f"# dtype = {dtype}" in out
+    assert inits == ["float32", "float64"]
+    specs = []
+
+    def stop(spec):
+        specs.append(spec)
+        raise cli.XldaKitError("stopped before training")
+
+    monkeypatch.setattr(cli.training, "transfer_experiment", stop)
+    assert run(capsys, "transfer", "--steps", "1")[0] == 2
+    assert run(capsys, "transfer", "--steps", "1", "--config", str(float64))[0] == 2
+    assert [spec.dtype for spec in specs] == ["float32", "float64"]
+
+
+def test_transfer_beyond_available_memory_is_a_config_error(capsys, monkeypatch):
+    started = []
+    monkeypatch.setattr(cli.training, "transfer_experiment", started.append)
+    # the default transfer needs about 137 MiB; a host reading of 32 MiB refuses it
+    monkeypatch.setattr(cli, "_available_memory", lambda: 32 << 20)
+    code, out, err = run(capsys, "transfer", "--steps", "1")
+    assert code == 2 and not out and not started
+    assert ("training needs about 0.1 GiB, more than the 0.0 GiB of available memory; "
+            "shrink --seq-len") in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli.training, "transfer_experiment", started.append)
+    # 10**8-token windows: refused from the shapes, before anything is allocated
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "transfer", "--steps", "1", "--seq-len", "100000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and not out and not started
     assert err.startswith("error: training needs about ") and "Traceback" not in err
     assert peak < 16 << 20
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -106,6 +107,21 @@ def test_init_shape_errors():
     with pytest.raises(ConfigError):
         # head dim 1 is odd: rotary pairing impossible
         toy.ModelConfig(n_layers=1, d_model=4, d_ff=8, n_heads=4, vocab_size=11)
+
+
+def test_dtype_is_float32_or_float64():
+    assert toy.init(replace(TINY, dtype="float32")).flat.dtype == np.float32
+    for bad in ("float16", "double", ""):
+        with pytest.raises(ConfigError, match="dtype must be one of float32|float64"):
+            replace(TINY, dtype=bad)
+
+
+def test_working_set_bytes_follow_the_dtype_itemsize():
+    interpreter = 64 << 20
+    for batch, seq_len in ((1, 8), (4, 128), (2, 512)):
+        wide = toy.working_set_bytes(TINY, batch, seq_len) - interpreter
+        narrow = toy.working_set_bytes(replace(TINY, dtype="float32"), batch, seq_len)
+        assert wide > 0 and 2 * (narrow - interpreter) == wide
 
 
 def test_full_scale_architecture_config_accepted():
@@ -288,6 +304,23 @@ def test_grad_check_passes_both_alphas():
         assert report.coords_checked == toy.init(TINY).n_params()
 
 
+def test_grad_check_runs_in_float64_whatever_the_dtype():
+    narrow = replace(TINY, dtype="float32")
+    seen = []
+    real = toy.loss_and_grads
+
+    def spy(params, *args, **kwargs):
+        seen.append(params.flat.dtype)
+        return real(params, *args, **kwargs)
+
+    with mock.patch.object(toy, "loss_and_grads", spy):
+        report = toy.grad_check(narrow, max_coords_per_tensor=2)
+        given = toy.grad_check(narrow, max_coords_per_tensor=2, params=toy.init(narrow))
+    assert seen == [np.float64, np.float64]
+    assert report.passed and given.passed
+    assert report.per_tensor == toy.grad_check(TINY, max_coords_per_tensor=2).per_tensor
+
+
 def test_grad_check_rejects_large_models():
     big = toy.ModelConfig(n_layers=2, d_model=32, d_ff=64, n_heads=4, vocab_size=64)
     with pytest.raises(ConfigError):
@@ -314,15 +347,15 @@ def test_masked_rows_zero_attention_padding():
 # --- tiled attention against the dense oracle --------------------------------
 
 
-def _dense_attention_fwd(x, masks, p, prefix, config, cos, sin):
+def _dense_attention_fwd(x, masks, p, prefix, config, rot):
     """The full L x L masked softmax the tiled attention replaced."""
     b, l, d = x.shape
     h, hd = config.n_heads, config.head_dim
     q = (x @ p[f"{prefix}.wq"]).reshape(b, l, h, hd)
     k = (x @ p[f"{prefix}.wk"]).reshape(b, l, h, hd)
     v = (x @ p[f"{prefix}.wv"]).reshape(b, l, h, hd)
-    qr = toy._rope_fwd(q, cos, sin).transpose(0, 2, 1, 3)
-    kr = toy._rope_fwd(k, cos, sin).transpose(0, 2, 1, 3)
+    qr = toy._rope_fwd(q, rot).transpose(0, 2, 1, 3)
+    kr = toy._rope_fwd(k, rot).transpose(0, 2, 1, 3)
     vh = v.transpose(0, 2, 1, 3)
     scale = 1.0 / math.sqrt(hd)
     scores = (qr @ kr.transpose(0, 1, 3, 2)) * scale
@@ -336,7 +369,7 @@ def _dense_attention_fwd(x, masks, p, prefix, config, cos, sin):
     return merged @ p[f"{prefix}.wo"], (x, qr, kr, vh, w, merged, prefix, scale)
 
 
-def _dense_attention_bwd(cache, dout, p, grads, config, cos, sin):
+def _dense_attention_bwd(cache, dout, p, grads, config, rot):
     x, qr, kr, vh, w, merged, prefix, scale = cache
     b, l, d = x.shape
     h, hd = config.n_heads, config.head_dim
@@ -347,8 +380,8 @@ def _dense_attention_bwd(cache, dout, p, grads, config, cos, sin):
     dscores = w * (dw - np.sum(dw * w, axis=-1, keepdims=True))
     dqr = (dscores @ kr) * scale
     dkr = (dscores.transpose(0, 1, 3, 2) @ qr) * scale
-    dq = toy._rope_bwd(dqr.transpose(0, 2, 1, 3), cos, sin).reshape(b, l, d)
-    dk = toy._rope_bwd(dkr.transpose(0, 2, 1, 3), cos, sin).reshape(b, l, d)
+    dq = toy._rope_bwd(dqr.transpose(0, 2, 1, 3), rot).reshape(b, l, d)
+    dk = toy._rope_bwd(dkr.transpose(0, 2, 1, 3), rot).reshape(b, l, d)
     dv = dvh.transpose(0, 2, 1, 3).reshape(b, l, d)
     x_flat = x.reshape(-1, d)
     grads[f"{prefix}.wq"] += x_flat.T @ dq.reshape(-1, d)
@@ -358,7 +391,7 @@ def _dense_attention_bwd(cache, dout, p, grads, config, cos, sin):
             + dv @ p[f"{prefix}.wv"].T)
 
 
-def _dense_masks(specs):
+def _dense_masks(specs, dtype=None):
     return np.stack([materialize_dense(s, s.seq_len) for s in specs])
 
 
@@ -419,19 +452,18 @@ def test_value_at_masked_key_leaves_output_bit_identical(specs, seed):
     b, l, _ = masks.shape
     qr, kr, vh = (gen.standard_normal((b, 2, l, 4)) for _ in range(3))
     bands = toy._key_bands(specs)
-    base, _ = toy._band_attention(qr, kr, vh, bands, 0.5)
+    base, _ = toy._band_attention(0.5 * qr, kr, vh, bands)
     key = int(gen.integers(0, l))
     bumped = vh.copy()
     bumped[:, :, key] = 1e6 * gen.standard_normal((b, 2, 4))
-    out, _ = toy._band_attention(qr, kr, bumped, bands, 0.5)
+    out, _ = toy._band_attention(0.5 * qr, kr, bumped, bands)
     for i in range(b):
         for q in np.flatnonzero(~masks[i, :, key]):
             assert out[i, :, q].tobytes() == base[i, :, q].tobytes()
 
 
-@pytest.mark.parametrize("policy", list(MaskPolicy))
-def test_tiled_attention_matches_dense_oracle_at_512(policy):
-    gen = np.random.default_rng(512)
+def _specs_at_512(gen, policy):
+    """Two 512-token windows of 10-59 token documents, one padded from 470."""
     specs = []
     for pad_start in (512, 470):
         lengths = []
@@ -440,9 +472,32 @@ def test_tiled_attention_matches_dense_oracle_at_512(policy):
         codes = [("en", "ko", "ja")[i % 3] for i in range(len(lengths))]
         specs.append(MaskSpec(policy, spans_from_lengths(lengths, codes),
                               pad_start, 512))
+    return specs
+
+
+@pytest.mark.parametrize("policy", list(MaskPolicy))
+def test_tiled_attention_matches_dense_oracle_at_512(policy):
+    gen = np.random.default_rng(512)
+    specs = _specs_at_512(gen, policy)
     params = toy.init(TINY)
     _assert_matches_dense(params, random_tokens(gen, TINY, 2, 512), specs,
                           random_tokens(gen, TINY, 2, 512))
+
+
+# float32 rounds each of the tens of products and sums behind a logit or a
+# gradient at 6e-8 relative; the largest gap measured here is 6e-6
+FLOAT32_ORACLE_TOL = 5e-5
+
+
+@pytest.mark.parametrize("policy", list(MaskPolicy))
+def test_float32_tiled_attention_matches_dense_oracle_at_512(policy):
+    gen = np.random.default_rng(512)
+    specs = _specs_at_512(gen, policy)
+    params = toy.init(replace(TINY, dtype="float32"))
+    tokens, labels = random_tokens(gen, TINY, 2, 512), random_tokens(gen, TINY, 2, 512)
+    out, grads = _run_model(params, tokens, specs, labels)
+    assert out.ntp_logits.dtype == grads.flat.dtype == np.float32
+    _assert_matches_dense(params, tokens, specs, labels, tol=FLOAT32_ORACLE_TOL)
 
 
 def test_key_bands_skip_keys_no_row_may_attend():
@@ -473,9 +528,9 @@ def test_key_bands_match_dense_reach(specs):
     bands = toy._key_bands(specs)
     assert [(b.qs, b.qe, b.ks, b.ke) for b in bands] == expected
     for band in bands:
-        assert band.allowed.shape == (len(specs), 1, band.qe - band.qs,
-                                      band.ke - band.ks)
-        assert (band.allowed[:, 0]
+        assert band.bias.shape == (len(specs), 1, band.qe - band.qs,
+                                   band.ke - band.ks)
+        assert ((band.bias[:, 0] == 0)
                 == masks[:, band.qs:band.qe, band.ks:band.ke]).all()
 
 

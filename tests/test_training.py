@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,6 +244,46 @@ def test_probe_windows_score_as_single_documents():
             logp = logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
             want = -np.take_along_axis(logp, tokens[:, 1:, None], axis=-1).mean()
             assert got[code] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _float_arrays(obj, path="cache"):
+    """(path, dtype) of every float or complex array reachable from ``obj``."""
+    if isinstance(obj, np.ndarray):
+        return [(path, obj.dtype)] if obj.dtype.kind in "fc" else []
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).items()
+    else:
+        return []
+    return [found for key, value in items for found in _float_arrays(value, f"{path}.{key}")]
+
+
+def test_float32_step_leaves_no_float64_behind():
+    config = replace(MODEL, dtype="float32")
+    params = toy.init(config)
+    batch = batch_from_sequences(copy_task_sequences(n_seqs=2), MaskPolicy.XLDA_FULL_CAUSAL)
+    out, cache = toy._forward_with_cache(params, batch.tokens, batch.specs)
+    arrays = _float_arrays(cache) + _float_arrays(out, "output")
+    assert any(dtype == np.complex64 for _, dtype in arrays)  # the rotary table
+    assert [(path, dtype) for path, dtype in arrays
+            if dtype not in (np.float32, np.complex64)] == []
+    _, dlogits, _ = toy._ce_and_grad(out.ntp_logits, batch.ntp)
+    assert dlogits.dtype == np.float32
+    _, grads = toy.loss_and_grads(params, batch.tokens, batch.specs, batch.ntp, batch.mtp,
+                                  mtp_alpha=config.mtp_alpha)
+    opt = AdamW(params, OptimizerConfig())
+    opt.step(params, grads, 1e-3)
+    for vector in (params.flat, grads.flat, opt.m, opt.v):
+        assert vector.dtype == np.float32
+
+
+def test_transfer_spec_checks_its_model_dtype():
+    assert TransferSpec().model_config().dtype == "float32"
+    with pytest.raises(ConfigError, match="dtype"):
+        TransferSpec(dtype="float16")
 
 
 @pytest.mark.parametrize("n_probe_docs", [-1, 0, 1])
