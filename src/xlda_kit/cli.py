@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from bisect import bisect_left
+from functools import cache
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -250,7 +251,8 @@ def _finish(args, run: RunConfig, payload: dict, text_lines: list[str]) -> int:
     if args.emit_config:
         run.emit(args.emit_config)
     if args.json:
-        print(json.dumps({"config": run.as_json(), **payload}, sort_keys=True, indent=2))
+        # one line: `indent` would take json's pure-Python encoder
+        print(json.dumps({"config": run.as_json(), **payload}, sort_keys=True))
     else:
         for line in run.echo_lines():
             print(line)
@@ -724,13 +726,20 @@ def build_parser(names: Iterable[str] = COMMANDS) -> _Parser:
     return parser
 
 
+@cache
+def _parser_for(name: str | None) -> _Parser:
+    """The parser of command ``name``, or of every command for None, built
+    once per process: parsing leaves nothing on it."""
+    return build_parser(COMMANDS if name is None else [name])
+
+
 def dispatch(argv: list[str]) -> int:
     """Run one subcommand; returns the process exit status.
 
-    Only the named command's parser is built; anything else (no command, an
+    Only the named command's parser is used; anything else (no command, an
     unknown one, a leading option) goes to the parser holding every command.
     """
-    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
+    parser = _parser_for(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -193,12 +194,18 @@ def _swiglu_bwd(cache, dact: Array) -> tuple[Array, Array]:
     return dgate, dact * silu
 
 
-def _rope_tables(config: ModelConfig, seq_len: int, dtype) -> Array:
-    """Rotations e^(i * angle) as [L, hd/2] complex numbers of ``dtype``'s width."""
-    half = config.head_dim // 2
-    inv = config.rope_theta ** (-np.arange(half, dtype=np.float64) * 2.0 / config.head_dim)
+@lru_cache(maxsize=8)
+def _rope_tables(rope_theta: float, head_dim: int, seq_len: int, dtype: np.dtype) -> Array:
+    """Rotations e^(i * angle) as [L, hd/2] complex numbers of ``dtype``'s width.
+
+    Computed once per argument tuple and shared by every forward, so read-only.
+    """
+    half = head_dim // 2
+    inv = rope_theta ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
     ang = np.arange(seq_len, dtype=np.float64)[:, None] * inv[None, :]
-    return np.exp(1j * ang).astype(np.result_type(dtype, np.complex64))
+    rot = np.exp(1j * ang).astype(np.result_type(dtype, np.complex64))
+    rot.flags.writeable = False
+    return rot
 
 
 def _rope_fwd(x: Array, rot: Array) -> Array:
@@ -433,7 +440,7 @@ def _forward_with_cache(params: Parameters, tokens: Array | Sequence[int],
                         f"{sorted({s.seq_len for s in specs})}) do not match "
                         f"{b} sequences of length {l}")
     _check_tokens(tokens, cfg.vocab_size)
-    rot = _rope_tables(cfg, l, params.flat.dtype)
+    rot = _rope_tables(cfg.rope_theta, cfg.head_dim, l, params.flat.dtype)
     bands = _key_bands(specs, params.flat.dtype)
     x = p["embed"][tokens]  # [B, L, D]
     block_caches = []

@@ -17,6 +17,7 @@ overhanging tail is dropped and counted, per ``split_policy``.
 from __future__ import annotations
 
 import hashlib
+import mmap
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -427,7 +428,7 @@ def write_packed(
     return len(seqs)
 
 
-def _read_header(data: bytes) -> tuple[int, int, bool, list[LanguageTag], int]:
+def _read_header(data: mmap.mmap) -> tuple[int, int, bool, list[LanguageTag], int]:
     """Parse the header and language table after the prefix.
 
     Returns ``seq_len``, the record count, ``cross_doc_labels``, the language
@@ -460,13 +461,13 @@ def _first(bad: np.ndarray) -> int | None:
     return int(bad.argmax()) if bad.any() else None
 
 
-def _columns(data: bytes, pos: int, seq_len: int, count: int, n_langs: int):
-    """Map the four columns that start at ``pos`` and check every record.
+def _columns(data: mmap.mmap, pos: int, seq_len: int, count: int, n_langs: int):
+    """View the four columns that start at ``pos`` and check every record.
 
-    Returns ``pad_start``, the token array, the span table and the span-table
-    edges: record i's spans are rows ``edges[i]`` to ``edges[i + 1]``. Each
-    check runs over a whole column and reports the first record or span that
-    fails it.
+    Returns ``pad_start``, the token array and the span table (both views
+    into ``data``) and the span-table edges: record i's spans are rows
+    ``edges[i]`` to ``edges[i + 1]``. Each check runs over a whole column
+    and reports the first record or span that fails it.
     """
     fixed = count * (2 + seq_len) * _U32.itemsize
     if fixed > len(data) - pos:
@@ -514,19 +515,40 @@ def read_packed(
     """Read a packed-batch file (version 3) back into memory.
 
     Returns the sequences and a ``PackerConfig`` with the file's ``seq_len``
-    and ``cross_doc_labels`` (so derived labels match the packer's). After
-    the header, the file's columns are mapped as numpy arrays and every
-    record is checked with whole-column expressions; any malformed file
-    raises ``DataError``. Only then are records decoded into
-    ``PackedSequence`` objects. With ``index``, only record ``index`` is
-    decoded and the list holds just that sequence; an index outside
-    ``[0, count)`` raises ``XldaKitError``. Files of other versions raise
-    ``DataError`` asking for a re-pack.
+    and ``cross_doc_labels`` (so derived labels match the packer's). The
+    file is mapped read-only, not copied; after the header its columns are
+    viewed as numpy arrays and every record is checked with whole-column
+    expressions; any malformed file raises ``DataError``. Only then are
+    records decoded into ``PackedSequence`` objects, which hold copies, so
+    nothing returned refers to the map. With ``index``, only record
+    ``index`` is decoded and the list holds just that sequence; an index
+    outside ``[0, count)`` raises ``XldaKitError``. Files of other versions
+    raise ``DataError`` asking for a re-pack, and a path that is not a
+    regular file (a device, a FIFO, a directory) raises ``DataError``
+    before it is opened.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    data = path.read_bytes()
+    if not path.is_file():
+        raise DataError(f"not a regular file: {path}")
+    with path.open("rb") as fh:
+        try:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:  # an empty file cannot be mapped
+            raise DataError(f"not a packed-batch file: {path}") from None
+    # on success no view into the map is left (close raises BufferError if
+    # one were); on an error the traceback's frames still hold views, and
+    # the map closes when the error is dropped
+    result = _read_mapped(data, path, index)
+    data.close()
+    return result
+
+
+def _read_mapped(data: mmap.mmap, path: Path, index: int | None
+                 ) -> tuple[list[PackedSequence], PackerConfig]:
+    """``read_packed`` on the mapped file ``data``; its views into the map
+    end with this call."""
     if len(data) < _PREFIX.size or data[:4] != _MAGIC:
         raise DataError(f"not a packed-batch file: {path}")
     _, version = _PREFIX.unpack_from(data)

@@ -297,6 +297,54 @@ def test_one_command_parser_reads_as_the_full_parser(capsys, argv):
     assert got[2] or got[1]  # something was printed
 
 
+def fresh_process(*argv):
+    """Exit code, stdout and stderr of ``xlda-kit argv`` in a new interpreter."""
+    result = subprocess.run(
+        [sys.executable, "-m", "xlda_kit", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(xlda_kit.__file__).parents[1]), os.environ.get("PYTHONPATH")]))},
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_a_reused_parser_carries_nothing_to_the_next_call(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage text wrap at this width
+    src, packed, ini = tmp_path / "corpus.jsonl", tmp_path / "batch.xlda", tmp_path / "s.ini"
+    write_corpus(src)
+    run(capsys, "pack", "--input", str(src), "--output", str(packed), "--seq-len", "16")
+    ini.write_text("[schedule]\nwarmup_steps = 10\ntotal_steps = 500\n", encoding="utf-8")
+    mask = ["mask", "--policy", "xlda", "--from", str(packed)]
+    pairs = [  # (first call, second call)
+        ([*mask, "--dense", "--json"], [*mask, "--json"]),
+        (["schedule", "--config", str(ini), "--json"], ["schedule", "--json"]),
+        ([*mask, "--index", "one"], [*mask, "--index", "1"]),
+        (["mask", "--help"], mask),
+    ]
+    for first, second in pairs:
+        run(capsys, *first)
+        assert run(capsys, *second) == fresh_process(*second), second
+    assert cli._parser_for("mask") is cli._parser_for("mask")  # the calls shared it
+
+
+def test_json_output_is_one_line(tmp_path, capsys):
+    src, packed = tmp_path / "corpus.jsonl", tmp_path / "batch.xlda"
+    write_corpus(src)
+    calls = {
+        "pack": (["pack", "--input", str(src), "--output", str(packed), "--seq-len", "16"],
+                 lambda result: result["report"]["sequences"] > 0),
+        "mask": (["mask", "--policy", "xlda", "--from", str(packed)],
+                 lambda result: result["allowed_pairs"] > 0 and result["spans"]),
+        "schedule": (["schedule"], lambda result: result["rows"][0]["lr"] == 0.0),
+        "plan": (["plan", "--corpus", str(src)],
+                 lambda result: abs(sum(result["distribution"].values()) - 1.0) <= 1e-12),
+    }
+    for name, (argv, check) in calls.items():
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 0, err
+        assert out.endswith("\n") and out.count("\n") == 1, name
+        assert check(json.loads(out)["result"]), name
+
+
 def test_pack_byte_identical_across_runs(tmp_path, capsys):
     src = tmp_path / "corpus.jsonl"
     write_corpus(src, n_en=40, n_ko=40, seed=5)
@@ -611,13 +659,9 @@ def test_config_file_threads_key_is_ignored(tmp_path, capsys):
 
 
 def test_python_dash_m_runs_the_cli():
-    result = subprocess.run(
-        [sys.executable, "-m", "xlda_kit", "--version"], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(Path(xlda_kit.__file__).parents[1]), os.environ.get("PYTHONPATH")]))},
-    )
-    assert result.returncode == 0
-    assert result.stdout.strip() == xlda_kit.__version__
+    code, out, err = fresh_process("--version")
+    assert code == 0
+    assert out.strip() == xlda_kit.__version__
 
 
 # --- the settings table: typed keys, unknown keys and non-finite values ---

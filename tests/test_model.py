@@ -344,6 +344,17 @@ def test_masked_rows_zero_attention_padding():
     assert np.isfinite(out.ntp_logits).all()
 
 
+def test_rope_table_is_cached_read_only_and_exact():
+    hd, l = TINY.head_dim, 12
+    angles = np.arange(l, dtype=np.float64)[:, None] * TINY.rope_theta ** (
+        -np.arange(hd // 2, dtype=np.float64) * 2.0 / hd)
+    for dtype, complex_dtype in ((np.float32, np.complex64), (np.float64, np.complex128)):
+        rot = toy._rope_tables(TINY.rope_theta, hd, l, np.dtype(dtype))
+        assert toy._rope_tables(TINY.rope_theta, hd, l, np.dtype(dtype)) is rot
+        assert not rot.flags.writeable
+        assert rot.tobytes() == np.exp(1j * angles).astype(complex_dtype).tobytes()
+
+
 # --- tiled attention against the dense oracle --------------------------------
 
 

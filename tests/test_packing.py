@@ -1,7 +1,9 @@
 import hashlib
 import itertools
+import os
 import struct
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,6 +494,56 @@ def test_mask_of_a_good_record_rejects_a_file_with_a_corrupt_later_one(
     code = dispatch(["mask", "--policy", "xlda", "--from", str(path), "--index", "0"])
     captured = capsys.readouterr()
     assert code == 2 and message in captured.err and not captured.out
+
+
+# never /dev/zero or a FIFO: if the check regressed, reading one would
+# exhaust memory or block
+@pytest.mark.parametrize("kind", ["device", "directory"])
+def test_a_path_that_is_not_a_regular_file_is_refused_unread(tmp_path, capsys, kind):
+    path = "/dev/null" if kind == "device" else str(tmp_path)
+    with pytest.raises(DataError, match="not a regular file"):
+        read_packed(path, index=0)
+    for argv in (["mask", "--policy", "xlda", "--from", path],
+                 ["train-toy", "--packed", path, "--policy", "xlda", "--steps", "1"]):
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and f"not a regular file: {path}" in captured.err
+        assert not captured.out
+
+
+def _tied_to(*paths):
+    """The memory maps and file descriptors of this process on ``paths``."""
+    names = {str(Path(p).resolve()) for p in paths}
+    maps = [line for line in Path("/proc/self/maps").read_text().splitlines()
+            if line.split(maxsplit=5)[5:] and line.split(maxsplit=5)[5] in names]
+    fds = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            if os.readlink(f"/proc/self/fd/{fd}") in names:
+                fds.append(fd)
+        except OSError:  # the descriptor listdir itself used
+            pass
+    return maps, fds
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc")
+def test_mapped_read_leaves_nothing_tied_to_the_file(tmp_path):
+    path = tmp_path / "batch.xlda"
+    blob = v3_bytes([GOOD, GOOD, GOOD])
+    path.write_bytes(blob)
+    [seq], _ = read_packed(path, index=1)
+    expected = seq.tokens.copy()
+    path.write_bytes(bytes(len(blob)))
+    path.unlink()
+    assert np.array_equal(seq.tokens, expected) and seq.tokens.flags.writeable
+    path.write_bytes(blob)
+    bad = tmp_path / "bad.xlda"
+    bad.write_bytes(v3_bytes([GOOD, GOOD, ([1] * 8, 5, [(0, 3, 0, 0)])]))
+    for i in range(500):
+        read_packed(path, index=i % 3)
+        with pytest.raises(DataError, match="spans cover"):
+            read_packed(bad, index=0)
+    assert _tied_to(path, bad) == ([], [])
 
 
 def test_version_one_file_is_rejected_with_repack_hint(tmp_path):
