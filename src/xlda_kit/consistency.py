@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import parse_json_object
+from .corpus import numbered_lines, parse_json_object
 from .errors import DataError
 
 
@@ -110,7 +110,7 @@ def read_pairs(path: str | Path) -> list[PredictionPair]:
         raise DataError(f"no such file: {path}")
     pairs = []
     with path.open("rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+        for line_no, raw in numbered_lines(fh):
             try:
                 record = parse_json_object(raw)
                 if record is not None:

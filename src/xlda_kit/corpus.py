@@ -8,11 +8,13 @@ tokenizes on its own.
 
 from __future__ import annotations
 
+import codecs
+import itertools
 import json
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .errors import DataError
 
@@ -63,9 +65,9 @@ class Document:
             raise DataError("document id must be non-empty")
         if len(self.tokens) == 0:
             raise DataError(f"document {self.id!r} has no tokens")
-        for t in self.tokens:
-            if t < 0:
-                raise DataError(f"document {self.id!r} has negative token id {t}")
+        if min(self.tokens) < 0:
+            t = next(t for t in self.tokens if t < 0)
+            raise DataError(f"document {self.id!r} has negative token id {t}")
         if self.score is not None and not (SCORE_MIN <= self.score <= SCORE_MAX):
             raise DataError(
                 f"document {self.id!r} score {self.score} outside [{SCORE_MIN}, {SCORE_MAX}]"
@@ -128,6 +130,14 @@ def parse_json_object(raw: bytes) -> dict | None:
     return record
 
 
+def numbered_lines(fh: BinaryIO) -> Iterator[tuple[int, bytes]]:
+    """Each raw line of binary ``fh`` with its 1-based line number. A UTF-8
+    byte-order mark at the start of line 1 is dropped; one anywhere else is
+    left in the line, where it is not valid JSON."""
+    first = fh.readline().removeprefix(codecs.BOM_UTF8)
+    return itertools.chain([(1, first)], enumerate(fh, start=2))
+
+
 def _parse_record(
     record: dict,
     schema: RecordSchema,
@@ -157,9 +167,13 @@ def _parse_record(
         raise DataError(f"{schema.tokens!r} is not an array")
     # int() would truncate JSON floats and booleans or overflow on 1e400;
     # a tokenizer's integer types, numpy's among them, are token ids
-    if any(k is bool or not issubclass(k, numbers.Integral) for k in set(map(type, tokens))):
+    kinds = set(map(type, tokens))
+    if kinds <= {int}:  # what json decodes: already exact ints
+        token_tuple = tuple(tokens)
+    elif any(k is bool or not issubclass(k, numbers.Integral) for k in kinds):
         raise DataError(f"non-integer token id in {schema.tokens!r}")
-    token_tuple = tuple(map(int, tokens))
+    else:
+        token_tuple = tuple(map(int, tokens))
 
     score = record.get(schema.score)
     if score is not None:
@@ -192,7 +206,7 @@ def ingest(
     # read bytes and decode line by line, so that an invalid byte sequence
     # is one malformed line rather than a failure of the whole file
     with path.open("rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+        for line_no, raw in numbered_lines(fh):
             try:
                 record = parse_json_object(raw)
                 if record is None:
@@ -291,6 +305,7 @@ def stats(docs: Iterable[Document]) -> CorpusStats:
 
 def write_records(docs: Iterable[Document], path: str | Path) -> int:
     """Write documents back out in the record format. Returns count written."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     n = 0
     with Path(path).open("w", encoding="utf-8") as fh:
         for doc in docs:
@@ -298,10 +313,10 @@ def write_records(docs: Iterable[Document], path: str | Path) -> int:
                 "id": doc.id,
                 "lang": doc.lang.code,
                 "class": doc.lang.lang_class,
-                "tokens": list(doc.tokens),
+                "tokens": doc.tokens,  # a tuple encodes as a JSON array
             }
             if doc.score is not None:
                 record["score"] = doc.score
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+            fh.write(encode(record) + "\n")
             n += 1
     return n

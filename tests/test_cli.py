@@ -623,6 +623,25 @@ def test_invalid_utf8_line_is_skipped_by_filter(tmp_path, capsys):
     assert "malformed lines skipped: 1" in out
 
 
+def test_leading_byte_order_mark_costs_no_record(tmp_path, capsys):
+    bom = b"\xef\xbb\xbf"
+    src = tmp_path / "raw.jsonl"
+    src.write_bytes(bom + b'{"id":"e0","lang":"en","tokens":[1,2],"score":1.0}\n'
+                    b'{"id":"e1","lang":"en","tokens":[3],"score":2.0}\n')
+    code, out, err = run(
+        capsys, "filter", "--input", str(src), "--output", str(tmp_path / "k.jsonl"),
+        "--keep", "1.0",
+    )
+    assert code == 0, err
+    assert "documents: 2 in, 2 kept" in out and "malformed lines skipped: 0" in out
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_bytes(bom + b'{"item_id":"a","src_correct":true,"tgt_correct":true}\n'
+                      b'{"item_id":"b","src_correct":false,"tgt_correct":true}\n')
+    code, out, err = run(capsys, "eval-consistency", "--pairs", str(pairs), "--json")
+    assert code == 0, err
+    assert json.loads(out)["result"]["n_items"] == 2
+
+
 @pytest.mark.parametrize("bad", [0xFFFFFFFF, 2**32])
 def test_pack_token_id_outside_range_exit_2(tmp_path, capsys, bad):
     src = tmp_path / "corpus.jsonl"

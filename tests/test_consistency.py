@@ -107,3 +107,15 @@ def test_read_pairs_rejects_single_language_items(tmp_path):
                  encoding="utf-8")
     with pytest.raises(DataError):
         read_pairs(f)
+
+
+def test_read_pairs_skips_a_leading_byte_order_mark(tmp_path):
+    f = tmp_path / "pairs.jsonl"
+    first = b'{"item_id":"a","src_correct":true,"tgt_correct":false}\n'
+    second = b'{"item_id":"b","src_correct":false,"tgt_correct":true}\n'
+    f.write_bytes(b"\xef\xbb\xbf" + first + second)
+    assert read_pairs(f) == [PredictionPair("a", True, False),
+                             PredictionPair("b", False, True)]
+    f.write_bytes(first + b"\xef\xbb\xbf" + second)
+    with pytest.raises(DataError, match="line 2: not valid JSON"):
+        read_pairs(f)

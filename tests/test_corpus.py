@@ -184,14 +184,53 @@ def test_document_invariants():
 
 
 def test_write_records_roundtrip(tmp_path):
-    en = LanguageTag("en", "english")
-    docs = [Document("a", en, (1, 2), score=3.5), Document("b", en, (4,))]
+    docs = [Document("a", LanguageTag("en", "english"), (1, 2, 30), score=3.5),
+            Document("b", LanguageTag("ko"), (4,)),
+            Document("c\u00e9", LanguageTag("ja", "math_code"), (0, 7), score=0.0)]
     out = tmp_path / "out.jsonl"
-    assert write_records(docs, out) == 2
-    back = list(ingest(out))
-    assert [d.id for d in back] == ["a", "b"]
-    assert back[0].score == 3.5
-    assert back[1].score is None
+    assert write_records(docs, out) == 3
+    # the documented line: compact, keys in this order, no score key for None
+    assert out.read_bytes() == (
+        b'{"id":"a","lang":"en","class":"english","tokens":[1,2,30],"score":3.5}\n'
+        b'{"id":"b","lang":"ko","class":"multilingual","tokens":[4]}\n'
+        b'{"id":"c\\u00e9","lang":"ja","class":"math_code","tokens":[0,7],"score":0.0}\n'
+    )
+    assert list(ingest(out)) == docs
+
+
+def test_leading_byte_order_mark_is_skipped_on_line_1_only(tmp_path):
+    f = tmp_path / "corpus.jsonl"
+    records = [b'{"id":"d1","lang":"en","tokens":[1]}\n',
+               b'{"id":"d2","lang":"ko","tokens":[2]}\n']
+    f.write_bytes(b"\xef\xbb\xbf" + b"".join(records))
+    report = IngestReport()
+    assert [d.id for d in ingest(f, report=report)] == ["d1", "d2"]
+    assert report.errors == []
+    # a mark anywhere else, a second one on line 1 included, is not valid JSON
+    for data, bad_line in ((records[0] + b"\xef\xbb\xbf" + records[1], 2),
+                           (b"\xef\xbb\xbf" * 2 + b"".join(records), 1)):
+        f.write_bytes(data)
+        report = IngestReport()
+        assert len(list(ingest(f, report=report))) == 1
+        assert [(e.line_no, e.message.startswith("not valid JSON"))
+                for e in report.errors] == [(bad_line, True)]
+
+
+def test_negative_token_id_is_line_error_naming_the_first(tmp_path):
+    f = tmp_path / "corpus.jsonl"
+    write_lines(f, ['{"id":"d1","lang":"en","tokens":[1]}',
+                    '{"id":"d2","lang":"en","tokens":[4,-3,0,-7]}',
+                    '{"id":"d3","lang":"en","tokens":[3]}'])
+    report = IngestReport()
+    assert [d.id for d in ingest(f, report=report)] == ["d1", "d3"]
+    assert [str(e) for e in report.errors] == [
+        "line 2: document 'd2' has negative token id -3"]
+    with pytest.raises(DataError) as exc:
+        list(ingest(f, fail_fast=True))
+    assert str(exc.value) == "line 2: document 'd2' has negative token id -3"
+    with pytest.raises(DataError) as exc:
+        Document("d2", LanguageTag("en"), (4, -3, 0, -7))
+    assert str(exc.value) == "document 'd2' has negative token id -3"
 
 
 def test_ingest_shards_merges_in_order(tmp_path):
@@ -235,13 +274,18 @@ def test_non_integer_token_id_is_line_error(tmp_path, tokens):
         list(ingest(f, fail_fast=True))
 
 
+class _IntSubclass(int):
+    """A tokenizer's own integer type: an int, but not exactly one."""
+
+
 def test_tokenizer_integer_types_are_token_ids(tmp_path):
     f = tmp_path / "corpus.jsonl"
     write_lines(f, ['{"id":"t1","lang":"en","text":"ab"}',
                     '{"id":"t2","lang":"en","text":"cd"}'])
     for to_ids in (lambda s: np.frombuffer(s.encode(), dtype=np.uint8).astype(np.int64),
                    lambda s: [np.uint32(ord(c)) for c in s],
-                   lambda s: tuple(ord(c) for c in s)):
+                   lambda s: tuple(ord(c) for c in s),
+                   lambda s: [_IntSubclass(ord(c)) for c in s]):
         docs = list(ingest(f, tokenizer=lambda s: list(to_ids(s))))
         assert [d.tokens for d in docs] == [(97, 98), (99, 100)]
         assert all(type(t) is int for d in docs for t in d.tokens)
