@@ -14,6 +14,7 @@ them back out as a config file that reproduces the run.
 from __future__ import annotations
 
 import argparse
+import codecs
 import configparser
 import hashlib
 import json
@@ -185,7 +186,7 @@ class RunConfig:
             raise XldaKitError(f"no such config file: {path}")
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is skipped
                 parser.read_file(fh)
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"malformed config file {path}: {exc}") from None
@@ -305,8 +306,8 @@ def _cmd_filter(args, run: RunConfig) -> int:
 
 def _cmd_plan(args, run: RunConfig) -> int:
     if args.stats:
-        stats = corpus.CorpusStats.from_json(
-            corpus.parse_json_object(Path(args.stats).read_bytes()))
+        raw = Path(args.stats).read_bytes().removeprefix(codecs.BOM_UTF8)  # at the start only
+        stats = corpus.CorpusStats.from_json(corpus.parse_json_object(raw))
     else:
         stats = corpus.stats(corpus.ingest(args.corpus))
     config = _sampler_from(run, fallback_langs=stats.languages())
@@ -733,6 +734,25 @@ def _parser_for(name: str | None) -> _Parser:
     return build_parser(COMMANDS if name is None else [name])
 
 
+# the flags naming a file that a command writes once its work is done
+_OUTPUT_FLAGS = ("--output", "--metrics", "--report", "--emit-config")
+
+
+def _check_outputs(args) -> None:
+    """Refuse an output path that cannot take a file before any work starts:
+    one that is a directory, or one whose directory does not exist. Nothing
+    is created or truncated."""
+    for flag in _OUTPUT_FLAGS:
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path is None:
+            continue
+        target = Path(path)
+        if target.is_dir():
+            raise ConfigError(f"{flag} {path} is a directory, not a file")
+        if not target.parent.is_dir():
+            raise ConfigError(f"{flag} {path}: no such directory {target.parent}")
+
+
 def dispatch(argv: list[str]) -> int:
     """Run one subcommand; returns the process exit status.
 
@@ -753,6 +773,7 @@ def dispatch(argv: list[str]) -> int:
             value = getattr(args, f"{section}.{key}", None)
             if value is not None:
                 run.raw[section, key] = str(value)
+        _check_outputs(args)
         return args.func(args, run)
     except (XldaKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

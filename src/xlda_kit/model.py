@@ -138,14 +138,21 @@ def init(config: ModelConfig) -> Parameters:
     return Parameters(config, flat, tensors)
 
 
-def working_set_bytes(config: ModelConfig, batch: int, seq_len: int) -> int:
-    """An upper estimate of a training process's peak memory, from shapes
-    alone: 64 MiB for the interpreter, then, at the itemsize of the config's
-    dtype, seven parameter vectors (AdamW's four and three temporaries), six
-    [B, L, V] and six [B, L, d_ff] arrays, and per block four [B, L, d_ff],
-    sixteen [B, L, d] and [B, H, L, L] weights."""
+def working_set_bytes(config: ModelConfig, batch: int, seq_len: int,
+                      backward: bool = True) -> int:
+    """An upper estimate of a process's peak memory while it runs one batch,
+    from shapes alone: 64 MiB for the interpreter, then, at the itemsize of
+    the config's dtype, seven parameter vectors (AdamW's four and three
+    temporaries), six [B, L, V] and six [B, L, d_ff] arrays, and per block
+    four [B, L, d_ff], sixteen [B, L, d] and [B, H, L, L] weights.
+
+    With ``backward``, for a training step, every block is charged: each
+    block's cache is held until the backward pass. Without it, for a
+    forward-only pass (``forward``), one block is: the pass holds one
+    block's arrays at a time."""
     n_params = sum(map(math.prod, _shapes(config).values()))
-    per_row = 6 * config.vocab_size + 6 * config.d_ff + (config.n_layers + 1) * (
+    blocks = config.n_layers + 1 if backward else 1
+    per_row = 6 * config.vocab_size + 6 * config.d_ff + blocks * (
         4 * config.d_ff + config.n_heads * seq_len + 16 * config.d_model)
     itemsize = np.dtype(config.dtype).itemsize
     return (64 << 20) + itemsize * (7 * n_params + batch * seq_len * per_row)
@@ -256,10 +263,12 @@ def _key_bands(specs: Sequence[MaskSpec], dtype=np.float64) -> list[_Band]:
     return bands
 
 
-def _band_attention(qr: Array, kr: Array, vh: Array, bands: Sequence[_Band]):
+def _band_attention(qr: Array, kr: Array, vh: Array, bands: Sequence[_Band],
+                    keep: bool = True):
     """Masked softmax attention over key bands, with the score scale already
     in ``qr``; returns the context and the cache ``_band_attention_bwd``
-    takes.
+    takes. Unless ``keep``, no band's weights go into the cache, so each is
+    dropped once its context is written.
 
     Per score cell: the bias add, the row max, the shift and ``exp``. The
     shift is the maximum over allowed cells, so every allowed argument is
@@ -290,7 +299,8 @@ def _band_attention(qr: Array, kr: Array, vh: Array, bands: Sequence[_Band]):
         denom[denom == 0.0] = 1.0
         inv = 1.0 / denom
         ctx[:, :, band.qs:band.qe] = out[..., :hd] * inv
-        weights.append((e, inv))
+        if keep:
+            weights.append((e, inv))
     return ctx, (vt, weights)
 
 
@@ -320,7 +330,7 @@ def _band_attention_bwd(dctx: Array, ctx: Array, qr: Array, kr: Array, bands: Se
 
 
 def _attention_fwd(x: Array, bands: Sequence[_Band], p: Mapping[str, Array],
-                   prefix: str, config: ModelConfig, rot: Array):
+                   prefix: str, config: ModelConfig, rot: Array, keep: bool):
     b, l, d = x.shape
     h, hd = config.n_heads, config.head_dim
     wq = p[f"{prefix}.wq"] * (1.0 / math.sqrt(hd))  # the score scale, folded into wq
@@ -330,7 +340,7 @@ def _attention_fwd(x: Array, bands: Sequence[_Band], p: Mapping[str, Array],
     qr = _rope_fwd(q, rot).transpose(0, 2, 1, 3)  # [B, H, L, hd]
     kr = _rope_fwd(k, rot).transpose(0, 2, 1, 3)
     vh = v.transpose(0, 2, 1, 3)
-    ctx, c_band = _band_attention(qr, kr, vh, bands)  # [B, H, L, hd]
+    ctx, c_band = _band_attention(qr, kr, vh, bands, keep)  # [B, H, L, hd]
     merged = ctx.transpose(0, 2, 1, 3).reshape(b, l, d)
     out = merged @ p[f"{prefix}.wo"]
     cache = (x, qr, kr, bands, c_band, merged, prefix, wq)
@@ -361,10 +371,10 @@ def _attention_bwd(cache, dout: Array, p: Mapping[str, Array],
 
 
 def _block_fwd(x: Array, bands: Sequence[_Band], p: Mapping[str, Array],
-               prefix: str, config: ModelConfig, rot: Array):
+               prefix: str, config: ModelConfig, rot: Array, keep: bool):
     eps = config.norm_eps
     a_in, c_norm1 = _rmsnorm_fwd(x, p[f"{prefix}.attn_norm_in"], eps)
-    attn, c_attn = _attention_fwd(a_in, bands, p, prefix, config, rot)
+    attn, c_attn = _attention_fwd(a_in, bands, p, prefix, config, rot, keep)
     a_out, c_norm2 = _rmsnorm_fwd(attn, p[f"{prefix}.attn_norm_out"], eps)
     h = x + a_out
     f_in, c_norm3 = _rmsnorm_fwd(h, p[f"{prefix}.ffn_norm_in"], eps)
@@ -429,7 +439,11 @@ def _check_tokens(tokens: Array, vocab_size: int):
 
 
 def _forward_with_cache(params: Parameters, tokens: Array | Sequence[int],
-                        masks: MaskSpec | Sequence[MaskSpec]):
+                        masks: MaskSpec | Sequence[MaskSpec], keep: bool = True):
+    """The forward pass, and the cache ``loss_and_grads`` runs the backward
+    pass from. Unless ``keep``, nothing is held for a backward pass: no band
+    keeps its attention weights, each block's cache is dropped once the next
+    block has its input, and the cache returned is None."""
     cfg = params.config
     p = params.tensors
     tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
@@ -443,15 +457,20 @@ def _forward_with_cache(params: Parameters, tokens: Array | Sequence[int],
     rot = _rope_tables(cfg.rope_theta, cfg.head_dim, l, params.flat.dtype)
     bands = _key_bands(specs, params.flat.dtype)
     x = p["embed"][tokens]  # [B, L, D]
+
+    def held(result):  # a layer's (output, cache), its cache dropped unless kept
+        return result if keep else (result[0], None)
+
     block_caches = []
     for i in range(cfg.n_layers):
-        x, cache = _block_fwd(x, bands, p, f"blocks.{i}", cfg, rot)
-        block_caches.append(cache)
-    ntp_logits, c_ntp_head = _head_fwd(x, p, "ntp_norm", cfg.norm_eps)
-    mtp_x, c_mtp_block = _block_fwd(x, bands, p, "mtp_block", cfg, rot)
-    mtp_logits, c_mtp_head = _head_fwd(mtp_x, p, "mtp_norm", cfg.norm_eps)
+        x, c_block = held(_block_fwd(x, bands, p, f"blocks.{i}", cfg, rot, keep))
+        block_caches.append(c_block)
+    ntp_logits, c_ntp_head = held(_head_fwd(x, p, "ntp_norm", cfg.norm_eps))
+    mtp_x, c_mtp_block = held(_block_fwd(x, bands, p, "mtp_block", cfg, rot, keep))
+    mtp_logits, c_mtp_head = held(_head_fwd(mtp_x, p, "mtp_norm", cfg.norm_eps))
     cache = {"tokens": tokens, "rot": rot, "blocks": block_caches,
-             "ntp_head": c_ntp_head, "mtp_block": c_mtp_block, "mtp_head": c_mtp_head}
+             "ntp_head": c_ntp_head, "mtp_block": c_mtp_block,
+             "mtp_head": c_mtp_head} if keep else None
     return ForwardOutput(ntp_logits=ntp_logits, mtp_logits=mtp_logits), cache
 
 
@@ -465,9 +484,15 @@ def forward(
     ``mask_spec`` is one spec for every row of ``tokens`` or one spec per
     row; rows may use different policies. A spec count or ``seq_len`` that
     does not match ``tokens`` is a ``DataError``.
+
+    The pass runs the layer code of ``loss_and_grads`` and gives the same
+    logits bit for bit, but keeps nothing for a backward pass: each band's
+    attention weights are dropped once its context is written, each block's
+    cache once the next block has its input, and no head cache is kept. Its
+    peak is one block's arrays, not every block's cache (see
+    ``working_set_bytes``).
     """
-    out, _ = _forward_with_cache(params, tokens, mask_spec)
-    return out
+    return _forward_with_cache(params, tokens, mask_spec, keep=False)[0]
 
 
 @dataclass
@@ -639,7 +664,7 @@ def grad_check(
     )
 
     def loss_only() -> float:
-        out, _ = _forward_with_cache(params, tokens, specs)
+        out, _ = _forward_with_cache(params, tokens, specs, keep=False)
         return loss(out, ntp, mtp, mtp_alpha).total
 
     per_tensor: dict[str, float] = {}

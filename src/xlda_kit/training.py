@@ -262,10 +262,12 @@ class TransferSpec:
                                mtp_alpha=self.mtp_alpha, seed=self.seed, dtype=self.dtype)
 
     def working_set_bytes(self) -> int:
-        """``model.working_set_bytes`` at the larger of the training batch and
-        the evaluation chunk, whose forward pass holds its caches too."""
-        return toy.working_set_bytes(self.model_config(),
-                                     max(self.batch_sequences, _EVAL_CHUNK), self.seq_len)
+        """``model.working_set_bytes`` of the larger of the two phases: a
+        training step on one batch, which holds every block's cache, and a
+        forward-only pass over one evaluation chunk, which holds none."""
+        config = self.model_config()
+        return max(toy.working_set_bytes(config, self.batch_sequences, self.seq_len),
+                   toy.working_set_bytes(config, _EVAL_CHUNK, self.seq_len, backward=False))
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -642,6 +643,49 @@ def test_leading_byte_order_mark_costs_no_record(tmp_path, capsys):
     assert json.loads(out)["result"]["n_items"] == 2
 
 
+def test_leading_byte_order_mark_leaves_stats_and_config_unchanged(tmp_path, capsys):
+    bom = b"\xef\xbb\xbf"
+    stats = _stats_with().encode()
+    config = b"[schedule]\npeak_lr = 0.002\nwarmup_steps = 7\n"
+    runs = {"stats": lambda path: run(capsys, "plan", "--stats", str(path), "--json"),
+            "config": lambda path: run(capsys, "schedule", "--config", str(path))}
+    for (name, content), at in itertools.product((("stats", stats), ("config", config)),
+                                                 ("plain", "marked", "doubled")):
+        path = tmp_path / f"{name}-{at}"
+        path.write_bytes({"plain": b"", "marked": bom, "doubled": 2 * bom}[at] + content)
+        code, out, err = runs[name](path)
+        if at == "plain":
+            plain = (code, out, err)
+            assert code == 0, err
+        elif at == "marked":
+            assert (code, out, err) == plain
+        else:  # a mark is skipped only at the very start of the file
+            assert code == 2 and not out and "Traceback" not in err
+    assert "# warmup_steps = 7" in plain[1]
+
+
+@pytest.mark.parametrize("command, flag", [("transfer", "--report"),
+                                           ("train-toy", "--metrics"),
+                                           ("transfer", "--emit-config")])
+def test_unwritable_output_path_is_refused_before_training(settings_dir, tmp_path, capsys,
+                                                           monkeypatch, command, flag):
+    started = []
+    monkeypatch.setattr(cli.training, "transfer_experiment", started.append)
+    monkeypatch.setattr(cli.training, "train", lambda *args: started.append(args))
+    argv = (["transfer", "--steps", "1"] if command == "transfer" else
+            ["train-toy", "--packed", str(settings_dir / "batch.xlda"), "--policy", "xlda",
+             "--steps", "1"])
+    missing = tmp_path / "no" / "such" / "dir" / "out.json"
+    for path, message in ((missing, f"no such directory {missing.parent}"),
+                          (tmp_path, "is a directory")):
+        code, out, err = run(capsys, *argv, flag, str(path))
+        assert code == 2 and not out and not started
+        assert err.startswith(f"error: {flag} {path}") and message in err, err
+        assert "Traceback" not in err
+    assert not (tmp_path / "no").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("bad", [0xFFFFFFFF, 2**32])
 def test_pack_token_id_outside_range_exit_2(tmp_path, capsys, bad):
     src = tmp_path / "corpus.jsonl"
@@ -877,7 +921,7 @@ def test_model_dtype_reaches_train_toy_and_transfer(settings_dir, tmp_path, caps
 def test_transfer_beyond_available_memory_is_a_config_error(capsys, monkeypatch):
     started = []
     monkeypatch.setattr(cli.training, "transfer_experiment", started.append)
-    # the default transfer needs about 137 MiB; a host reading of 32 MiB refuses it
+    # the default transfer needs about 97 MiB; a host reading of 32 MiB refuses it
     monkeypatch.setattr(cli, "_available_memory", lambda: 32 << 20)
     code, out, err = run(capsys, "transfer", "--steps", "1")
     assert code == 2 and not out and not started

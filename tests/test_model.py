@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -119,9 +120,13 @@ def test_dtype_is_float32_or_float64():
 def test_working_set_bytes_follow_the_dtype_itemsize():
     interpreter = 64 << 20
     for batch, seq_len in ((1, 8), (4, 128), (2, 512)):
-        wide = toy.working_set_bytes(TINY, batch, seq_len) - interpreter
-        narrow = toy.working_set_bytes(replace(TINY, dtype="float32"), batch, seq_len)
-        assert wide > 0 and 2 * (narrow - interpreter) == wide
+        for backward in (True, False):
+            wide = toy.working_set_bytes(TINY, batch, seq_len, backward) - interpreter
+            narrow = toy.working_set_bytes(replace(TINY, dtype="float32"), batch, seq_len,
+                                           backward)
+            assert wide > 0 and 2 * (narrow - interpreter) == wide
+        assert (toy.working_set_bytes(TINY, batch, seq_len, backward=False)
+                < toy.working_set_bytes(TINY, batch, seq_len))
 
 
 def test_full_scale_architecture_config_accepted():
@@ -321,6 +326,24 @@ def test_grad_check_runs_in_float64_whatever_the_dtype():
     assert report.per_tensor == toy.grad_check(TINY, max_coords_per_tensor=2).per_tensor
 
 
+def test_grad_check_report_is_unchanged_by_forward_only_losses():
+    """The finite-difference losses run forward-only; keeping every cache
+    instead gives the same report."""
+    real = toy._forward_with_cache
+    keeps = []
+
+    def recording(params, tokens, masks, keep=True):
+        keeps.append(keep)
+        return real(params, tokens, masks, keep)
+
+    with mock.patch.object(toy, "_forward_with_cache", recording):
+        report = toy.grad_check(TINY, max_coords_per_tensor=3)
+    assert keeps.count(False) == 4 * report.coords_checked and keeps.count(True) == 1
+    with mock.patch.object(toy, "_forward_with_cache",
+                           lambda params, tokens, masks, keep=True: real(params, tokens, masks)):
+        assert toy.grad_check(TINY, max_coords_per_tensor=3) == report
+
+
 def test_grad_check_rejects_large_models():
     big = toy.ModelConfig(n_layers=2, d_model=32, d_ff=64, n_heads=4, vocab_size=64)
     with pytest.raises(ConfigError):
@@ -355,11 +378,72 @@ def test_rope_table_is_cached_read_only_and_exact():
         assert rot.tobytes() == np.exp(1j * angles).astype(complex_dtype).tobytes()
 
 
+# --- forward-only passes ----------------------------------------------------
+
+# the transfer probe's model, and one of its 32-window evaluation chunks
+PROBE = toy.ModelConfig(n_layers=2, d_model=32, d_ff=64, n_heads=4, vocab_size=64)
+
+
+def _probe_chunk(policy, rows=32, seq_len=128):
+    """``rows`` windows of 3-40 token documents in two languages; the last
+    is padded from 100."""
+    gen = np.random.default_rng(32)
+    specs = []
+    for row in range(rows):
+        pad_start = 100 if row == rows - 1 else seq_len
+        lengths = []
+        while sum(lengths) < pad_start:
+            lengths.append(int(min(gen.integers(3, 41), pad_start - sum(lengths))))
+        codes = [("en", "ko")[i % 2] for i in range(len(lengths))]
+        specs.append(MaskSpec(policy, spans_from_lengths(lengths, codes), pad_start, seq_len))
+    return random_tokens(gen, PROBE, rows, seq_len), specs
+
+
+@pytest.mark.parametrize("dtype", toy.DTYPES)
+@pytest.mark.parametrize("policy", list(MaskPolicy))
+def test_forward_only_logits_are_bit_identical(dtype, policy):
+    params = toy.init(replace(PROBE, dtype=dtype))
+    tokens, specs = _probe_chunk(policy)
+    out = toy.forward(params, tokens, specs)
+    cached, cache = toy._forward_with_cache(params, tokens, specs)
+    assert len(cache["blocks"]) == PROBE.n_layers
+    assert out.ntp_logits.dtype == out.mtp_logits.dtype == np.dtype(dtype)
+    assert out.ntp_logits.tobytes() == cached.ntp_logits.tobytes()
+    assert out.mtp_logits.tobytes() == cached.mtp_logits.tobytes()
+    assert toy._forward_with_cache(params, tokens, specs, keep=False)[1] is None
+
+
+def _traced_peak(run) -> int:
+    run()  # the rotary table is built once, outside the trace
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_only_peak_is_at_most_half_the_cached_pass():
+    params = toy.init(replace(PROBE, dtype="float32"))
+    tokens, specs = _probe_chunk(MaskPolicy.XLDA_FULL_CAUSAL)
+    forward_only = _traced_peak(lambda: toy.forward(params, tokens, specs))
+    cached = _traced_peak(lambda: toy._forward_with_cache(params, tokens, specs))
+    assert forward_only <= cached / 2, (forward_only, cached)
+    # each estimate covers what its pass holds
+    interpreter = 64 << 20
+    assert forward_only < toy.working_set_bytes(params.config, 32, 128,
+                                                 backward=False) - interpreter
+    ntp, mtp = shifted_labels(tokens)
+    step = _traced_peak(lambda: toy.loss_and_grads(params, tokens, specs, ntp, mtp, 0.2))
+    assert step < toy.working_set_bytes(params.config, 32, 128) - interpreter
+
+
 # --- tiled attention against the dense oracle --------------------------------
 
 
-def _dense_attention_fwd(x, masks, p, prefix, config, rot):
-    """The full L x L masked softmax the tiled attention replaced."""
+def _dense_attention_fwd(x, masks, p, prefix, config, rot, keep):
+    """The full L x L masked softmax the tiled attention replaced; it keeps
+    its cache whatever ``keep`` says."""
     b, l, d = x.shape
     h, hd = config.n_heads, config.head_dim
     q = (x @ p[f"{prefix}.wq"]).reshape(b, l, h, hd)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -322,3 +323,21 @@ def test_transfer_infeasible_budget_is_error():
         TransferSpec(steps=-1)
     with pytest.raises(ConfigError, match="vocab_size"):
         TransferSpec(vocab_size=16, n_keys=8)
+
+
+def test_transfer_working_set_bounds_a_traced_run():
+    """The estimate charges the training batch with its caches and the
+    32-window evaluation chunk as a forward-only pass; it stays an upper
+    bound on what a default-shape run allocates."""
+    spec = TransferSpec(steps=2)
+    config = spec.model_config()
+    assert spec.working_set_bytes() == max(
+        toy.working_set_bytes(config, spec.batch_sequences, spec.seq_len),
+        toy.working_set_bytes(config, 32, spec.seq_len, backward=False))
+    tracemalloc.start()
+    try:
+        transfer_experiment(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < spec.working_set_bytes() - (64 << 20)
