@@ -3,7 +3,7 @@
 Library layout:
 
 * ``corpus`` — record ingestion and corpus statistics
-* ``quality`` — quantile quality filtering and score binarization
+* ``quality`` — quantile quality filtering
 * ``sampling`` — language sampling distribution, mixture plans, constraint flags
 * ``packing`` — fixed-length sequence packing with span metadata and labels
 * ``masks`` — attention-mask policies over packed spans

@@ -305,11 +305,13 @@ def _cmd_filter(args, run: RunConfig) -> int:
 
 
 def _cmd_plan(args, run: RunConfig) -> int:
+    report = None
     if args.stats:
         raw = Path(args.stats).read_bytes().removeprefix(codecs.BOM_UTF8)  # at the start only
         stats = corpus.CorpusStats.from_json(corpus.parse_json_object(raw))
     else:
-        stats = corpus.stats(corpus.ingest(args.corpus))
+        report = corpus.IngestReport()
+        stats = corpus.stats(corpus.ingest(args.corpus, report=report))
     config = _sampler_from(run, fallback_langs=stats.languages())
     dist = sampling.language_distribution(config, stats)
     plan = sampling.MixturePlan(shares=dist)
@@ -328,11 +330,15 @@ def _cmd_plan(args, run: RunConfig) -> int:
             f"tokens={stats.per_language[code].tokens}"
         )
     text.append(f"rho: {config.rho}")
+    if report is not None:
+        payload["malformed_lines"] = report.skipped
+        text.append(f"malformed lines skipped: {report.skipped}")
     return _finish(args, run, {"result": payload}, text)
 
 
 def _cmd_pack(args, run: RunConfig) -> int:
-    docs = list(corpus.ingest(args.input))
+    ingest_report = corpus.IngestReport()
+    docs = list(corpus.ingest(args.input, report=ingest_report))
     langs = sorted({d.lang.code for d in docs})
     sampler = _sampler_from(run, fallback_langs=langs)
     config = packing.PackerConfig(
@@ -346,13 +352,15 @@ def _cmd_pack(args, run: RunConfig) -> int:
     report = packing.PackReport()
     sequences = list(packing.pack_stream(docs, sampler, config, distribution, report))
     packing.write_packed(args.output, sequences, config)
-    payload = {"report": report.to_json(), "output": str(args.output)}
+    payload = {"report": report.to_json(), "output": str(args.output),
+               "malformed_lines": ingest_report.skipped}
     text = [
         f"sequences: {report.sequences}",
         f"tokens packed: {report.tokens_packed}",
         f"tokens dropped: {report.tokens_dropped}",
         f"tokens unconsumed: {report.tokens_unconsumed}",
         f"cross-lingual sequences: {report.cross_lingual_sequences}",
+        f"malformed lines skipped: {ingest_report.skipped}",
         f"wrote {args.output}",
     ]
     if report.stopped_early:

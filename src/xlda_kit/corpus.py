@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import DataError
 
 LANGUAGE_CLASSES = ("english", "multilingual", "math_code")
@@ -51,13 +53,17 @@ def default_language_class(code: str) -> str:
     return "english" if code == "en" else "multilingual"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Document:
-    """A language-tagged, optionally quality-scored token sequence."""
+    """A language-tagged, optionally quality-scored token sequence.
+
+    ``tokens`` may be given as any sequence of integers; it is held as one
+    read-only int64 array, so an id must lie in [0, 2**63).
+    """
 
     id: str
     lang: LanguageTag
-    tokens: tuple[int, ...]
+    tokens: np.ndarray
     score: float | None = None
 
     def __post_init__(self):
@@ -65,13 +71,31 @@ class Document:
             raise DataError("document id must be non-empty")
         if len(self.tokens) == 0:
             raise DataError(f"document {self.id!r} has no tokens")
-        if min(self.tokens) < 0:
-            t = next(t for t in self.tokens if t < 0)
+        try:
+            tokens = np.fromiter(self.tokens, np.int64, len(self.tokens))
+        except OverflowError:
+            t = next(t for t in self.tokens if not -2**63 <= t < 2**63)
+            raise DataError(f"document {self.id!r} has token id {t} outside [0, 2**63)"
+                            if t > 0 else f"document {self.id!r} has negative token id {t}"
+                            ) from None
+        if tokens.min() < 0:
+            t = tokens[np.argmax(tokens < 0)]
             raise DataError(f"document {self.id!r} has negative token id {t}")
+        tokens.flags.writeable = False
+        object.__setattr__(self, "tokens", tokens)
         if self.score is not None and not (SCORE_MIN <= self.score <= SCORE_MAX):
             raise DataError(
                 f"document {self.id!r} score {self.score} outside [{SCORE_MIN}, {SCORE_MAX}]"
             )
+
+    def __eq__(self, other):
+        if not isinstance(other, Document):
+            return NotImplemented
+        return ((self.id, self.lang, self.score) == (other.id, other.lang, other.score)
+                and np.array_equal(self.tokens, other.tokens))
+
+    def __hash__(self):
+        return hash((self.id, self.lang, self.score, len(self.tokens)))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -165,15 +189,12 @@ def _parse_record(
         tokens = tokenizer(text)
     if not isinstance(tokens, (list, tuple)):
         raise DataError(f"{schema.tokens!r} is not an array")
-    # int() would truncate JSON floats and booleans or overflow on 1e400;
-    # a tokenizer's integer types, numpy's among them, are token ids
+    # the int64 conversion would truncate JSON floats and take booleans as
+    # 0 and 1; a tokenizer's integer types, numpy's among them, are token ids
     kinds = set(map(type, tokens))
-    if kinds <= {int}:  # what json decodes: already exact ints
-        token_tuple = tuple(tokens)
-    elif any(k is bool or not issubclass(k, numbers.Integral) for k in kinds):
+    if not kinds <= {int} and any(  # json decodes exact ints: nothing to look at
+            k is bool or not issubclass(k, numbers.Integral) for k in kinds):
         raise DataError(f"non-integer token id in {schema.tokens!r}")
-    else:
-        token_tuple = tuple(map(int, tokens))
 
     score = record.get(schema.score)
     if score is not None:
@@ -181,7 +202,7 @@ def _parse_record(
             raise DataError(f"{schema.score!r} is not a number")
         score = float(score)
 
-    return Document(id=doc_id, lang=lang, tokens=token_tuple, score=score)
+    return Document(id=doc_id, lang=lang, tokens=tokens, score=score)
 
 
 def ingest(
@@ -225,19 +246,6 @@ def ingest(
             if report is not None:
                 report.documents += 1
             yield doc
-
-
-def ingest_shards(
-    paths: Sequence[str | Path],
-    schema: RecordSchema | None = None,
-    tokenizer: Callable[[str], Sequence[int]] | None = None,
-    fail_fast: bool = False,
-    report: IngestReport | None = None,
-) -> Iterator[Document]:
-    """Ingest several shards, merged in the given (deterministic) shard order."""
-    for path in paths:
-        yield from ingest(path, schema=schema, tokenizer=tokenizer,
-                          fail_fast=fail_fast, report=report)
 
 
 @dataclass(frozen=True)
@@ -313,7 +321,7 @@ def write_records(docs: Iterable[Document], path: str | Path) -> int:
                 "id": doc.id,
                 "lang": doc.lang.code,
                 "class": doc.lang.lang_class,
-                "tokens": doc.tokens,  # a tuple encodes as a JSON array
+                "tokens": doc.tokens.tolist(),
             }
             if doc.score is not None:
                 record["score"] = doc.score

@@ -268,12 +268,10 @@ class _Filler:
                     self.carry = rest  # continues at the next sequence start
                 else:
                     self.report.tokens_dropped += rest.remaining()
-            try:
-                tokens[pos : pos + take] = item.doc.tokens[item.offset : item.offset + take]
-            except OverflowError:
-                raise DataError(
-                    f"document {item.doc.id!r} has a token id outside [0, 2**32)"
-                ) from None
+            part = item.doc.tokens[item.offset : item.offset + take]
+            if part.max() > IGNORE_LABEL:  # the copy below would wrap it
+                raise DataError(f"document {item.doc.id!r} has a token id outside [0, 2**32)")
+            tokens[pos : pos + take] = part
             spans.append(
                 DocSpan(
                     start=pos,

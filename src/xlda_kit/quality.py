@@ -1,4 +1,4 @@
-"""Per-language quantile quality filtering and score binarization.
+"""Per-language quantile quality filtering.
 
 Retention fractions come in two flavors: the stage presets
 (pretrain vs anneal, per language class) and an explicit keep fraction.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .corpus import Document, SCORE_MAX, SCORE_MIN
+from .corpus import Document
 from .errors import ConfigError, DataError
 
 STAGES = ("pretrain", "anneal")
@@ -27,8 +27,6 @@ _PRESETS = {
     ("anneal", "multilingual"): 0.10,
     ("anneal", "math_code"): 1.00,
 }
-
-DEFAULT_BINARIZE_THRESHOLD = 3.0
 
 
 def stage_preset(stage: str, lang_class: str) -> float:
@@ -65,12 +63,3 @@ def quantile_filter(
     keep_ids = {d.id for d in ranked[:k]}
     return [d for d in docs if d.id in keep_ids]
 
-
-def binarize(score: float, threshold: float = DEFAULT_BINARIZE_THRESHOLD) -> str:
-    """Collapse a quality score to ``positive``/``negative`` at the threshold.
-
-    The threshold is inclusive: a score exactly at it is positive.
-    """
-    if not (SCORE_MIN <= score <= SCORE_MAX):
-        raise DataError(f"score {score} outside [{SCORE_MIN}, {SCORE_MAX}]")
-    return "positive" if score >= threshold else "negative"

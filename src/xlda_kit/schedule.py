@@ -26,10 +26,6 @@ class ScheduleConfig:
     batch_end_tokens: int = 2_000_000
     batch_ramp_tokens: int = 1_000_000_000_000
     seq_len: int = 4096
-    wd_main: float = 0.1
-    wd_anneal: float = 0.033
-    mtp_alpha_main: float = 0.2
-    mtp_alpha_anneal: float = 0.1
 
     def __post_init__(self):
         if self.peak_lr <= 0:
@@ -86,15 +82,6 @@ def batch_size_at(config: ScheduleConfig, tokens_seen: int) -> int:
         config.batch_end_tokens - config.batch_start_tokens
     )
     return max(config.seq_len, int(raw) // config.seq_len * config.seq_len)
-
-
-def anneal_params(config: ScheduleConfig, stage: str) -> tuple[float, float]:
-    """(weight decay, MTP loss weight) for the main or annealing stage."""
-    if stage == "main":
-        return (config.wd_main, config.mtp_alpha_main)
-    if stage == "anneal":
-        return (config.wd_anneal, config.mtp_alpha_anneal)
-    raise ConfigError(f"stage must be 'main' or 'anneal': {stage!r}")
 
 
 def lr_scale_factor(compute_ratio: float) -> float:

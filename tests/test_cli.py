@@ -624,6 +624,28 @@ def test_invalid_utf8_line_is_skipped_by_filter(tmp_path, capsys):
     assert "malformed lines skipped: 1" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["pack", "--output", "OUT", "--seq-len", "16", "--input"],
+    ["plan", "--corpus"],
+])
+def test_pack_and_plan_count_malformed_lines(tmp_path, capsys, argv):
+    src = tmp_path / "raw.jsonl"
+    write_corpus(src, n_en=5, n_ko=5)
+    argv = [str(tmp_path / "o.xlda") if a == "OUT" else a for a in argv] + [str(src)]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert "malformed lines skipped: 0" in out
+    clean = out
+    with src.open("ab") as fh:  # a truncated record and an invalid byte
+        fh.write(b'{"id":"k9","lang":"ko","tokens":[1,2\n\xff\n')
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == clean.replace("malformed lines skipped: 0", "malformed lines skipped: 2")
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0, err
+    assert json.loads(out)["result"]["malformed_lines"] == 2
+
+
 def test_leading_byte_order_mark_costs_no_record(tmp_path, capsys):
     bom = b"\xef\xbb\xbf"
     src = tmp_path / "raw.jsonl"
@@ -768,10 +790,26 @@ _VALUES = st.one_of(
 )
 
 
+def _small(value: str) -> bool:
+    try:
+        return int(value) <= 64
+    except ValueError:
+        return True
+
+
+# a model shape from a default string such as "1000000" or "4096" would
+# start a training run of several GiB
+_MODEL_SHAPES = {("model", key) for key in ("n_layers", "d_model", "d_ff", "n_heads",
+                                            "vocab_size")}
+_SHAPE_VALUES = _VALUES.filter(_small)
+
+
 @settings(max_examples=120, deadline=None)
-@given(entries=st.lists(st.tuples(
-    st.one_of(st.sampled_from(_REAL_KEYS), st.sampled_from(_REAL_KEYS), _JUNK_KEYS),
-    _VALUES), max_size=5))
+@given(entries=st.lists(
+    st.one_of(st.sampled_from(_REAL_KEYS), st.sampled_from(_REAL_KEYS), _JUNK_KEYS).flatmap(
+        lambda key: st.tuples(st.just(key),
+                              _SHAPE_VALUES if key in _MODEL_SHAPES else _VALUES)),
+    max_size=5))
 def test_random_ini_file_exits_0_or_2(settings_dir, entries):
     sections: dict[str, dict[str, str]] = {}
     for (section, key), value in entries:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from xlda_kit.corpus import (
     LanguageTag,
     RecordSchema,
     ingest,
-    ingest_shards,
     stats,
     write_records,
 )
@@ -22,6 +22,13 @@ def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def ids(doc):
+    """A document's token ids, after checking they are its read-only int64 buffer."""
+    assert isinstance(doc.tokens, np.ndarray) and doc.tokens.dtype == np.int64
+    assert doc.tokens.ndim == 1 and not doc.tokens.flags.writeable
+    return doc.tokens.tolist()
+
+
 def test_ingest_basic_line(tmp_path):
     f = tmp_path / "corpus.jsonl"
     write_lines(f, ['{"id":"d1","lang":"ko","tokens":[5,9,2]}'])
@@ -29,7 +36,7 @@ def test_ingest_basic_line(tmp_path):
     assert len(docs) == 1
     assert docs[0].id == "d1"
     assert docs[0].lang.code == "ko"
-    assert docs[0].tokens == (5, 9, 2)
+    assert ids(docs[0]) == [5, 9, 2]
 
 
 def test_ingest_empty_language_tag_is_error(tmp_path):
@@ -81,7 +88,7 @@ def test_ingest_text_with_tokenizer(tmp_path):
     f = tmp_path / "corpus.jsonl"
     write_lines(f, ['{"id":"t1","lang":"en","text":"ab"}'])
     docs = list(ingest(f, tokenizer=lambda s: [ord(c) for c in s]))
-    assert docs[0].tokens == (97, 98)
+    assert ids(docs[0]) == [97, 98]
 
 
 def test_ingest_text_without_tokenizer_is_line_error(tmp_path):
@@ -233,15 +240,6 @@ def test_negative_token_id_is_line_error_naming_the_first(tmp_path):
     assert str(exc.value) == "document 'd2' has negative token id -3"
 
 
-def test_ingest_shards_merges_in_order(tmp_path):
-    a = tmp_path / "a.jsonl"
-    b = tmp_path / "b.jsonl"
-    write_lines(a, ['{"id":"a1","lang":"en","tokens":[1]}'])
-    write_lines(b, ['{"id":"b1","lang":"en","tokens":[2]}'])
-    docs = list(ingest_shards([a, b]))
-    assert [d.id for d in docs] == ["a1", "b1"]
-
-
 def test_ingest_invalid_utf8_is_line_error(tmp_path):
     f = tmp_path / "corpus.jsonl"
     f.write_bytes(b'{"id":"d1","lang":"en","tokens":[1]}\n'
@@ -287,8 +285,7 @@ def test_tokenizer_integer_types_are_token_ids(tmp_path):
                    lambda s: tuple(ord(c) for c in s),
                    lambda s: [_IntSubclass(ord(c)) for c in s]):
         docs = list(ingest(f, tokenizer=lambda s: list(to_ids(s))))
-        assert [d.tokens for d in docs] == [(97, 98), (99, 100)]
-        assert all(type(t) is int for d in docs for t in d.tokens)
+        assert [ids(d) for d in docs] == [[97, 98], [99, 100]]
 
 
 def test_tokenizer_float_token_ids_are_line_errors(tmp_path):
@@ -337,5 +334,91 @@ def test_ingest_corrupted_file_gives_line_errors_or_data_error(tmp_path_factory,
         assert "duplicate document id" in str(exc)
         return
     assert report.documents == len(docs)
-    assert all(isinstance(d, Document) and d.tokens for d in docs)
-    assert all(type(t) is int for d in docs for t in d.tokens)
+    assert all(isinstance(d, Document) and len(ids(d)) > 0 for d in docs)
+
+
+_BIG = 2**63 - 1
+
+
+@pytest.mark.parametrize("given", [
+    (5, 0, _BIG), [5, 0, _BIG], [np.uint64(5), np.int32(0), np.int64(_BIG)],
+    np.array([5, 0, _BIG], dtype=np.uint64),
+], ids=["tuple", "list", "numpy-ints", "numpy-array"])
+def test_document_tokens_are_a_read_only_int64_buffer(given):
+    en = LanguageTag("en")
+    d = Document("d", en, given)
+    assert ids(d) == [5, 0, _BIG]
+    with pytest.raises(ValueError):
+        d.tokens[0] = 1
+    # equal whatever type the ids came in, and unequal when one id differs
+    assert d == Document("d", en, (5, 0, _BIG)) and hash(d) == hash(Document("d", en, [5, 0, _BIG]))
+    assert d != Document("d", en, (5, 0, _BIG - 1)) and d != Document("d", en, (5, 0))
+    assert d != Document("d", en, (5, 0, _BIG), score=1.0) and d != Document("e", en, (5, 0, _BIG))
+    source = [1, 2]
+    held = Document("h", en, source)
+    source[0] = 9  # the buffer is a copy
+    assert ids(held) == [1, 2]
+
+
+def test_token_id_of_2_to_the_63_or_more_is_line_error_naming_the_document(tmp_path):
+    f = tmp_path / "corpus.jsonl"
+    write_lines(f, [f'{{"id":"d1","lang":"en","tokens":[{_BIG}]}}',
+                    f'{{"id":"d2","lang":"en","tokens":[1,{2**63},2]}}',
+                    f'{{"id":"d3","lang":"en","tokens":[3,{-2**63 - 1}]}}',
+                    '{"id":"d4","lang":"en","tokens":[4]}'])
+    report = IngestReport()
+    assert [ids(d) for d in ingest(f, report=report)] == [[_BIG], [4]]
+    assert [str(e) for e in report.errors] == [
+        f"line 2: document 'd2' has token id {2**63} outside [0, 2**63)",
+        f"line 3: document 'd3' has negative token id {-2**63 - 1}"]
+    with pytest.raises(DataError) as exc:
+        list(ingest(f, fail_fast=True))
+    assert str(exc.value) == f"line 2: document 'd2' has token id {2**63} outside [0, 2**63)"
+    report = IngestReport()
+    write_lines(f, ['{"id":"t1","lang":"en","text":"ab"}'])
+    assert list(ingest(f, report=report, tokenizer=lambda s: [np.uint64(2**63)])) == []
+    assert [str(e) for e in report.errors] == [
+        f"line 1: document 't1' has token id {2**63} outside [0, 2**63)"]
+
+
+def test_ingest_write_ingest_is_byte_identical(tmp_path):
+    gen = np.random.Generator(np.random.Philox(key=np.array([13, 0], dtype=np.uint64)))
+    lines = []
+    for i in range(200):
+        code, lang_class = (("en", "english"), ("ko", "multilingual"), ("ja", "math_code"))[i % 3]
+        record = {"id": f"d{i}\u00e9" if i % 7 == 0 else f"d{i}", "lang": code,
+                  "class": lang_class,
+                  "tokens": gen.integers(0, _BIG, int(gen.integers(1, 40)), endpoint=True).tolist()}
+        if i % 5:
+            record["score"] = round(float(gen.uniform(0, 5)), 3)
+        lines.append(json.dumps(record, separators=(",", ":")))
+    original = tmp_path / "original.jsonl"
+    write_lines(original, lines)
+    docs = list(ingest(original))
+    assert len(docs) == 200 and max(max(ids(d)) for d in docs) > 2**62
+    written = tmp_path / "written.jsonl"
+    assert write_records(docs, written) == 200
+    assert written.read_bytes() == original.read_bytes()
+    assert list(ingest(written)) == docs
+
+
+def test_held_documents_cost_at_most_16_bytes_per_token(tmp_path):
+    gen = np.random.Generator(np.random.Philox(key=np.array([17, 0], dtype=np.uint64)))
+    f = tmp_path / "corpus.jsonl"
+    lines, total = [], 0
+    while total < 200_000:
+        n = int(gen.integers(50, 151))  # about 100 tokens a document
+        code = ("en", "ko", "ja", "de", "th")[len(lines) % 5]
+        lines.append(json.dumps({"id": f"{code}-{len(lines):07d}", "lang": code,
+                                 "score": round(float(gen.uniform(0, 5)), 3),
+                                 "tokens": gen.integers(0, 250_000, n).tolist()}))
+        total += n
+    write_lines(f, lines)
+    tracemalloc.start()
+    try:
+        docs = list(ingest(f))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, docs)) == total
+    assert held / total <= 16, f"{held / total:.1f} B per token"

@@ -270,11 +270,16 @@ def test_packed_file_bytes_identical_across_writes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("bad", [IGNORE_LABEL, 2**32, 2**70])
+@pytest.mark.parametrize("bad", [IGNORE_LABEL, 2**32, 2**70, 2**33 - 1, 2**32 + 7])
 def test_token_id_outside_uint32_or_ignore_label_is_data_error(bad):
-    docs = [doc("e0", EN, [1, 2, 3]), doc("k0", KO, [4, bad, 6])]
-    with pytest.raises(DataError, match="'k0'"):
+    # 2**33 - 1 and 2**32 + 7 would wrap to the ignore label and to 7 in a
+    # uint32 window; 2**70 does not fit the document's int64 buffer
+    message = ("has token id 4294967295, which is reserved" if bad == IGNORE_LABEL
+               else "outside [0, 2**63)" if bad >= 2**63 else "outside [0, 2**32)")
+    with pytest.raises(DataError) as exc:
+        docs = [doc("e0", EN, [1, 2, 3]), doc("k0", KO, [4, bad, 6])]
         list(pack_stream(docs, sampler(), PackerConfig(seq_len=8)))
+    assert str(exc.value).startswith("document 'k0' ") and message in str(exc.value)
 
 
 def test_largest_non_reserved_token_id_packs():

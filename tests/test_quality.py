@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from xlda_kit.corpus import Document, LanguageTag
 from xlda_kit.errors import ConfigError, DataError
-from xlda_kit.quality import binarize, quantile_filter, stage_preset
+from xlda_kit.quality import quantile_filter, stage_preset
 
 EN = LanguageTag("en", "english")
 
@@ -87,13 +87,3 @@ def test_quantile_filter_properties(scores, keep):
     # filtering the retained set with keep 1.0 is the identity
     assert quantile_filter(kept, 1.0) == kept
 
-
-def test_binarize_boundaries():
-    assert binarize(3.0) == "positive"
-    assert binarize(0) == "negative"
-    assert binarize(5) == "positive"
-    assert binarize(2.999) == "negative"
-    with pytest.raises(DataError):
-        binarize(5.5)
-    with pytest.raises(DataError):
-        binarize(-0.1)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from xlda_kit.errors import ConfigError
 from xlda_kit.schedule import (
     ScheduleConfig,
-    anneal_params,
     batch_size_at,
     compute_ratio,
     lr_at,
@@ -121,20 +120,6 @@ def test_batch_ramp_monotone_multiple_of_seq_len(start, extra, seq_len, points):
     values = [batch_size_at(cfg, t) for t in sorted(points)]
     assert all(v % seq_len == 0 and v > 0 for v in values)
     assert values == sorted(values)
-
-
-def test_anneal_params_reference_values():
-    cfg = ScheduleConfig()
-    assert anneal_params(cfg, "main") == (0.1, 0.2)
-    assert anneal_params(cfg, "anneal") == (0.033, 0.1)
-    with pytest.raises(ConfigError):
-        anneal_params(cfg, "cooldown")
-
-
-def test_anneal_params_custom_roundtrip():
-    cfg = ScheduleConfig(wd_main=0.2, wd_anneal=0.05, mtp_alpha_main=0.3, mtp_alpha_anneal=0.15)
-    assert anneal_params(cfg, "main") == (0.2, 0.3)
-    assert anneal_params(cfg, "anneal") == (0.05, 0.15)
 
 
 def test_scale_factors_identity_and_power():
