@@ -9,6 +9,7 @@ tokenizes on its own.
 from __future__ import annotations
 
 import codecs
+import functools
 import itertools
 import json
 import numbers
@@ -42,6 +43,13 @@ class LanguageTag:
             raise DataError(
                 f"language class must be one of {LANGUAGE_CLASSES}: {self.lang_class!r}"
             )
+
+
+@functools.lru_cache(maxsize=1024)
+def _language_tag(code: str, lang_class: str) -> LanguageTag:
+    """The one tag of a (code, class) pair, shared by every record that
+    names it. A bad pair raises on every call: an error is not cached."""
+    return LanguageTag(code, lang_class)
 
 
 def default_language_class(code: str) -> str:
@@ -177,7 +185,9 @@ def _parse_record(
     lang_class = record.get(schema.lang_class)
     if lang_class is None:
         lang_class = default_language_class(code)
-    lang = LanguageTag(code=code, lang_class=lang_class)
+    # a class that is not a string (a JSON array, say) cannot be a cache key
+    lang = (_language_tag(code, lang_class) if isinstance(lang_class, str)
+            else LanguageTag(code=code, lang_class=lang_class))
 
     tokens = record.get(schema.tokens)
     if tokens is None:

@@ -16,9 +16,9 @@ fixed tiles of ``ATTENTION_TILE`` query rows. Each tile scores only its key
 band, the keys some row of the tile may attend to in some sequence: from the
 smallest ``masks.earliest_keys`` of its rows to its last non-padding row, so
 under ``intra`` and ``bridge`` the cost follows the allowed span pairs
-instead of L * L. ``masks.allowed_block`` gives the band's cells, turned once
-per forward into an additive 0/-inf mask that every block shares (see
-``_band_attention``); tiles with only padding rows are skipped.
+instead of L * L. The band's cells follow ``masks.allowed_block``'s rule,
+turned once per forward into an additive 0/-inf mask that every block
+shares (see ``_band_attention``); tiles with only padding rows are skipped.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DataError
-from .masks import MaskPolicy, MaskSpec, allowed_block, earliest_keys, spans_from_lengths
+from .masks import MaskPolicy, MaskSpec, earliest_keys, spans_from_lengths
 from .packing import IGNORE_LABEL, make_labels
 
 Array = np.ndarray
@@ -100,7 +100,7 @@ class Parameters:
 @dataclass
 class ForwardOutput:
     ntp_logits: Array  # [B, L, V]
-    mtp_logits: Array
+    mtp_logits: Array | None  # None from forward(..., mtp=False)
 
 
 _BLOCK_NORMS = ("attn_norm_in", "attn_norm_out", "ffn_norm_in", "ffn_norm_out")
@@ -244,10 +244,20 @@ def _key_bands(specs: Sequence[MaskSpec], dtype=np.float64) -> list[_Band]:
     A tile's band runs from the earliest key any of its non-padding rows may
     attend to up to its last non-padding row. Tiles with no non-padding row
     in any sequence are left out; their attention output is zero. Each
-    band's mask is an additive bias of ``dtype``.
+    band's mask is an additive bias of ``dtype``, built for the whole batch
+    at once by the rule of ``allowed_block``, each row under its own policy.
     """
     seq_len = specs[0].seq_len
     firsts = [earliest_keys(s) for s in specs]
+    pads = np.array([s.pad_start for s in specs])[:, None, None]
+    # per row: does the policy allow every causal pair, or pairs across languages
+    free = np.array([s.policy is MaskPolicy.XLDA_FULL_CAUSAL for s in specs])[:, None, None]
+    bridge = np.array([s.policy is MaskPolicy.CROSS_LINGUAL_BRIDGE
+                       for s in specs])[:, None, None]
+    by_doc = not free.all()
+    if by_doc:
+        doc, lang = (np.stack(ids) for ids in zip(*(s.segments for s in specs)))
+    zero, masked = np.array(0.0, dtype), np.array(-np.inf, dtype)
     bands = []
     for qs in range(0, seq_len, ATTENTION_TILE):
         qe = min(qs + ATTENTION_TILE, seq_len)
@@ -257,9 +267,15 @@ def _key_bands(specs: Sequence[MaskSpec], dtype=np.float64) -> list[_Band]:
             continue
         ks = min(k for k, _ in live)
         ke = max(k for _, k in live)
-        allowed = np.stack([allowed_block(s, qs, qe, ks, ke) for s in specs])
-        bias = np.where(allowed[:, None], 0.0, -np.inf).astype(dtype)
-        bands.append(_Band(qs, qe, ks, ke, bias=bias))
+        q = np.arange(qs, qe)[:, None]
+        k = np.arange(ks, ke)
+        allowed = (k <= q) & (q < pads) & (k < pads)  # [B, tq, tk]
+        if by_doc:
+            rule = free | (doc[:, qs:qe, None] == doc[:, None, ks:ke])
+            if bridge.any():
+                rule |= bridge & (lang[:, qs:qe, None] != lang[:, None, ks:ke])
+            allowed &= rule
+        bands.append(_Band(qs, qe, ks, ke, bias=np.where(allowed[:, None], zero, masked)))
     return bands
 
 
@@ -439,11 +455,13 @@ def _check_tokens(tokens: Array, vocab_size: int):
 
 
 def _forward_with_cache(params: Parameters, tokens: Array | Sequence[int],
-                        masks: MaskSpec | Sequence[MaskSpec], keep: bool = True):
+                        masks: MaskSpec | Sequence[MaskSpec], keep: bool = True,
+                        mtp: bool = True):
     """The forward pass, and the cache ``loss_and_grads`` runs the backward
     pass from. Unless ``keep``, nothing is held for a backward pass: no band
     keeps its attention weights, each block's cache is dropped once the next
-    block has its input, and the cache returned is None."""
+    block has its input, and the cache returned is None. Unless ``mtp``, the
+    MTP block and head are not run and the MTP logits are None."""
     cfg = params.config
     p = params.tensors
     tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
@@ -466,8 +484,10 @@ def _forward_with_cache(params: Parameters, tokens: Array | Sequence[int],
         x, c_block = held(_block_fwd(x, bands, p, f"blocks.{i}", cfg, rot, keep))
         block_caches.append(c_block)
     ntp_logits, c_ntp_head = held(_head_fwd(x, p, "ntp_norm", cfg.norm_eps))
-    mtp_x, c_mtp_block = held(_block_fwd(x, bands, p, "mtp_block", cfg, rot, keep))
-    mtp_logits, c_mtp_head = held(_head_fwd(mtp_x, p, "mtp_norm", cfg.norm_eps))
+    mtp_logits = c_mtp_block = c_mtp_head = None
+    if mtp:
+        mtp_x, c_mtp_block = held(_block_fwd(x, bands, p, "mtp_block", cfg, rot, keep))
+        mtp_logits, c_mtp_head = held(_head_fwd(mtp_x, p, "mtp_norm", cfg.norm_eps))
     cache = {"tokens": tokens, "rot": rot, "blocks": block_caches,
              "ntp_head": c_ntp_head, "mtp_block": c_mtp_block,
              "mtp_head": c_mtp_head} if keep else None
@@ -478,6 +498,8 @@ def forward(
     params: Parameters,
     tokens: Array | Sequence[int],
     mask_spec: MaskSpec | Sequence[MaskSpec],
+    *,
+    mtp: bool = True,
 ) -> ForwardOutput:
     """Run the model; attention is zero exactly where the mask disallows.
 
@@ -491,8 +513,11 @@ def forward(
     cache once the next block has its input, and no head cache is kept. Its
     peak is one block's arrays, not every block's cache (see
     ``working_set_bytes``).
+
+    With ``mtp=False`` the MTP block and head are skipped: ``ntp_logits``
+    are the same bit for bit and ``mtp_logits`` is None.
     """
-    return _forward_with_cache(params, tokens, mask_spec, keep=False)[0]
+    return _forward_with_cache(params, tokens, mask_spec, keep=False, mtp=mtp)[0]
 
 
 @dataclass

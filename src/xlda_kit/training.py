@@ -261,13 +261,34 @@ class TransferSpec:
                                n_heads=self.n_heads, vocab_size=self.vocab_size,
                                mtp_alpha=self.mtp_alpha, seed=self.seed, dtype=self.dtype)
 
+    @property
+    def train_window_count(self) -> int:
+        """Training windows packed: the optimizer loop reaches only the first
+        ``steps * batch_sequences`` of ``train_windows``."""
+        return min(self.train_windows, max(self.steps, 1) * self.batch_sequences)
+
     def working_set_bytes(self) -> int:
-        """``model.working_set_bytes`` of the larger of the two phases: a
-        training step on one batch, which holds every block's cache, and a
-        forward-only pass over one evaluation chunk, which holds none."""
+        """An upper estimate of a run's peak memory: ``model.working_set_bytes``
+        of its larger phase, plus the windows the run holds throughout.
+
+        The phases are a training step on one batch, which holds every
+        block's cache, and one forward-only evaluation pass over
+        ``_eval_rows`` packed or probe windows (about 1,024 tokens), which
+        holds none; at the default spec the training step is the larger.
+        Each held window is charged 12 bytes per position, for its tokens
+        and two label tracks, and ``_SPAN_BYTES`` for each span it may hold
+        and twice more for its own objects."""
         config = self.model_config()
-        return max(toy.working_set_bytes(config, self.batch_sequences, self.seq_len),
-                   toy.working_set_bytes(config, _EVAL_CHUNK, self.seq_len, backward=False))
+        probe_len = 2 * self.probe_facts_per_doc
+        phase = max(toy.working_set_bytes(config, self.batch_sequences, self.seq_len),
+                    *(toy.working_set_bytes(config, _eval_rows(seq_len), seq_len, backward=False)
+                      for seq_len in (self.seq_len, probe_len)))
+        # a window of whole documents may start and end with a fragment
+        spans = self.seq_len // (2 * self.train_facts_per_doc) + 2
+        packed = (self.train_window_count + self.eval_windows) * (
+            12 * self.seq_len + _SPAN_BYTES * (spans + 2))
+        probes = self.n_probe_docs * (12 * probe_len + _SPAN_BYTES * 3)
+        return phase + packed + probes
 
 
 @dataclass
@@ -372,7 +393,14 @@ def _probe_windows(spec: TransferSpec, stream_index: int) -> list[PackedSequence
     return windows
 
 
-_EVAL_CHUNK = 32  # windows per forward pass in held-out evaluation
+_EVAL_CHUNK = 32  # windows whose CE is summed as one group in held-out evaluation
+_EVAL_TOKENS = 1024  # window tokens per evaluation forward pass, beyond one window
+_SPAN_BYTES = 256  # objects of one span of a held window: 200-220 B measured
+
+
+def _eval_rows(seq_len: int) -> int:
+    """Windows of ``seq_len`` tokens per evaluation forward pass."""
+    return max(1, min(_EVAL_CHUNK, _EVAL_TOKENS // seq_len))
 
 
 def _language_ce(
@@ -381,16 +409,26 @@ def _language_ce(
     policy: MaskPolicy,
     codes: tuple[str, str],
 ) -> dict[str, float]:
-    """Mean next-token CE per language over packed sequences under a policy."""
+    """Mean next-token CE per language over packed sequences under a policy.
+
+    The CE is summed per group of ``_EVAL_CHUNK`` windows; each group runs
+    NTP-only forward passes of ``_eval_rows`` windows and sums their
+    per-token CE as one array, in window order.
+    """
     sums = {c: 0.0 for c in codes}
     counts = {c: 0 for c in codes}
     lang_to_id = {c: i for i, c in enumerate(codes)}
     for start in range(0, len(seqs), _EVAL_CHUNK):
         part = seqs[start : start + _EVAL_CHUNK]
-        batch = batch_from_sequences(part, policy)
-        out = toy.forward(params, batch.tokens, batch.specs)
-        idx, ce, _ = toy.token_ce(out.ntp_logits, batch.ntp)
-        lang_ids = np.concatenate([segment_ids(seq, lang_to_id)[1] for seq in part])[idx]
+        rows = _eval_rows(part[0].seq_len)
+        ces, langs = [], []
+        for sub in (part[r : r + rows] for r in range(0, len(part), rows)):
+            batch = batch_from_sequences(sub, policy)
+            out = toy.forward(params, batch.tokens, batch.specs, mtp=False)
+            idx, ce, _ = toy.token_ce(out.ntp_logits, batch.ntp)
+            ces.append(ce)
+            langs.append(np.concatenate([segment_ids(seq, lang_to_id)[1] for seq in sub])[idx])
+        ce, lang_ids = np.concatenate(ces), np.concatenate(langs)
         for code, lid in lang_to_id.items():
             sel = lang_ids == lid
             sums[code] += float(ce[sel].sum())
@@ -402,10 +440,7 @@ def transfer_experiment(spec: TransferSpec) -> TransferReport:
     """Train one model per mask policy on identical packed data, then compare
     held-out loss per language."""
     codes = (spec.high_lang, spec.low_lang)
-    # the optimizer loop reaches only the first steps * batch_sequences windows
-    packed_train = _packed_episodes(
-        spec, 1, min(spec.train_windows, max(spec.steps, 1) * spec.batch_sequences)
-    )
+    packed_train = _packed_episodes(spec, 1, spec.train_window_count)
     packed_eval = _packed_episodes(spec, 2, spec.eval_windows)
     probe_windows = _probe_windows(spec, 3)
 

@@ -108,6 +108,36 @@ def test_ingest_custom_schema(tmp_path):
     assert docs[0].score == 4.5
 
 
+def test_corpus_holds_one_language_tag_per_language(tmp_path):
+    f = tmp_path / "corpus.jsonl"
+    write_lines(f, [
+        '{"id":"a","lang":"en","tokens":[1]}',
+        '{"id":"b","lang":"ko","tokens":[2]}',
+        '{"id":"c","lang":"en","tokens":[3]}',
+        '{"id":"d","lang":"ko","class":"math_code","tokens":[4]}',
+        '{"id":"e","lang":"ko","tokens":[5]}',
+        '{"id":"f","lang":"KO","tokens":[6]}',
+        '{"id":"g","lang":"ko","class":["english"],"tokens":[7]}',
+        '{"id":"h","lang":"KO","tokens":[8]}',
+        '{"id":"i","lang":"ko","class":"prose","tokens":[9]}',
+        '{"id":"j","lang":"ko","class":"prose","tokens":[10]}',
+    ])
+    report = IngestReport()
+    a, b, c, d, e = ingest(f, report=report)
+    assert a.lang is c.lang and b.lang is e.lang
+    assert b.lang == LanguageTag("ko") and d.lang == LanguageTag("ko", "math_code")
+    assert [str(err) for err in report.errors] == [
+        "line 6: language code must be non-empty, lowercase, <= 8 chars: 'KO'",
+        "line 7: language class must be one of ('english', 'multilingual', 'math_code'): "
+        "['english']",
+        "line 8: language code must be non-empty, lowercase, <= 8 chars: 'KO'",
+        "line 9: language class must be one of ('english', 'multilingual', 'math_code'): "
+        "'prose'",
+        "line 10: language class must be one of ('english', 'multilingual', 'math_code'): "
+        "'prose'",
+    ]
+
+
 def test_ingest_deterministic_error_report(tmp_path):
     f = tmp_path / "corpus.jsonl"
     write_lines(f, [

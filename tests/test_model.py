@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from xlda_kit import model as toy
 from xlda_kit.errors import ConfigError, DataError
-from xlda_kit.masks import MaskPolicy, MaskSpec, materialize_dense, spans_from_lengths
+from xlda_kit.masks import (MaskPolicy, MaskSpec, allowed_block, materialize_dense,
+                            spans_from_lengths)
 from xlda_kit.packing import IGNORE_LABEL
 
 TINY = toy.ModelConfig(
@@ -413,6 +414,18 @@ def test_forward_only_logits_are_bit_identical(dtype, policy):
     assert toy._forward_with_cache(params, tokens, specs, keep=False)[1] is None
 
 
+@pytest.mark.parametrize("dtype", toy.DTYPES)
+@pytest.mark.parametrize("policy", list(MaskPolicy))
+def test_forward_without_mtp_gives_the_same_ntp_logits(dtype, policy):
+    params = toy.init(replace(PROBE, dtype=dtype))
+    tokens, specs = _probe_chunk(policy, rows=8)
+    ntp_only = toy.forward(params, tokens, specs, mtp=False)
+    assert ntp_only.mtp_logits is None
+    assert ntp_only.ntp_logits.tobytes() == toy.forward(params, tokens, specs).ntp_logits.tobytes()
+    with pytest.raises(TypeError):
+        toy.forward(params, tokens, specs, False)  # mtp is keyword-only
+
+
 def _traced_peak(run) -> int:
     run()  # the rotary table is built once, outside the trace
     tracemalloc.start()
@@ -627,6 +640,34 @@ def test_key_bands_match_dense_reach(specs):
                                    band.ke - band.ks)
         assert ((band.bias[:, 0] == 0)
                 == masks[:, band.qs:band.qe, band.ks:band.ke]).all()
+
+
+@st.composite
+def _one_span_batches(draw, max_len=80):
+    """1-3 specs of one length whose live part is a single document."""
+    seq_len = draw(st.integers(1, max_len))
+    specs = []
+    for _ in range(draw(st.integers(1, 3))):
+        pad_start = draw(st.integers(0, seq_len))
+        lengths = [pad_start] if pad_start else []
+        specs.append(MaskSpec(draw(st.sampled_from(list(MaskPolicy))),
+                              spans_from_lengths(lengths, ["ko"] * len(lengths)),
+                              pad_start, seq_len))
+    return specs
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs=st.one_of(_spec_batches(max_len=300), _one_span_batches()),
+       dtype=st.sampled_from(toy.DTYPES))
+def test_key_bands_match_stacked_allowed_block(specs, dtype):
+    """Each band's bias, built for the whole batch at once, is the additive
+    form of every row's ``allowed_block`` under that row's own policy."""
+    for band in toy._key_bands(specs, np.dtype(dtype)):
+        allowed = np.stack([allowed_block(s, band.qs, band.qe, band.ks, band.ke)
+                            for s in specs])
+        want = np.where(allowed[:, None], 0.0, -np.inf).astype(dtype)
+        assert band.bias.dtype == want.dtype
+        assert band.bias.tobytes() == want.tobytes()
 
 
 def test_mask_spec_count_or_length_mismatch_is_error():
