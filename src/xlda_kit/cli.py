@@ -349,6 +349,8 @@ def _cmd_pack(args, run: RunConfig) -> int:
     # the packer falls back to size-proportional shares for a beta that does
     # not name the corpus languages; the CLI rejects that beta as `plan` does
     distribution = sampling.language_distribution(sampler, corpus.stats(docs))
+    _check_memory(packing.working_set_bytes(docs, config.seq_len),
+                  "shrink --seq-len or split the corpus", "packing")
     report = packing.PackReport()
     sequences = list(packing.pack_stream(docs, sampler, config, distribution, report))
     packing.write_packed(args.output, sequences, config)
@@ -485,11 +487,12 @@ def _available_memory(meminfo: str = "/proc/meminfo") -> int:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_memory(need: int, advice: str) -> None:
-    """Refuse a run the machine cannot hold before allocating any of it."""
+def _check_memory(need: int, advice: str, work: str = "training") -> None:
+    """Refuse a run the machine cannot hold before its large allocations;
+    ``work`` names what needs the memory in the message."""
     available = _available_memory()
     if need > available:
-        raise ConfigError(f"training needs about {need / 2**30:.1f} GiB, more than the "
+        raise ConfigError(f"{work} needs about {need / 2**30:.1f} GiB, more than the "
                           f"{available / 2**30:.1f} GiB of available memory; {advice}")
 
 

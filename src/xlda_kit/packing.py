@@ -364,6 +364,32 @@ def pack_stream(
     report.tokens_unconsumed = filler.leftover_tokens()
 
 
+SPAN_BYTES = 256  # objects of one span of a held window: 200-220 B measured
+_DOC_BYTES = 1024  # objects of one document held through a pack: 450-800 B measured
+_WINDOW_BYTES = 1024  # objects of one window beyond its token arrays: 300-370 B measured
+_PARSE_BYTES = 192  # per id of the record being parsed, text and ints: 57-150 B measured
+
+
+def working_set_bytes(docs: Sequence[Document], seq_len: int) -> int:
+    """An upper estimate of a ``pack`` run's peak memory over ``docs``.
+
+    64 MiB for the interpreter; for each document held, 8 bytes per token
+    and ``_DOC_BYTES``, plus ``_PARSE_BYTES`` per token of the longest one,
+    whose record is parsed while the others are held; for each of at most
+    ``max(1, ceil(tokens / seq_len))`` windows (every window but the last is
+    full), 8 bytes per position, for its tokens and the writer's copy of
+    them, and ``_WINDOW_BYTES``; and ``SPAN_BYTES`` for each of at most
+    ``len(docs) + windows`` spans, since a window's end cuts at most one
+    document in two.
+    """
+    lengths = [len(doc.tokens) for doc in docs]
+    tokens = sum(lengths)
+    windows = max(1, -(-tokens // seq_len))
+    return ((64 << 20) + 8 * tokens + _PARSE_BYTES * max(lengths, default=0)
+            + _DOC_BYTES * len(docs) + windows * (8 * seq_len + _WINDOW_BYTES)
+            + SPAN_BYTES * (len(docs) + windows))
+
+
 # ---------------------------------------------------------------------------
 # Packed-batch binary file format, version 3 (all integers little-endian)
 #
@@ -470,11 +496,12 @@ def _columns(data: mmap.mmap, pos: int, seq_len: int, count: int, n_langs: int):
     fixed = count * (2 + seq_len) * _U32.itemsize
     if fixed > len(data) - pos:
         raise DataError(f"file ends early (truncated): header says {count} sequences")
-    pads = np.frombuffer(data, _U32, count, pos).astype(np.int64)
-    counts = np.frombuffer(data, _U32, count, pos + 4 * count).astype(np.int64)
+    pads = np.frombuffer(data, _U32, count, pos)
+    counts = np.frombuffer(data, _U32, count, pos + 4 * count)
     if (i := _first(counts > seq_len)) is not None:
         raise DataError(f"span count {counts[i]} above seq_len {seq_len}")
-    edges = np.concatenate(([0], np.cumsum(counts)))
+    edges = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(counts, dtype=np.int64, out=edges[1:])
     n_spans = int(edges[-1])
     extra = len(data) - pos - fixed - n_spans * _SPANS.itemsize
     if extra < 0:
@@ -483,7 +510,7 @@ def _columns(data: mmap.mmap, pos: int, seq_len: int, count: int, n_langs: int):
         raise DataError(f"{extra} trailing bytes after {count} sequences")
     tokens = np.frombuffer(data, _U32, count * seq_len, pos + 8 * count).reshape(count, seq_len)
     spans = np.frombuffer(data, _SPANS, n_spans, pos + fixed)
-    starts, ends = spans["start"].astype(np.int64), spans["end"].astype(np.int64)
+    starts, ends = spans["start"], spans["end"]
     if (j := _first(spans["lang"] >= n_langs)) is not None:
         raise DataError(f"language index {spans['lang'][j]} missing from the language table")
     if (j := _first(starts >= ends)) is not None:
@@ -493,17 +520,21 @@ def _columns(data: mmap.mmap, pos: int, seq_len: int, count: int, n_langs: int):
     # each span starts where the one before it in its record ends; a
     # record's first span starts at 0 and its last ends at pad_start
     filled = counts > 0
-    expected = np.concatenate(([0], ends))[:-1]
+    expected = np.zeros(n_spans, dtype=_U32)
+    expected[1:] = ends[:-1]
     expected[edges[:-1][filled]] = 0
     if (j := _first(starts != expected)) is not None:
         raise DataError(f"spans do not tile [0, pad_start): gap/overlap at {expected[j]}")
-    covered = np.zeros(count, dtype=np.int64)
+    covered = np.zeros(count, dtype=_U32)
     covered[filled] = ends[edges[1:][filled] - 1]
     if (i := _first(covered != pads)) is not None:
         raise DataError(f"spans cover [0, {covered[i]}) but pad_start is {pads[i]}")
-    hits = np.flatnonzero(tokens == IGNORE_LABEL)
-    if (hits % seq_len < pads[hits // seq_len]).any():
-        raise DataError(f"token id {IGNORE_LABEL} is reserved as the ignore label")
+    # the reserved id is the largest uint32, so one reduction clears a file
+    # that does not hold it; only one that does is searched for positions
+    if count and tokens.max() == IGNORE_LABEL:
+        hits = np.flatnonzero(tokens == IGNORE_LABEL)
+        if (hits % seq_len < pads[hits // seq_len]).any():
+            raise DataError(f"token id {IGNORE_LABEL} is reserved as the ignore label")
     return pads, tokens, spans, edges
 
 
@@ -570,7 +601,7 @@ def _read_mapped(data: mmap.mmap, path: Path, index: int | None
         rows = spans[edges[i] : edges[i + 1]].tolist()
         sequences.append(PackedSequence(
             tokens[i].copy(),
-            tuple(DocSpan(start=start, end=end, lang=tags[lang], doc_id=f"h{doc:016x}")
+            tuple(DocSpan(start, end, tags[lang], f"h{doc:016x}")
                   for start, end, lang, doc in rows),
             int(pads[i]),
             cross_doc,

@@ -129,18 +129,8 @@ def categorical_draw(
     return pool[-1]
 
 
-def constraint_flags(config: SamplerConfig, n_sequences: int) -> np.ndarray:
-    """Per-sequence "must be cross-lingual" flags: independent Bernoulli(rho)."""
-    if n_sequences < 0:
-        raise ConfigError(f"n_sequences must be >= 0: {n_sequences}")
-    flags = np.empty(n_sequences, dtype=bool)
-    for i in range(n_sequences):
-        flags[i] = constraint_flag(config, i)
-    return flags
-
-
 def constraint_flag(config: SamplerConfig, index: int) -> bool:
-    """Single constraint flag for one sequence index (same stream as
-    ``constraint_flags``)."""
+    """Whether sequence ``index`` must be cross-lingual: Bernoulli(rho), drawn
+    from its own stream."""
     gen = rng.stream(config.seed, rng.STREAM_FLAGS, index)
     return bool(gen.random() < config.rho)

@@ -17,7 +17,7 @@ from . import rng
 from .corpus import Document, LanguageTag
 from .errors import ConfigError, TrainingDivergedError
 from .masks import MaskPolicy, MaskSpec, segment_ids
-from .packing import DocSpan, PackedSequence, PackerConfig, pack_stream
+from .packing import SPAN_BYTES, DocSpan, PackedSequence, PackerConfig, pack_stream
 from .sampling import SamplerConfig
 from .schedule import ScheduleConfig, lr_at
 
@@ -276,7 +276,7 @@ class TransferSpec:
         ``_eval_rows`` packed or probe windows (about 1,024 tokens), which
         holds none; at the default spec the training step is the larger.
         Each held window is charged 12 bytes per position, for its tokens
-        and two label tracks, and ``_SPAN_BYTES`` for each span it may hold
+        and two label tracks, and ``SPAN_BYTES`` for each span it may hold
         and twice more for its own objects."""
         config = self.model_config()
         probe_len = 2 * self.probe_facts_per_doc
@@ -286,8 +286,8 @@ class TransferSpec:
         # a window of whole documents may start and end with a fragment
         spans = self.seq_len // (2 * self.train_facts_per_doc) + 2
         packed = (self.train_window_count + self.eval_windows) * (
-            12 * self.seq_len + _SPAN_BYTES * (spans + 2))
-        probes = self.n_probe_docs * (12 * probe_len + _SPAN_BYTES * 3)
+            12 * self.seq_len + SPAN_BYTES * (spans + 2))
+        probes = self.n_probe_docs * (12 * probe_len + SPAN_BYTES * 3)
         return phase + packed + probes
 
 
@@ -395,7 +395,6 @@ def _probe_windows(spec: TransferSpec, stream_index: int) -> list[PackedSequence
 
 _EVAL_CHUNK = 32  # windows whose CE is summed as one group in held-out evaluation
 _EVAL_TOKENS = 1024  # window tokens per evaluation forward pass, beyond one window
-_SPAN_BYTES = 256  # objects of one span of a held window: 200-220 B measured
 
 
 def _eval_rows(seq_len: int) -> int:

@@ -888,21 +888,29 @@ def test_bad_setting_is_a_named_error(settings_dir, tmp_path, capsys, argv, ini,
     assert "Traceback" not in err
 
 
-def test_window_too_large_to_allocate_is_a_named_error(settings_dir, tmp_path, capsys):
+def test_window_too_large_to_allocate_is_a_named_error(settings_dir, tmp_path, capsys,
+                                                       monkeypatch):
     # 10**13 uint32 tokens are 36.4 TiB; a 1 TiB address-space limit makes
     # the allocation fail at once whatever the host's overcommit policy
+    argv = ["pack", "--input", str(settings_dir / "corpus.jsonl"),
+            "--output", str(tmp_path / "o.xlda"), "--seq-len", "10000000000000"]
     soft, hard = resource.getrlimit(resource.RLIMIT_AS)
     cap = 1 << 40 if hard == resource.RLIM_INFINITY else min(1 << 40, hard)
     resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
     try:
-        code, out, err = run(capsys, "pack", "--input", str(settings_dir / "corpus.jsonl"),
-                             "--output", str(tmp_path / "o.xlda"),
-                             "--seq-len", "10000000000000")
+        # the memory estimate refuses the window before it is allocated
+        refused = run(capsys, *argv)
+        # a host that reports room for it gets as far as the allocation
+        monkeypatch.setattr(cli, "_available_memory", lambda: 1 << 62)
+        code, out, err = run(capsys, *argv)
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert refused[0] == 2 and not refused[1]
+    assert refused[2].startswith("error: packing needs about 74505.9 GiB, more than the ")
     assert code == 2 and not out
     assert err.startswith("error: out of memory: ")
-    assert "Traceback" not in err
+    assert "Traceback" not in refused[2] + err
+    assert not (tmp_path / "o.xlda").exists()
 
 
 def test_train_toy_beyond_physical_memory_is_a_config_error(settings_dir, tmp_path, capsys,
@@ -927,6 +935,43 @@ def test_train_toy_beyond_physical_memory_is_a_config_error(settings_dir, tmp_pa
     assert code == 2 and not out
     assert err.startswith("error: training needs about ") and "Traceback" not in err
     assert peak < 16 << 20
+
+
+@pytest.mark.parametrize("seq_len", [16, 65536])
+def test_pack_working_set_bounds_a_traced_run(tmp_path, capsys, monkeypatch, seq_len):
+    """The estimate charges the documents held, the longest one's parse, the
+    windows with the writer's copy of their tokens, and their spans; it
+    stays an upper bound on what a `pack` allocates."""
+    write_corpus(tmp_path / "corpus.jsonl", n_en=400, n_ko=400, seed=5, max_id=60)
+    argv = ["pack", "--input", str(tmp_path / "corpus.jsonl"),
+            "--output", str(tmp_path / "o.xlda"), "--seq-len", str(seq_len)]
+    assert run(capsys, *argv)[0] == 0  # imports and first-use caches stay out of the count
+    needs = []
+    real_check = cli._check_memory
+    monkeypatch.setattr(cli, "_check_memory", lambda need, *rest: needs.append(need)
+                        or real_check(need, *rest))
+    tracemalloc.start()
+    try:
+        code = run(capsys, *argv)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(needs) == 1
+    assert peak < needs[0] - (64 << 20)
+
+
+def test_pack_beyond_available_memory_is_a_config_error(settings_dir, tmp_path, capsys,
+                                                       monkeypatch):
+    output = tmp_path / "o.xlda"
+    argv = ["pack", "--input", str(settings_dir / "corpus.jsonl"), "--output", str(output)]
+    # packing the tiny corpus needs about 64 MiB; a host reading of 32 MiB refuses it
+    monkeypatch.setattr(cli, "_available_memory", lambda: 32 << 20)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and not output.exists()
+    assert ("packing needs about 0.1 GiB, more than the 0.0 GiB of available memory; "
+            "shrink --seq-len or split the corpus") in err
+    monkeypatch.undo()
+    assert run(capsys, *argv)[0] == 0 and output.exists()
 
 
 def test_model_dtype_reaches_train_toy_and_transfer(settings_dir, tmp_path, capsys,

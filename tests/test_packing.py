@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import os
 import struct
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from xlda_kit.errors import ConfigError, ConstraintInfeasibleError, DataError, X
 from xlda_kit.packing import (
     DROP_TAIL_DOC,
     IGNORE_LABEL,
+    PackedSequence,
     PackReport,
     PackerConfig,
     make_labels,
@@ -557,6 +559,34 @@ def test_version_one_file_is_rejected_with_repack_hint(tmp_path):
     path.write_bytes(b"XLDA" + struct.pack("<IIQ", 1, 8, 0))
     with pytest.raises(DataError, match=r"version 1; only version 3 .*re-pack"):
         read_packed(path)
+
+
+def test_one_record_read_allocates_no_file_sized_array(tmp_path):
+    # 256 windows of 4,096 tokens: a 4 MiB token column, which the whole-file
+    # check reads but must not copy, not even as a one-byte-per-token mask
+    spans = spans_from_lengths([256] * 16, ["en"] * 16)
+    tokens = np.arange(256 * 4096, dtype=np.uint32).reshape(256, 4096)
+    config = PackerConfig(seq_len=4096)
+    path = tmp_path / "big.xlda"
+    write_packed(path, [PackedSequence(row, spans, 4096) for row in tokens], config)
+    read_packed(path, index=0)  # first-use imports and caches stay out of the count
+    tracemalloc.start()
+    try:
+        [seq], _ = read_packed(path, index=255)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(seq.tokens, tokens[255])
+    assert peak < tokens.nbytes // 8
+
+
+def test_file_of_no_sequences_reads_back_empty(tmp_path):
+    path = tmp_path / "empty.xlda"
+    assert write_packed(path, [], PackerConfig(seq_len=8)) == 0
+    assert read_packed(path) == ([], PackerConfig(seq_len=8))
+    with pytest.raises(XldaKitError, match=r"sequence index 0 outside \[0, 0\)") as exc:
+        read_packed(path, index=0)
+    assert not isinstance(exc.value, DataError)
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ from xlda_kit.sampling import (
     MixturePlan,
     SamplerConfig,
     categorical_draw,
-    constraint_flags,
+    constraint_flag,
     language_distribution,
 )
 
@@ -124,15 +124,15 @@ def test_draw_language_empirical_frequencies():
 
 def test_constraint_flags_boundaries():
     all_on = SamplerConfig(alpha_temp=1.0, beta={"en": 1.0}, rho=1.0, seed=1)
-    assert constraint_flags(all_on, 500).all()
+    assert all(constraint_flag(all_on, i) for i in range(500))
     all_off = SamplerConfig(alpha_temp=1.0, beta={"en": 1.0}, rho=0.0, seed=1)
-    assert not constraint_flags(all_off, 500).any()
+    assert not any(constraint_flag(all_off, i) for i in range(500))
 
 
 def test_constraint_flags_fraction():
     config = SamplerConfig(alpha_temp=1.0, beta={"en": 1.0}, rho=0.5, seed=0)
-    flags = constraint_flags(config, 10_000)
-    assert 0.48 <= flags.mean() <= 0.52
+    flags = [constraint_flag(config, i) for i in range(10_000)]
+    assert 0.48 <= np.mean(flags) <= 0.52
 
 
 def test_mixture_plan_from_ratios():
