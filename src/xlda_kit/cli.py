@@ -184,6 +184,8 @@ class RunConfig:
     def _read(self, path: Path) -> None:
         if not path.exists():
             raise XldaKitError(f"no such config file: {path}")
+        if path.is_dir():
+            raise ConfigError(f"config file is a directory, not a file: {path}")
         parser = configparser.ConfigParser(interpolation=None)
         try:
             with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is skipped
@@ -307,7 +309,8 @@ def _cmd_filter(args, run: RunConfig) -> int:
 def _cmd_plan(args, run: RunConfig) -> int:
     report = None
     if args.stats:
-        raw = Path(args.stats).read_bytes().removeprefix(codecs.BOM_UTF8)  # at the start only
+        # a leading BOM is skipped, at the start only
+        raw = corpus.input_file(args.stats).read_bytes().removeprefix(codecs.BOM_UTF8)
         stats = corpus.CorpusStats.from_json(corpus.parse_json_object(raw))
     else:
         report = corpus.IngestReport()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import numbered_lines, parse_json_object
+from .corpus import input_file, numbered_lines, parse_json_object
 from .errors import DataError
 
 
@@ -105,11 +105,8 @@ def read_pairs(path: str | Path) -> list[PredictionPair]:
     Items answered in only one language (missing or null fields) are
     rejected at parse time.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
     pairs = []
-    with path.open("rb") as fh:
+    with input_file(path).open("rb") as fh:
         for line_no, raw in numbered_lines(fh):
             try:
                 record = parse_json_object(raw)

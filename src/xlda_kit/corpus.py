@@ -1,9 +1,10 @@
 """Document ingestion and corpus statistics.
 
-Input is line-delimited UTF-8 records (one JSON object per line) with
-configurable field names. Records carry either pre-tokenized ``tokens`` or
-raw ``text`` plus a caller-supplied tokenizer callback; this module never
-tokenizes on its own.
+Input is line-delimited UTF-8 records (one JSON object per line) with the
+fields ``id``, ``lang``, ``tokens`` or ``text``, and optional ``score`` and
+``class``. Records carry either pre-tokenized ``tokens`` or raw ``text``
+plus a caller-supplied tokenizer callback; this module never tokenizes on
+its own.
 """
 
 from __future__ import annotations
@@ -110,18 +111,6 @@ class Document:
 
 
 @dataclass(frozen=True)
-class RecordSchema:
-    """Field names used when parsing record lines."""
-
-    id: str = "id"
-    lang: str = "lang"
-    tokens: str = "tokens"
-    text: str = "text"
-    score: str = "score"
-    lang_class: str = "class"
-
-
-@dataclass(frozen=True)
 class LineError:
     """One malformed input line, reported by 1-based line number."""
 
@@ -171,68 +160,72 @@ def numbered_lines(fh: BinaryIO) -> Iterator[tuple[int, bytes]]:
 
 
 def _parse_record(
-    record: dict,
-    schema: RecordSchema,
-    tokenizer: Callable[[str], Sequence[int]] | None,
+    record: dict, tokenizer: Callable[[str], Sequence[int]] | None
 ) -> Document:
-    doc_id = record.get(schema.id)
+    doc_id = record.get("id")
     if not isinstance(doc_id, str) or not doc_id:
-        raise DataError(f"missing or empty {schema.id!r} field")
+        raise DataError("missing or empty 'id' field")
 
-    code = record.get(schema.lang)
+    code = record.get("lang")
     if not isinstance(code, str) or not code:
         raise DataError("empty language tag")
-    lang_class = record.get(schema.lang_class)
+    lang_class = record.get("class")
     if lang_class is None:
         lang_class = default_language_class(code)
     # a class that is not a string (a JSON array, say) cannot be a cache key
     lang = (_language_tag(code, lang_class) if isinstance(lang_class, str)
             else LanguageTag(code=code, lang_class=lang_class))
 
-    tokens = record.get(schema.tokens)
+    tokens = record.get("tokens")
     if tokens is None:
-        text = record.get(schema.text)
+        text = record.get("text")
         if text is None:
-            raise DataError(f"record has neither {schema.tokens!r} nor {schema.text!r}")
+            raise DataError("record has neither 'tokens' nor 'text'")
         if tokenizer is None:
             raise DataError("raw text record but no tokenizer callback was supplied")
         tokens = tokenizer(text)
     if not isinstance(tokens, (list, tuple)):
-        raise DataError(f"{schema.tokens!r} is not an array")
+        raise DataError("'tokens' is not an array")
     # the int64 conversion would truncate JSON floats and take booleans as
     # 0 and 1; a tokenizer's integer types, numpy's among them, are token ids
     kinds = set(map(type, tokens))
     if not kinds <= {int} and any(  # json decodes exact ints: nothing to look at
             k is bool or not issubclass(k, numbers.Integral) for k in kinds):
-        raise DataError(f"non-integer token id in {schema.tokens!r}")
+        raise DataError("non-integer token id in 'tokens'")
 
-    score = record.get(schema.score)
+    score = record.get("score")
     if score is not None:
         if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise DataError(f"{schema.score!r} is not a number")
+            raise DataError("'score' is not a number")
         score = float(score)
 
     return Document(id=doc_id, lang=lang, tokens=tokens, score=score)
 
 
+def input_file(path: str | Path) -> Path:
+    """``path``, if it names something to read lines from: a regular file or
+    a pipe such as ``/dev/stdin``. A missing path or a directory is a
+    ``DataError``."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    if path.is_dir():
+        raise DataError(f"is a directory, not a file: {path}")
+    return path
+
+
 def ingest(
     path: str | Path,
-    schema: RecordSchema | None = None,
     tokenizer: Callable[[str], Sequence[int]] | None = None,
-    fail_fast: bool = False,
     report: IngestReport | None = None,
 ) -> Iterator[Document]:
     """Yield Documents from a record file in file order.
 
-    Malformed lines are recorded in ``report`` with their line numbers; with
-    ``fail_fast`` the first one raises instead. A missing file is always
-    fatal. Duplicate ids are a hard error either way, because downstream span
-    metadata keys on document id.
+    Malformed lines are skipped and recorded in ``report`` with their line
+    numbers. A missing file or a directory is fatal, and so is a duplicate
+    id, because downstream span metadata keys on document id.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    schema = schema or RecordSchema()
+    path = input_file(path)
     seen_ids: set[str] = set()
     # read bytes and decode line by line, so that an invalid byte sequence
     # is one malformed line rather than a failure of the whole file
@@ -242,10 +235,8 @@ def ingest(
                 record = parse_json_object(raw)
                 if record is None:
                     continue
-                doc = _parse_record(record, schema, tokenizer)
+                doc = _parse_record(record, tokenizer)
             except DataError as exc:
-                if fail_fast:
-                    raise DataError(f"line {line_no}: {exc}") from exc
                 if report is not None:
                     report.errors.append(LineError(line_no, str(exc)))
                 continue

@@ -126,22 +126,19 @@ def earliest_keys(spec: MaskSpec) -> np.ndarray:
     return np.minimum(doc_start, np.where(lang[:live] == 0, other, 0))
 
 
-def materialize_dense(
-    spec: MaskSpec, seq_len: int, force: bool = False,
-    cap: int = DENSE_SEQ_LEN_CAP,
-) -> np.ndarray:
+def materialize_dense(spec: MaskSpec, seq_len: int, force: bool = False) -> np.ndarray:
     """Dense boolean matrix with ``m[q, k] == is_allowed(spec, q, k)``.
 
-    Refuses sequence lengths above the memory cap unless forced.
+    Refuses sequence lengths above ``DENSE_SEQ_LEN_CAP`` unless forced.
     """
     if seq_len != spec.seq_len:
         raise DataError(
             f"seq_len {seq_len} does not match the spec's sequence ({spec.seq_len})"
         )
-    if seq_len > cap and not force:
+    if seq_len > DENSE_SEQ_LEN_CAP and not force:
         raise ConfigError(
             f"refusing to materialize {seq_len}x{seq_len} mask "
-            f"(cap {cap}); pass force=True to override"
+            f"(cap {DENSE_SEQ_LEN_CAP}); pass force=True to override"
         )
     return allowed_block(spec, 0, seq_len, 0, seq_len)
 

@@ -23,7 +23,7 @@ STREAM_FLAGS = 2
 STREAM_PACK = 3
 STREAM_INIT = 4
 STREAM_GRAD_CHECK = 5
-STREAM_DATA = 6
+STREAM_DATA = 6  # reserved: nothing draws from it
 STREAM_TRANSFER = 7
 STREAM_TRANSFER_TABLE = 8
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from .schedule import ScheduleConfig, lr_at
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.95
+    eps: ClassVar[float] = 1e-8
     weight_decay: float = 0.1
 
 
@@ -56,22 +56,17 @@ class AdamW:
 
 @dataclass
 class Batch:
-    tokens: np.ndarray  # [B, L] int64
+    tokens: np.ndarray  # [B, L] uint32, the windows' own dtype
     specs: tuple[MaskSpec, ...]  # one attention mask spec per row
-    ntp: np.ndarray  # [B, L] int64, IGNORE_LABEL where no target
+    ntp: np.ndarray  # [B, L] uint32, IGNORE_LABEL where no target
     mtp: np.ndarray
     real_tokens: int
 
 
 def _window(seq: PackedSequence, policy: MaskPolicy) -> tuple:
     """One window's tokens, mask spec, NTP and MTP labels, and real tokens."""
-    return (
-        seq.tokens.astype(np.int64),
-        MaskSpec.for_sequence(seq, policy),
-        seq.ntp_labels.astype(np.int64),
-        seq.mtp_labels.astype(np.int64),
-        seq.pad_start,
-    )
+    return (seq.tokens, MaskSpec.for_sequence(seq, policy), seq.ntp_labels, seq.mtp_labels,
+            seq.pad_start)
 
 
 def _stack(windows: Sequence[tuple]) -> Batch:
@@ -201,29 +196,42 @@ def write_metrics_csv(path, log: Iterable[StepMetrics]):
 
 @dataclass(frozen=True)
 class TransferSpec:
-    vocab_size: int = 64
-    d_model: int = 32
-    n_layers: int = 2
-    n_heads: int = 4
-    d_ff: int = 64
+    """One transfer run: its budget, windows, seed, dtype and policies.
+
+    The synthetic task and the model are fixed class constants. Token 0 is
+    unused; ``n_keys`` keys and values of the high-resource language come
+    next, then the low-resource language's, inside ``vocab_size``. Training
+    documents state ``train_facts_per_doc`` distinct facts and probe
+    documents ``probe_facts_per_doc`` facts with repeats, and one key->value
+    table covers an episode of about ``episode_windows`` windows.
+    """
+
+    # the task
+    n_keys: ClassVar[int] = 8
+    train_facts_per_doc: ClassVar[int] = 3
+    probe_facts_per_doc: ClassVar[int] = 8
+    episode_windows: ClassVar[int] = 4
+    high_lang: ClassVar[str] = "hi"
+    low_lang: ClassVar[str] = "lo"
+    # the model and its optimizer
+    vocab_size: ClassVar[int] = 64
+    d_model: ClassVar[int] = 32
+    n_layers: ClassVar[int] = 2
+    n_heads: ClassVar[int] = 4
+    d_ff: ClassVar[int] = 64
+    batch_sequences: ClassVar[int] = 4
+    peak_lr: ClassVar[float] = 3e-3
+    weight_decay: ClassVar[float] = 0.01
+    mtp_alpha: ClassVar[float] = 0.2
+
     steps: int = 3000
     seq_len: int = 128
-    batch_sequences: int = 4
     low_resource_share: float = 0.10
-    n_keys: int = 8
-    train_facts_per_doc: int = 3
-    probe_facts_per_doc: int = 8
-    episode_windows: int = 4
     train_windows: int = 3000
     eval_windows: int = 96
     n_probe_docs: int = 256
-    peak_lr: float = 3e-3
-    weight_decay: float = 0.01
-    mtp_alpha: float = 0.2
     seed: int = 0
     dtype: str = "float32"  # the models' parameter and compute dtype
-    high_lang: str = "hi"
-    low_lang: str = "lo"
     policies: tuple[MaskPolicy, MaskPolicy] = (
         MaskPolicy.XLDA_FULL_CAUSAL,
         MaskPolicy.INTRA_DOCUMENT_CAUSAL,
@@ -234,19 +242,12 @@ class TransferSpec:
             raise ConfigError("steps must be >= 0")
         if not (0.0 < self.low_resource_share < 1.0):
             raise ConfigError("low_resource_share must be in (0, 1)")
-        if self.vocab_size < 1 + 4 * self.n_keys:
-            raise ConfigError(
-                f"vocab_size {self.vocab_size} too small for {self.n_keys} keys "
-                f"per language (needs >= {1 + 4 * self.n_keys})"
-            )
-        if self.train_facts_per_doc > self.n_keys:
-            raise ConfigError("train_facts_per_doc cannot exceed n_keys")
         if self.seq_len < 2 * self.train_facts_per_doc:
             raise ConfigError("seq_len cannot hold a single training document")
         if self.train_windows < self.batch_sequences:
             raise ConfigError("infeasible budget: fewer training windows than a batch")
-        if self.episode_windows < 1 or self.eval_windows < 1:
-            raise ConfigError("episode_windows and eval_windows must be positive")
+        if self.eval_windows < 1:
+            raise ConfigError("eval_windows must be positive")
         if self.n_probe_docs < 2:
             raise ConfigError("n_probe_docs must be >= 2: the probe alternates languages")
         self.model_config()  # a bad model setting fails here, not after packing

@@ -515,6 +515,23 @@ def test_missing_input_file_exit_2(tmp_path, capsys):
     assert "no such file" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["plan", "--stats", "{missing}"], "no such file: {missing}"),
+    (["plan", "--stats", "{dir}"], "is a directory, not a file: {dir}"),
+    (["plan", "--corpus", "{dir}"], "is a directory, not a file: {dir}"),
+    (["filter", "--input", "{dir}", "--output", "{out}"], "is a directory, not a file: {dir}"),
+    (["pack", "--input", "{dir}", "--output", "{out}"], "is a directory, not a file: {dir}"),
+    (["eval-consistency", "--pairs", "{dir}"], "is a directory, not a file: {dir}"),
+    (["schedule", "--config", "{dir}"], "config file is a directory, not a file: {dir}"),
+], ids=["stats-missing", "stats-directory", "corpus-directory", "filter-directory",
+        "pack-directory", "pairs-directory", "config-directory"])
+def test_missing_or_directory_input_path_is_a_named_error(tmp_path, capsys, argv, message):
+    paths = {"missing": tmp_path / "nope.json", "dir": tmp_path / "d", "out": tmp_path / "o"}
+    paths["dir"].mkdir()
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out, err) == (2, "", f"error: {message.format(**paths)}\n")
+
+
 def test_transfer_cli_small_run(tmp_path, capsys):
     report = tmp_path / "transfer.json"
     code, out, err = run(
@@ -837,7 +854,7 @@ def test_random_ini_file_exits_0_or_2(settings_dir, entries):
     (["schedule"], "[model]\nd_model = 0\n", 2, "[model] d_model must be an integer >= 1"),
     (["pack", "--input", "CORPUS", "--output", "OUT"], "[packer]\ncross_doc_labels = maybe\n",
      2, "[packer] cross_doc_labels must be a boolean"),
-    (["schedule", "--config", "DIR"], None, 2, "Is a directory"),
+    (["schedule", "--config", "DIR"], None, 2, "config file is a directory, not a file"),
     (["schedule", "--peak", "nan"], None, 1, "--peak: expected a finite number, got 'nan'"),
     (["train-toy", "--packed", "PACKED", "--policy", "intra", "--steps", "2", "--peak", "nan"],
      None, 1, "--peak: expected a finite number"),
