@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, consistency, corpus, masks, model as toy, packing
 from . import quality, sampling, schedule as sched, training
-from .errors import ConfigError, XldaKitError
+from .errors import ConfigError, DataError, XldaKitError
 
 
 class _Type(NamedTuple):
@@ -69,6 +69,7 @@ def _argument(what: str, parse: Callable[[str], object]):
 
 _finite_float = _argument("a finite number", _finite)
 _at_least_one = _argument("an integer >= 1", _integer(1).parse)
+_at_least_zero = _argument("an integer >= 0", _integer(0).parse)
 
 
 def _choice(names: dict[str, str]) -> _Type:
@@ -264,13 +265,12 @@ def _finish(args, run: RunConfig, payload: dict, text_lines: list[str]) -> int:
     return 0
 
 
-def _sampler_from(run: RunConfig, fallback_langs: list[str] | None = None
-                  ) -> sampling.SamplerConfig:
+def _sampler_from(run: RunConfig, langs: list[str]) -> sampling.SamplerConfig:
+    """The sampler of the settings; with no beta given, a uniform one over
+    ``langs``, the corpus languages, of which there is at least one."""
     beta = run.get("sampler", "beta")
     if beta is None:
-        if not fallback_langs:
-            raise XldaKitError("no beta given and no corpus to infer languages from")
-        beta = sampling.MixturePlan.from_ratios(dict.fromkeys(fallback_langs, 1.0)).shares
+        beta = sampling.MixturePlan.from_ratios(dict.fromkeys(langs, 1.0)).shares
     return sampling.SamplerConfig(
         alpha_temp=run.get("sampler", "alpha"),
         beta=beta,
@@ -315,7 +315,10 @@ def _cmd_plan(args, run: RunConfig) -> int:
     else:
         report = corpus.IngestReport()
         stats = corpus.stats(corpus.ingest(args.corpus, report=report))
-    config = _sampler_from(run, fallback_langs=stats.languages())
+    if not stats.languages():
+        raise DataError(f"the stats in {args.stats} name no language" if args.stats
+                        else f"the corpus {args.corpus} has no document")
+    config = _sampler_from(run, stats.languages())
     dist = sampling.language_distribution(config, stats)
     plan = sampling.MixturePlan(shares=dist)
     if args.upsample:
@@ -342,20 +345,18 @@ def _cmd_plan(args, run: RunConfig) -> int:
 def _cmd_pack(args, run: RunConfig) -> int:
     ingest_report = corpus.IngestReport()
     docs = list(corpus.ingest(args.input, report=ingest_report))
-    langs = sorted({d.lang.code for d in docs})
-    sampler = _sampler_from(run, fallback_langs=langs)
+    if not docs:
+        raise DataError(f"the corpus {args.input} has no document")
+    sampler = _sampler_from(run, sorted({d.lang.code for d in docs}))
     config = packing.PackerConfig(
         seq_len=run.get("packer", "seq_len"),
         split_policy=run.get("packer", "split"),
         cross_doc_labels=run.get("packer", "cross_doc_labels"),
     )
-    # the packer falls back to size-proportional shares for a beta that does
-    # not name the corpus languages; the CLI rejects that beta as `plan` does
-    distribution = sampling.language_distribution(sampler, corpus.stats(docs))
     _check_memory(packing.working_set_bytes(docs, config.seq_len),
                   "shrink --seq-len or split the corpus", "packing")
     report = packing.PackReport()
-    sequences = list(packing.pack_stream(docs, sampler, config, distribution, report))
+    sequences = list(packing.pack_stream(docs, sampler, config, report))
     packing.write_packed(args.output, sequences, config)
     payload = {"report": report.to_json(), "output": str(args.output),
                "malformed_lines": ingest_report.skipped}
@@ -694,7 +695,7 @@ def _add_arguments(name: str, p: _Parser) -> None:
         case "train-toy":
             p.add_argument("--packed", required=True)
             p.add_argument("--policy", required=True, help="xlda|intra|bridge")
-            p.add_argument("--steps", type=int, required=True)
+            p.add_argument("--steps", type=_at_least_zero, required=True)
             p.add_argument("--batch-seqs", type=_at_least_one, default=4)
             _bind(p, "--peak")
             p.add_argument("--warmup", type=int, default=None,
@@ -704,7 +705,7 @@ def _add_arguments(name: str, p: _Parser) -> None:
         case "grad-check":
             p.add_argument("--tolerance", type=_finite_float, default=1e-6)
         case "transfer":
-            p.add_argument("--steps", type=int, default=3000)
+            p.add_argument("--steps", type=_at_least_zero, default=3000)
             for flag in ("--seq-len", "--train-windows", "--eval-windows", "--probe-docs"):
                 p.add_argument(flag, type=int, default=None)
             p.add_argument("--report", default=None, help="JSON report output path")

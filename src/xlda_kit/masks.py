@@ -12,9 +12,12 @@ Three policies over the same span metadata:
   languages; same-language neighbors stay separated.
 
 Causality (key position <= query position) and padding exclusion are
-enforced under every policy. ``allowed_block`` holds the rule for any block
-of a window; the dense boolean matrix is that block over the full grid, a
-debug/test view.
+enforced under every policy. ``allowed_block`` is the one implementation of
+the rule, over any block of one window or of a batch of windows, each under
+its own policy: the model's attention bias takes its cells from it, and the
+dense boolean matrix, a debug/test view, is that block over the full grid.
+``is_allowed`` answers for one cell, the reference the block is tested
+against.
 """
 
 from __future__ import annotations
@@ -93,19 +96,39 @@ def is_allowed(spec: MaskSpec, q: int, k: int) -> bool:
     return bool(lang[q] != lang[k])
 
 
-def allowed_block(spec: MaskSpec, qs: int, qe: int, ks: int, ke: int) -> np.ndarray:
+def allowed_block(specs: MaskSpec | Sequence[MaskSpec], qs: int, qe: int, ks: int,
+                  ke: int) -> np.ndarray:
     """The policy rule over the block of query rows [qs, qe) and key columns
-    [ks, ke): ``block[i, j] == is_allowed(spec, qs + i, ks + j)``."""
+    [ks, ke): ``block[i, j] == is_allowed(spec, qs + i, ks + j)``.
+
+    ``specs`` is one spec, giving a [tq, tk] block, or a sequence of specs
+    of one length, giving a [B, tq, tk] block whose rows each follow their
+    own spec's policy. Segment ids are read only when some row is not
+    ``xlda``.
+    """
+    batch = [specs] if isinstance(specs, MaskSpec) else specs
+    pads = np.array([s.pad_start for s in batch])[:, None, None]
     q = np.arange(qs, qe)[:, None]
-    k = np.arange(ks, ke)[None, :]
-    allowed = (k <= q) & (q < spec.pad_start) & (k < spec.pad_start)
-    if spec.policy is MaskPolicy.XLDA_FULL_CAUSAL:
-        return allowed
-    doc, lang = spec.segments
-    same_doc = doc[qs:qe, None] == doc[None, ks:ke]
-    if spec.policy is MaskPolicy.INTRA_DOCUMENT_CAUSAL:
-        return allowed & same_doc
-    return allowed & (same_doc | (lang[qs:qe, None] != lang[None, ks:ke]))
+    k = np.arange(ks, ke)
+    allowed = (k <= q) & (q < pads) & (k < pads)
+    policies = [s.policy for s in batch]
+    if any(p is not MaskPolicy.XLDA_FULL_CAUSAL for p in policies):
+
+        def differ(ids):  # [B, tq, tk]: do a row's query and key ids differ?
+            return (np.array([i[qs:qe, None] for i in ids])
+                    != np.array([i[None, ks:ke] for i in ids]))
+
+        def under(policy):  # [B, 1, 1]: is the row under ``policy``?
+            return np.array([p is policy for p in policies])[:, None, None]
+
+        doc, lang = zip(*(s.segments for s in batch))
+        rule = ~differ(doc)
+        if MaskPolicy.XLDA_FULL_CAUSAL in policies:
+            rule |= under(MaskPolicy.XLDA_FULL_CAUSAL)
+        if MaskPolicy.CROSS_LINGUAL_BRIDGE in policies:
+            rule |= under(MaskPolicy.CROSS_LINGUAL_BRIDGE) & differ(lang)
+        allowed &= rule
+    return allowed[0] if isinstance(specs, MaskSpec) else allowed
 
 
 def earliest_keys(spec: MaskSpec) -> np.ndarray:
@@ -126,19 +149,20 @@ def earliest_keys(spec: MaskSpec) -> np.ndarray:
     return np.minimum(doc_start, np.where(lang[:live] == 0, other, 0))
 
 
-def materialize_dense(spec: MaskSpec, seq_len: int, force: bool = False) -> np.ndarray:
-    """Dense boolean matrix with ``m[q, k] == is_allowed(spec, q, k)``.
+def materialize_dense(spec: MaskSpec, seq_len: int) -> np.ndarray:
+    """Dense boolean matrix with ``m[q, k] == is_allowed(spec, q, k)``, the
+    ``allowed_block`` of the full grid.
 
-    Refuses sequence lengths above ``DENSE_SEQ_LEN_CAP`` unless forced.
+    Refuses sequence lengths above ``DENSE_SEQ_LEN_CAP``, whose grid would
+    take more than 64 MiB; ``allowed_block`` gives any part of such a grid.
     """
     if seq_len != spec.seq_len:
         raise DataError(
             f"seq_len {seq_len} does not match the spec's sequence ({spec.seq_len})"
         )
-    if seq_len > DENSE_SEQ_LEN_CAP and not force:
+    if seq_len > DENSE_SEQ_LEN_CAP:
         raise ConfigError(
-            f"refusing to materialize {seq_len}x{seq_len} mask "
-            f"(cap {DENSE_SEQ_LEN_CAP}); pass force=True to override"
+            f"refusing to materialize {seq_len}x{seq_len} mask (cap {DENSE_SEQ_LEN_CAP})"
         )
     return allowed_block(spec, 0, seq_len, 0, seq_len)
 
@@ -203,7 +227,6 @@ def spans_from_lengths(
                 end=pos + n,
                 lang=LanguageTag(code, default_language_class(code)),
                 doc_id=f"d{i}",
-                piece_index=0,
             )
         )
         pos += n

@@ -16,7 +16,7 @@ fixed tiles of ``ATTENTION_TILE`` query rows. Each tile scores only its key
 band, the keys some row of the tile may attend to in some sequence: from the
 smallest ``masks.earliest_keys`` of its rows to its last non-padding row, so
 under ``intra`` and ``bridge`` the cost follows the allowed span pairs
-instead of L * L. The band's cells follow ``masks.allowed_block``'s rule,
+instead of L * L. The band's cells are ``masks.allowed_block`` over the batch,
 turned once per forward into an additive 0/-inf mask that every block
 shares (see ``_band_attention``); tiles with only padding rows are skipped.
 """
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DataError
-from .masks import MaskPolicy, MaskSpec, earliest_keys, spans_from_lengths
+from .masks import MaskPolicy, MaskSpec, allowed_block, earliest_keys, spans_from_lengths
 from .packing import IGNORE_LABEL, make_labels
 
 Array = np.ndarray
@@ -244,19 +244,11 @@ def _key_bands(specs: Sequence[MaskSpec], dtype=np.float64) -> list[_Band]:
     A tile's band runs from the earliest key any of its non-padding rows may
     attend to up to its last non-padding row. Tiles with no non-padding row
     in any sequence are left out; their attention output is zero. Each
-    band's mask is an additive bias of ``dtype``, built for the whole batch
-    at once by the rule of ``allowed_block``, each row under its own policy.
+    band's mask is ``allowed_block`` over the whole batch, each row under
+    its own policy, turned into an additive bias of ``dtype``.
     """
     seq_len = specs[0].seq_len
     firsts = [earliest_keys(s) for s in specs]
-    pads = np.array([s.pad_start for s in specs])[:, None, None]
-    # per row: does the policy allow every causal pair, or pairs across languages
-    free = np.array([s.policy is MaskPolicy.XLDA_FULL_CAUSAL for s in specs])[:, None, None]
-    bridge = np.array([s.policy is MaskPolicy.CROSS_LINGUAL_BRIDGE
-                       for s in specs])[:, None, None]
-    by_doc = not free.all()
-    if by_doc:
-        doc, lang = (np.stack(ids) for ids in zip(*(s.segments for s in specs)))
     zero, masked = np.array(0.0, dtype), np.array(-np.inf, dtype)
     bands = []
     for qs in range(0, seq_len, ATTENTION_TILE):
@@ -267,14 +259,7 @@ def _key_bands(specs: Sequence[MaskSpec], dtype=np.float64) -> list[_Band]:
             continue
         ks = min(k for k, _ in live)
         ke = max(k for _, k in live)
-        q = np.arange(qs, qe)[:, None]
-        k = np.arange(ks, ke)
-        allowed = (k <= q) & (q < pads) & (k < pads)  # [B, tq, tk]
-        if by_doc:
-            rule = free | (doc[:, qs:qe, None] == doc[:, None, ks:ke])
-            if bridge.any():
-                rule |= bridge & (lang[:, qs:qe, None] != lang[:, None, ks:ke])
-            allowed &= rule
+        allowed = allowed_block(specs, qs, qe, ks, ke)  # [B, tq, tk]
         bands.append(_Band(qs, qe, ks, ke, bias=np.where(allowed[:, None], zero, masked)))
     return bands
 

@@ -49,7 +49,6 @@ class DocSpan:
     end: int
     lang: LanguageTag
     doc_id: str
-    piece_index: int = 0
 
     def __post_init__(self):
         if not (0 <= self.start < self.end):
@@ -117,9 +116,6 @@ class PackedSequence:
     ntp_labels = property(lambda self: self._labels[0])
     mtp_labels = property(lambda self: self._labels[1])
 
-    def languages(self) -> set[str]:
-        return {span.lang.code for span in self.spans}
-
 
 def make_labels(
     tokens: np.ndarray,
@@ -170,7 +166,6 @@ class PackReport:
 class _QueueItem:
     doc: Document
     offset: int = 0
-    piece: int = 0
 
     def remaining(self) -> int:
         return len(self.doc.tokens) - self.offset
@@ -244,7 +239,7 @@ class _Filler:
                     pool = avail
                 code = categorical_draw(self.dist, pool, gen)
                 item = self.queues[code].popleft()
-                if item.piece == 0 and item.offset == 0:
+                if item.offset == 0:
                     self.report.documents_consumed += 1
             lang = item.doc.lang
             room = cfg.seq_len - pos
@@ -257,13 +252,13 @@ class _Filler:
                     self.queues[lang.code].appendleft(item)
                     return self._stop(f"only {lang.code!r} still has documents", pos)
                 take = room - 1
-                leftover = _QueueItem(item.doc, item.offset + take, item.piece + 1)
+                leftover = _QueueItem(item.doc, item.offset + take)
                 if cfg.split_policy == SPLIT_ACROSS_SEQUENCES:
                     self.queues[lang.code].appendleft(leftover)
                 else:
                     self.report.tokens_dropped += leftover.remaining()
             elif item.remaining() > take:
-                rest = _QueueItem(item.doc, item.offset + take, item.piece + 1)
+                rest = _QueueItem(item.doc, item.offset + take)
                 if cfg.split_policy == SPLIT_ACROSS_SEQUENCES:
                     self.carry = rest  # continues at the next sequence start
                 else:
@@ -272,15 +267,7 @@ class _Filler:
             if part.max() > IGNORE_LABEL:  # the copy below would wrap it
                 raise DataError(f"document {item.doc.id!r} has a token id outside [0, 2**32)")
             tokens[pos : pos + take] = part
-            spans.append(
-                DocSpan(
-                    start=pos,
-                    end=pos + take,
-                    lang=lang,
-                    doc_id=item.doc.id,
-                    piece_index=item.piece,
-                )
-            )
+            spans.append(DocSpan(start=pos, end=pos + take, lang=lang, doc_id=item.doc.id))
             langs.add(lang.code)
             pos += take
         if pos == 0:
@@ -315,18 +302,19 @@ def pack_stream(
     docs: Iterable[Document],
     sampler: SamplerConfig,
     config: PackerConfig,
-    distribution: Mapping[str, float] | None = None,
     report: PackReport | None = None,
 ) -> Iterator[PackedSequence]:
     """Pack a document collection into fixed-length sequences.
 
-    The sampling distribution defaults to the one computed from the input's
-    own corpus stats. Every consumed token lands in exactly one output
-    position (tail tokens dropped under ``drop_tail_doc`` are counted in the
-    report). If a flagged sequence cannot be made cross-lingual because only
-    one language has material left, the stream stops and the leftovers are
-    reported; if that happens before any sequence was produced, it is an
-    error naming the constraint.
+    Languages are drawn from ``language_distribution`` over the input's own
+    corpus stats, so ``sampler.beta`` must name exactly the languages of
+    ``docs``; any other beta raises ``ConfigError``. Every consumed token
+    lands in exactly one output position (tail tokens dropped under
+    ``drop_tail_doc`` are counted in the report). If a flagged sequence
+    cannot be made cross-lingual because only one language has material
+    left, the stream stops and the leftovers are reported; if that happens
+    before any sequence was produced, it is an error naming the constraint.
+    An empty ``docs`` gives an empty stream.
     """
     docs = list(docs)
     report = report if report is not None else PackReport()
@@ -335,17 +323,7 @@ def pack_stream(
         queues.setdefault(doc.lang.code, deque()).append(_QueueItem(doc))
     if not queues:
         return
-    if distribution is None:
-        if sampler.beta.keys() == queues.keys():
-            distribution = language_distribution(sampler, corpus_stats(docs))
-        else:
-            # sampler beta does not cover this corpus; fall back to
-            # size-proportional shares
-            st = corpus_stats(docs)
-            total = st.total_tokens
-            distribution = {
-                code: st.per_language[code].tokens / total for code in sorted(queues)
-            }
+    distribution = language_distribution(sampler, corpus_stats(docs))
     if sampler.rho > 0.0 and len(queues) < 2:
         raise ConstraintInfeasibleError(
             "cross-lingual constraint (rho > 0) needs at least two languages "

@@ -532,6 +532,21 @@ def test_missing_or_directory_input_path_is_a_named_error(tmp_path, capsys, argv
     assert (code, out, err) == (2, "", f"error: {message.format(**paths)}\n")
 
 
+@pytest.mark.parametrize("argv, content, message", [
+    (["plan", "--stats", "{input}"], '{"per_language": {}}',
+     "the stats in {input} name no language"),
+    (["plan", "--corpus", "{input}"], "", "the corpus {input} has no document"),
+    (["pack", "--input", "{input}", "--output", "{out}"], "",
+     "the corpus {input} has no document"),
+], ids=["plan-stats", "plan-corpus", "pack"])
+def test_empty_input_is_a_named_error(tmp_path, capsys, argv, content, message):
+    paths = {"input": tmp_path / "input", "out": tmp_path / "o.xlda"}
+    paths["input"].write_text(content, encoding="utf-8")
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out, err) == (2, "", f"error: {message.format(**paths)}\n")
+    assert not paths["out"].exists()
+
+
 def test_transfer_cli_small_run(tmp_path, capsys):
     report = tmp_path / "transfer.json"
     code, out, err = run(
@@ -885,13 +900,18 @@ def test_random_ini_file_exits_0_or_2(settings_dir, entries):
      "[model] dtype must be one of float32|float64, got 'float16'"),
     (["transfer", "--steps", "1"], "[model]\ndtype = double\n", 2,
      "[model] dtype must be one of float32|float64, got 'double'"),
+    (["train-toy", "--packed", "PACKED", "--policy", "intra", "--steps", "-1"], None, 1,
+     "--steps: expected an integer >= 0, got '-1'"),
+    (["transfer", "--steps", "-1"], None, 1, "--steps: expected an integer >= 0, got '-1'"),
+    (["transfer", "--steps", "2.5"], None, 1, "--steps: expected an integer >= 0, got '2.5'"),
 ], ids=["unknown-section", "unknown-key", "default-section", "config-nan", "config-percent",
         "config-int-below-bound", "config-bool", "config-directory", "schedule-peak-nan",
         "train-peak-nan", "train-weight-decay-nan", "grad-check-tolerance-nan",
         "advise-inf", "plan-beta-nan", "plan-upsample-nan", "plan-upsample-inf",
         "pack-beta-misses-language", "train-total-steps-conflict",
         "train-warmup-conflict", "train-seq-len-conflict", "train-model-dtype",
-        "transfer-model-dtype"])
+        "transfer-model-dtype", "train-steps-negative", "transfer-steps-negative",
+        "transfer-steps-fraction"])
 def test_bad_setting_is_a_named_error(settings_dir, tmp_path, capsys, argv, ini, code, message):
     places = {"CORPUS": settings_dir / "corpus.jsonl", "PACKED": settings_dir / "batch.xlda",
               "OUT": tmp_path / "o.xlda", "DIR": tmp_path}

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xlda_kit.errors import ConfigError, DataError
 from xlda_kit.masks import (
     MaskPolicy,
     MaskSpec,
+    allowed_block,
     allowed_pair_count,
     is_allowed,
     materialize_dense,
@@ -141,7 +143,6 @@ def test_dense_cap_guard():
                     pad_start=2, seq_len=10_000)
     with pytest.raises(ConfigError):
         materialize_dense(spec, 10_000)
-    assert materialize_dense(spec, 10_000, force=True).shape == (10_000, 10_000)
 
 
 def test_seq_len_mismatch_is_error():
@@ -223,6 +224,40 @@ def test_three_routes_agree_on_random_specs_up_to_64():
             brute = brute_force_dense(spec)
             assert (dense == brute).all()
             assert allowed_pair_count(spec) == int(brute.sum())
+
+
+@st.composite
+def mixed_batch_blocks(draw, max_len=24):
+    """1-4 specs of one length, each with its own policy, padding and
+    languages, and a block of query rows and key columns of that window."""
+    seq_len = draw(st.integers(1, max_len))
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        pad_start = draw(st.integers(0, seq_len))
+        lengths = []
+        while sum(lengths) < pad_start:
+            lengths.append(draw(st.integers(1, pad_start - sum(lengths))))
+        codes = [draw(st.sampled_from(["en", "ko", "ja"])) for _ in lengths]
+        specs.append(MaskSpec(draw(st.sampled_from(POLICIES)),
+                              spans_from_lengths(lengths, codes), pad_start, seq_len))
+    qs, qe = sorted(draw(st.lists(st.integers(0, seq_len), min_size=2, max_size=2)))
+    ks, ke = sorted(draw(st.lists(st.integers(0, seq_len), min_size=2, max_size=2)))
+    return specs, (qs, qe, ks, ke)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=mixed_batch_blocks())
+def test_batched_allowed_block_matches_is_allowed(batch):
+    """Over a batch whose rows mix policies, every cell of the block is
+    ``is_allowed`` under that row's spec, and each row is the block of its
+    spec alone."""
+    specs, (qs, qe, ks, ke) = batch
+    block = allowed_block(specs, qs, qe, ks, ke)
+    assert block.shape == (len(specs), qe - qs, ke - ks) and block.dtype == bool
+    for spec, rows in zip(specs, block):
+        want = [[is_allowed(spec, q, k) for k in range(ks, ke)] for q in range(qs, qe)]
+        assert rows.tolist() == want
+        assert (allowed_block(spec, qs, qe, ks, ke) == rows).all()
 
 
 def test_policy_parse():

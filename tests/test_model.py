@@ -660,8 +660,8 @@ def _one_span_batches(draw, max_len=80):
 @given(specs=st.one_of(_spec_batches(max_len=300), _one_span_batches()),
        dtype=st.sampled_from(toy.DTYPES))
 def test_key_bands_match_stacked_allowed_block(specs, dtype):
-    """Each band's bias, built for the whole batch at once, is the additive
-    form of every row's ``allowed_block`` under that row's own policy."""
+    """Each band's bias, from the batch form of ``allowed_block``, is the
+    additive form of every row's single-spec ``allowed_block``."""
     for band in toy._key_bands(specs, np.dtype(dtype)):
         allowed = np.stack([allowed_block(s, band.qs, band.qe, band.ks, band.ke)
                             for s in specs])

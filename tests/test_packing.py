@@ -85,11 +85,12 @@ def test_hand_enumerated_split_example():
     for s in seqs:
         assert s.spans[0].start == 0
         assert s.spans[-1].end == s.pad_start
-    # the split document keeps its fragment order
-    pieces = [
-        (sp.doc_id, sp.piece_index) for s in seqs for sp in s.spans if sp.doc_id == "c"
-    ]
-    assert pieces == [("c", 0), ("c", 1)]
+    # the split document keeps its fragment order: its first piece closes
+    # the first window and the rest opens the next
+    pieces = [(i, sp.start, sp.end) for i, s in enumerate(seqs) for sp in s.spans
+              if sp.doc_id == "c"]
+    assert pieces == [(0, 7, 8), (1, 0, 1)]
+    assert [int(seqs[i].tokens[start]) for i, start, _ in pieces] == [8, 9]
 
 
 def test_exact_fit_single_doc():
@@ -148,6 +149,16 @@ def test_empty_input_is_empty_stream():
     assert list(pack_stream([], sampler(), PackerConfig(seq_len=8))) == []
 
 
+@pytest.mark.parametrize("beta, message", [
+    ({"en": 1.0}, r"languages in stats missing from beta: \['ko'\]"),
+    ({"en": 0.5, "ko": 0.25, "ja": 0.25}, r"languages in beta missing from stats: \['ja'\]"),
+], ids=["beta-misses-a-language", "beta-names-another-language"])
+def test_beta_not_naming_the_corpus_languages_is_config_error(beta, message):
+    docs = [doc("e0", EN, [1, 2, 3]), doc("k0", KO, [4, 5])]
+    with pytest.raises(ConfigError, match=message):
+        list(pack_stream(docs, sampler(beta=beta), PackerConfig(seq_len=8)))
+
+
 def test_conservation_random_corpora_split_policy():
     gen = np.random.Generator(np.random.Philox(key=np.array([9, 0], dtype=np.uint64)))
     for trial in range(40):
@@ -159,7 +170,11 @@ def test_conservation_random_corpora_split_policy():
         total = sum(len(d.tokens) for d in docs)
         report = PackReport()
         config = PackerConfig(seq_len=int(gen.integers(8, 33)))
-        seqs = list(pack_stream(docs, sampler(seed=trial), config, report=report))
+        # a beta over the languages this trial drew; at alpha 1 it leaves
+        # the size-proportional shares as they are
+        langs = sorted({d.lang.code for d in docs})
+        beta = dict.fromkeys(langs, 1.0 / len(langs))
+        seqs = list(pack_stream(docs, sampler(seed=trial, beta=beta), config, report=report))
         assert report.tokens_dropped == 0
         assert report.tokens_packed + report.tokens_unconsumed == total
         expected = Counter()
