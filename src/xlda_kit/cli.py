@@ -1,14 +1,15 @@
 """The ``xlda-kit`` command: one entry point dispatching to all modules.
 
-Exit codes: 0 success, 1 usage error, 2 data error. Every setting is one row
-of ``SETTINGS``: a ``[section] key`` with a type, a default and, for some, the
+Exit codes: 0 success, 1 usage error, 2 data error. Every setting is one row of
+``SETTINGS``: a ``[section] key`` with a type, a default and, for some, the
 flag that overrides it. Values merge in three layers: the defaults, then an
 INI-style config file (flat sections of ``key = value``), then flags. A config
-file may name only the table's sections and keys, plus the ``RETIRED`` keys,
-which are ignored; any other section or key, any key under ``[DEFAULT]`` and
-any value its key's type rejects is a config error. Every command echoes the
-settings it used, as the strings it was given, and ``--emit-config`` writes
-them back out as a config file that reproduces the run.
+file may name only the table's sections and keys, plus the ignored ``RETIRED``
+keys; any other section or key, any key under ``[DEFAULT]`` and any value its
+key's type rejects is a config error (exit 2). A bad number given to a flag, an
+integer below its bound included, is a usage error (exit 1) naming the flag.
+Every command echoes the settings it used, as the strings it was given, and
+``--emit-config`` writes them out as a config file that reproduces the run.
 """
 
 from __future__ import annotations
@@ -49,12 +50,14 @@ def _finite(text: str) -> float:
 
 
 def _integer(low: int | None = None) -> _Type:
+    """An integer, at least ``low`` if given; as a flag type, a bad value is a usage error."""
     def parse(text: str) -> int:
         value = int(text)
         if low is not None and value < low:
             raise ValueError(text)
         return value
-    return _Type("an integer" if low is None else f"an integer >= {low}", parse, {"type": int})
+    what = "an integer" if low is None else f"an integer >= {low}"
+    return _Type(what, parse, {"type": _argument(what, parse)})
 
 
 def _argument(what: str, parse: Callable[[str], object]):
@@ -68,8 +71,6 @@ def _argument(what: str, parse: Callable[[str], object]):
 
 
 _finite_float = _argument("a finite number", _finite)
-_at_least_one = _argument("an integer >= 1", _integer(1).parse)
-_at_least_zero = _argument("an integer >= 0", _integer(0).parse)
 
 
 def _choice(names: dict[str, str]) -> _Type:
@@ -126,7 +127,7 @@ SETTINGS: dict[tuple[str, str], Setting] = {
     ("sampler", "alpha"): Setting(_FLOAT, "1.0", "--alpha"),
     ("sampler", "rho"): Setting(_FLOAT, "0.0", "--rho"),
     ("sampler", "beta"): Setting(_BETA, "", "--beta"),
-    ("packer", "seq_len"): Setting(_integer(8), "4096", "--seq-len"),
+    ("packer", "seq_len"): Setting(_integer(packing.MIN_SEQ_LEN), "4096", "--seq-len"),
     ("packer", "split"): Setting(_choice({"split": packing.SPLIT_ACROSS_SEQUENCES,
                                           "drop": packing.DROP_TAIL_DOC}), "split", "--split"),
     ("packer", "cross_doc_labels"): Setting(_BOOL, "false"),
@@ -150,6 +151,11 @@ SETTINGS: dict[tuple[str, str], Setting] = {
     ("filter", "stage"): Setting(_choice({s: s for s in quality.STAGES}), "pretrain", "--stage"),
     ("filter", "class"): Setting(_choice({c: c for c in corpus.LANGUAGE_CLASSES}),
                                  "english", "--class"),
+    **{("transfer", key): Setting(_integer(training.TransferSpec.least[key][0]),
+                                  str(getattr(training.TransferSpec, key)), flag)
+       for key, flag in (("steps", "--steps"), ("seq_len", "--seq-len"),
+                         ("train_windows", "--train-windows"),
+                         ("eval_windows", "--eval-windows"), ("n_probe_docs", "--probe-docs"))},
 }
 # keys older config files may hold: accepted, ignored and not echoed
 RETIRED = {("global", "threads"), ("filter", "binarize_threshold"), ("packer", "pad_token")}
@@ -561,12 +567,9 @@ def _cmd_grad_check(args, run: RunConfig) -> int:
         mtp_alpha=0.2,
         seed=run.get("global", "seed"),
     )
-    reports = {}
-    worst = 0.0
-    for alpha in (0.0, 0.2):
-        report = toy.grad_check(config, tolerance=args.tolerance, mtp_alpha=alpha)
-        reports[alpha] = report
-        worst = max(worst, report.max_rel_error)
+    reports = {alpha: toy.grad_check(config, tolerance=args.tolerance, mtp_alpha=alpha)
+               for alpha in (0.0, 0.2)}
+    worst = max(r.max_rel_error for r in reports.values())
     passed = worst < args.tolerance
     payload = {
         "max_rel_error": worst,
@@ -591,22 +594,8 @@ def _cmd_grad_check(args, run: RunConfig) -> int:
 
 
 def _cmd_transfer(args, run: RunConfig) -> int:
-    overrides = {
-        key: value
-        for key, value in (
-            ("seq_len", args.seq_len),
-            ("train_windows", args.train_windows),
-            ("eval_windows", args.eval_windows),
-            ("n_probe_docs", args.probe_docs),
-        )
-        if value is not None
-    }
-    spec = training.TransferSpec(
-        steps=args.steps,
-        seed=run.get("global", "seed"),
-        dtype=run.get("model", "dtype"),
-        **overrides,
-    )
+    spec = training.TransferSpec(**run.section("transfer"), seed=run.get("global", "seed"),
+                                 dtype=run.get("model", "dtype"))
     _check_memory(spec.working_set_bytes(), "shrink --seq-len")
     report = training.transfer_experiment(spec)
     if args.report:
@@ -615,14 +604,10 @@ def _cmd_transfer(args, run: RunConfig) -> int:
             fh.write("\n")
     hi, lo = report.languages
     text = [f"steps: {report.steps}  token budget: {report.token_budget}"]
-    for policy, losses in report.packed.items():
-        text.append(
-            f"packed holdout {policy}: {hi}={losses[hi]:.4f} {lo}={losses[lo]:.4f}"
-        )
-    for policy, losses in report.single_doc.items():
-        text.append(
-            f"single-doc probe {policy}: {hi}={losses[hi]:.4f} {lo}={losses[lo]:.4f}"
-        )
+    for name, table in (("packed holdout", report.packed),
+                        ("single-doc probe", report.single_doc)):
+        for policy, losses in table.items():
+            text.append(f"{name} {policy}: {hi}={losses[hi]:.4f} {lo}={losses[lo]:.4f}")
     if args.report:
         text.append(f"wrote {args.report}")
     return _finish(args, run, {"result": report.to_json()}, text)
@@ -638,10 +623,11 @@ def _cmd_eval_consistency(args, run: RunConfig) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _bind(p: _Parser, *flags: str) -> None:
-    """Add the ``SETTINGS`` flags named; ``dispatch`` applies what they are given."""
-    for (section, key), setting in SETTINGS.items():
-        if setting.flag in flags:
+def _bind(p: _Parser, section: str, *flags: str) -> None:
+    """Add the flags of ``section``'s ``SETTINGS`` rows, only those named if
+    any are; ``dispatch`` applies what they are given."""
+    for (s, key), setting in SETTINGS.items():
+        if s == section and setting.flag and (not flags or setting.flag in flags):
             p.add_argument(setting.flag, dest=f"{section}.{key}", default=None,
                            help=setting.type.what, **setting.type.flag)
 
@@ -666,11 +652,11 @@ def _add_arguments(name: str, p: _Parser) -> None:
         case "filter":
             p.add_argument("--input", required=True)
             p.add_argument("--output", required=True)
-            _bind(p, "--stage", "--class")
+            _bind(p, "filter")
             p.add_argument("--keep", type=_finite_float, default=None,
                            help="explicit keep fraction (overrides the stage preset)")
         case "plan":
-            _bind(p, "--alpha", "--beta", "--rho")
+            _bind(p, "sampler")
             group = p.add_mutually_exclusive_group(required=True)
             group.add_argument("--stats", default=None, help="corpus stats JSON")
             group.add_argument("--corpus", default=None, help="corpus record file")
@@ -678,16 +664,17 @@ def _add_arguments(name: str, p: _Parser) -> None:
         case "pack":
             p.add_argument("--input", required=True)
             p.add_argument("--output", required=True)
-            _bind(p, "--seq-len", "--rho", "--alpha", "--beta", "--split")
+            _bind(p, "sampler")
+            _bind(p, "packer")
         case "mask":
             p.add_argument("--policy", required=True, help="xlda|intra|bridge")
             p.add_argument("--from", dest="packed", required=True, help="packed batch file")
-            p.add_argument("--index", type=int, default=0)
+            p.add_argument("--index", default=0, **_integer(0).flag)
             p.add_argument("--dense", action="store_true", help="emit the 0/1 grid")
         case "schedule":
-            _bind(p, "--peak", "--warmup", "--total", "--decay-frac", "--final-ratio")
-            p.add_argument("--every", type=_at_least_one, default=None,
-                           help="row spacing in steps")
+            _bind(p, "schedule")
+            p.add_argument("--every", default=None, help="row spacing in steps",
+                           **_integer(1).flag)
             p.add_argument("--csv", action="store_true")
         case "advise":
             for flag in ("--params-from", "--tokens-from", "--params-to", "--tokens-to"):
@@ -695,19 +682,18 @@ def _add_arguments(name: str, p: _Parser) -> None:
         case "train-toy":
             p.add_argument("--packed", required=True)
             p.add_argument("--policy", required=True, help="xlda|intra|bridge")
-            p.add_argument("--steps", type=_at_least_zero, required=True)
-            p.add_argument("--batch-seqs", type=_at_least_one, default=4)
-            _bind(p, "--peak")
-            p.add_argument("--warmup", type=int, default=None,
-                           help="[schedule] warmup_steps (default: steps // 20)")
+            p.add_argument("--steps", required=True, **_integer(0).flag)
+            p.add_argument("--batch-seqs", default=4, **_integer(1).flag)
+            _bind(p, "schedule", "--peak")
+            p.add_argument("--warmup", default=None,
+                           help="[schedule] warmup_steps (default: steps // 20)",
+                           **_integer(0).flag)
             p.add_argument("--weight-decay", type=_finite_float, default=0.1)
             p.add_argument("--metrics", default=None, help="metrics CSV output path")
         case "grad-check":
             p.add_argument("--tolerance", type=_finite_float, default=1e-6)
         case "transfer":
-            p.add_argument("--steps", type=_at_least_zero, default=3000)
-            for flag in ("--seq-len", "--train-windows", "--eval-windows", "--probe-docs"):
-                p.add_argument(flag, type=int, default=None)
+            _bind(p, "transfer")
             p.add_argument("--report", default=None, help="JSON report output path")
         case "eval-consistency":
             p.add_argument("--pairs", required=True,
@@ -732,7 +718,7 @@ def build_parser(names: Iterable[str] = COMMANDS) -> _Parser:
     for name in names:
         summary, func = COMMANDS[name]
         p = sub.add_parser(name, help=summary)
-        _bind(p, "--seed")
+        _bind(p, "global")
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--emit-config", default=None,

@@ -644,7 +644,8 @@ def grad_check(
     """Compare analytic gradients with central finite differences.
 
     Intended for models of at most a few thousand parameters; every
-    coordinate is checked unless ``max_coords_per_tensor`` caps the count.
+    coordinate is checked unless ``max_coords_per_tensor`` caps the count,
+    or until one fails for good (a non-finite gradient or error).
     The batch and the coordinates picked under a cap come from one fixed
     stream, so a check is reproducible. The step for coordinate w is
     ``1e-4 * max(1, |w|)``, combined in the fourth-order central stencil
@@ -691,6 +692,11 @@ def grad_check(
             coords = np.arange(tensor.size)
         worst = 0.0
         for c in coords:
+            checked += 1
+            analytic = float(gflat[c])
+            if not math.isfinite(analytic):  # fails whatever the losses
+                worst = math.inf
+                break
             w = flat[c]
             h = 1e-4 * max(1.0, abs(w))
             samples = []
@@ -700,12 +706,12 @@ def grad_check(
             flat[c] = w
             up1, down1, up2, down2 = samples
             numeric = (8.0 * (up1 - down1) - (up2 - down2)) / (12.0 * h)
-            analytic = float(gflat[c])
             err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-3)
             # a NaN error must fail the check, and max() would drop it
             worst = max(worst, float(err) if math.isfinite(err) else math.inf)
-            checked += 1
         per_tensor[name] = worst
+        if worst == math.inf:  # no later coordinate can change the result
+            break
     return GradCheckReport(
         max_rel_error=max(per_tensor.values()) if per_tensor else 0.0,
         per_tensor=per_tensor,

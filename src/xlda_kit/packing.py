@@ -34,6 +34,7 @@ from .sampling import SamplerConfig, categorical_draw, constraint_flag, language
 
 SPLIT_ACROSS_SEQUENCES = "split_across_sequences"
 DROP_TAIL_DOC = "drop_tail_doc"
+MIN_SEQ_LEN = 8  # the shortest window a packer makes or a packed file holds
 
 IGNORE_LABEL = 0xFFFFFFFF
 
@@ -65,8 +66,8 @@ class PackerConfig:
     cross_doc_labels: bool = False
 
     def __post_init__(self):
-        if self.seq_len < 8:
-            raise ConfigError(f"seq_len must be >= 8: {self.seq_len}")
+        if self.seq_len < MIN_SEQ_LEN:
+            raise ConfigError(f"seq_len must be >= {MIN_SEQ_LEN}: {self.seq_len}")
         if self.split_policy not in (SPLIT_ACROSS_SEQUENCES, DROP_TAIL_DOC):
             raise ConfigError(f"unknown split_policy: {self.split_policy!r}")
 
@@ -452,7 +453,7 @@ def _read_header(data: mmap.mmap) -> tuple[int, int, bool, list[LanguageTag], in
             raise DataError("language table entry is not UTF-8") from None
 
     seq_len, count, cross_doc, n_langs = _HEADER.unpack(take(_HEADER.size))
-    if seq_len < 8 or cross_doc > 1:
+    if seq_len < MIN_SEQ_LEN or cross_doc > 1:
         raise DataError(f"bad header (seq_len {seq_len}, cross_doc_labels {cross_doc})")
     tags = [LanguageTag(code=text(), lang_class=text()) for _ in range(n_langs)]
     return seq_len, count, bool(cross_doc), tags, pos

@@ -17,7 +17,8 @@ from . import rng
 from .corpus import Document, LanguageTag
 from .errors import ConfigError, TrainingDivergedError
 from .masks import MaskPolicy, MaskSpec, segment_ids
-from .packing import SPAN_BYTES, DocSpan, PackedSequence, PackerConfig, pack_stream
+from .packing import (MIN_SEQ_LEN, SPAN_BYTES, DocSpan, PackedSequence, PackerConfig,
+                      pack_stream)
 from .sampling import SamplerConfig
 from .schedule import ScheduleConfig, lr_at
 
@@ -237,19 +238,24 @@ class TransferSpec:
         MaskPolicy.INTRA_DOCUMENT_CAUSAL,
     )
 
+    # the least value of each run size, and why; the [transfer] settings
+    # take their bounds from here
+    least: ClassVar[dict[str, tuple[int, str]]] = {
+        "steps": (0, ""),
+        "seq_len": (max(MIN_SEQ_LEN, 2 * train_facts_per_doc), "the packer's shortest window"),
+        "train_windows": (batch_sequences,
+                          "infeasible budget: fewer training windows than a batch"),
+        "eval_windows": (1, ""),
+        "n_probe_docs": (2, "the probe alternates languages"),
+    }
+
     def __post_init__(self):
-        if self.steps < 0:
-            raise ConfigError("steps must be >= 0")
+        for name, (least, why) in self.least.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}"
+                                  + (f" ({why})" if why else ""))
         if not (0.0 < self.low_resource_share < 1.0):
             raise ConfigError("low_resource_share must be in (0, 1)")
-        if self.seq_len < 2 * self.train_facts_per_doc:
-            raise ConfigError("seq_len cannot hold a single training document")
-        if self.train_windows < self.batch_sequences:
-            raise ConfigError("infeasible budget: fewer training windows than a batch")
-        if self.eval_windows < 1:
-            raise ConfigError("eval_windows must be positive")
-        if self.n_probe_docs < 2:
-            raise ConfigError("n_probe_docs must be >= 2: the probe alternates languages")
         self.model_config()  # a bad model setting fails here, not after packing
 
     @property

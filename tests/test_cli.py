@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -233,12 +234,18 @@ def test_mask_index_at_or_past_count_exit_2(tmp_path, capsys):
     write_corpus(src)
     run(capsys, "pack", "--input", str(src), "--output", str(packed), "--seq-len", "16")
     count = len(read_packed(packed)[0])
-    for index in (count, count + 5, -1):
+    for index in (count, count + 5):
         code, out, err = run(
             capsys, "mask", "--policy", "xlda", "--from", str(packed), "--index", str(index),
         )
         assert code == 2 and not out
         assert err == f"error: sequence index {index} outside [0, {count})\n"
+    # a negative index never reaches the file: the flag's type refuses it
+    code, out, err = run(
+        capsys, "mask", "--policy", "xlda", "--from", str(packed), "--index", "-1",
+    )
+    assert code == 1 and not out
+    assert err.endswith("error: argument --index: expected an integer >= 0, got '-1'\n")
     code, out, err = run(
         capsys, "mask", "--policy", "xlda", "--from", str(packed), "--index", str(count - 1),
     )
@@ -548,11 +555,11 @@ def test_empty_input_is_a_named_error(tmp_path, capsys, argv, content, message):
 
 
 def test_transfer_cli_small_run(tmp_path, capsys):
-    report = tmp_path / "transfer.json"
+    report, emitted = tmp_path / "transfer.json", tmp_path / "run.ini"
     code, out, err = run(
         capsys, "transfer", "--steps", "3", "--train-windows", "16",
         "--eval-windows", "4", "--probe-docs", "16", "--seq-len", "64",
-        "--report", str(report), "--json",
+        "--report", str(report), "--json", "--emit-config", str(emitted),
     )
     assert code == 0
     payload = json.loads(out)["result"]
@@ -562,6 +569,22 @@ def test_transfer_cli_small_run(tmp_path, capsys):
     saved = json.loads(report.read_text())
     assert saved["steps"] == 3
     assert set(saved["single_doc"]) == set(payload["single_doc"])
+    # the emitted [transfer] section alone reproduces the run
+    again = tmp_path / "again.json"
+    code, out, err = run(capsys, "transfer", "--config", str(emitted), "--report", str(again))
+    assert code == 0, err
+    assert again.read_bytes() == report.read_bytes()
+
+
+def test_every_integer_flag_has_a_checked_type():
+    """A bare ``type=int`` flag takes any integer and reports a bad one as
+    argparse's "invalid int value"; every integer flag takes its type, and
+    its bound, from ``cli._integer``."""
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in [("xlda-kit", parser), *commands.choices.items()]:
+        for action in sub._actions:
+            assert action.type is not int, (name, action.option_strings)
 
 
 def test_grad_check_cli(capsys):
@@ -904,6 +927,37 @@ def test_random_ini_file_exits_0_or_2(settings_dir, entries):
      "--steps: expected an integer >= 0, got '-1'"),
     (["transfer", "--steps", "-1"], None, 1, "--steps: expected an integer >= 0, got '-1'"),
     (["transfer", "--steps", "2.5"], None, 1, "--steps: expected an integer >= 0, got '2.5'"),
+    # an integer flag below its bound is a usage error naming the flag; the
+    # same value in a config file is a config error naming the key
+    (["pack", "--input", "CORPUS", "--output", "OUT", "--seq-len", "3"], None, 1,
+     "--seq-len: expected an integer >= 8, got '3'"),
+    (["pack", "--input", "CORPUS", "--output", "OUT"], "[packer]\nseq_len = 3\n", 2,
+     "[packer] seq_len must be an integer >= 8, got '3'"),
+    (["schedule", "--warmup", "-1"], None, 1, "--warmup: expected an integer >= 0, got '-1'"),
+    (["schedule"], "[schedule]\nwarmup_steps = -1\n", 2,
+     "[schedule] warmup_steps must be an integer >= 0, got '-1'"),
+    (["schedule", "--total", "0"], None, 1, "--total: expected an integer >= 1, got '0'"),
+    (["schedule"], "[schedule]\ntotal_steps = 0\n", 2,
+     "[schedule] total_steps must be an integer >= 1, got '0'"),
+    (["train-toy", "--packed", "PACKED", "--policy", "intra", "--steps", "2", "--warmup", "-1"],
+     None, 1, "--warmup: expected an integer >= 0, got '-1'"),
+    (["mask", "--policy", "xlda", "--from", "PACKED", "--index", "-1"], None, 1,
+     "--index: expected an integer >= 0, got '-1'"),
+    (["transfer", "--seq-len", "7"], None, 1, "--seq-len: expected an integer >= 8, got '7'"),
+    (["transfer"], "[transfer]\nseq_len = 7\n", 2,
+     "[transfer] seq_len must be an integer >= 8, got '7'"),
+    (["transfer", "--train-windows", "3"], None, 1,
+     "--train-windows: expected an integer >= 4, got '3'"),
+    (["transfer"], "[transfer]\ntrain_windows = 3\n", 2,
+     "[transfer] train_windows must be an integer >= 4, got '3'"),
+    (["transfer", "--eval-windows", "0"], None, 1,
+     "--eval-windows: expected an integer >= 1, got '0'"),
+    (["transfer"], "[transfer]\neval_windows = 0\n", 2,
+     "[transfer] eval_windows must be an integer >= 1, got '0'"),
+    (["transfer", "--probe-docs", "1"], None, 1,
+     "--probe-docs: expected an integer >= 2, got '1'"),
+    (["transfer"], "[transfer]\nn_probe_docs = 1\n", 2,
+     "[transfer] n_probe_docs must be an integer >= 2, got '1'"),
 ], ids=["unknown-section", "unknown-key", "default-section", "config-nan", "config-percent",
         "config-int-below-bound", "config-bool", "config-directory", "schedule-peak-nan",
         "train-peak-nan", "train-weight-decay-nan", "grad-check-tolerance-nan",
@@ -911,7 +965,13 @@ def test_random_ini_file_exits_0_or_2(settings_dir, entries):
         "pack-beta-misses-language", "train-total-steps-conflict",
         "train-warmup-conflict", "train-seq-len-conflict", "train-model-dtype",
         "transfer-model-dtype", "train-steps-negative", "transfer-steps-negative",
-        "transfer-steps-fraction"])
+        "transfer-steps-fraction", "pack-seq-len-flag", "pack-seq-len-config",
+        "schedule-warmup-flag", "schedule-warmup-config", "schedule-total-flag",
+        "schedule-total-config", "train-warmup-flag", "mask-index-flag",
+        "transfer-seq-len-flag", "transfer-seq-len-config", "transfer-train-windows-flag",
+        "transfer-train-windows-config", "transfer-eval-windows-flag",
+        "transfer-eval-windows-config", "transfer-probe-docs-flag",
+        "transfer-probe-docs-config"])
 def test_bad_setting_is_a_named_error(settings_dir, tmp_path, capsys, argv, ini, code, message):
     places = {"CORPUS": settings_dir / "corpus.jsonl", "PACKED": settings_dir / "batch.xlda",
               "OUT": tmp_path / "o.xlda", "DIR": tmp_path}

@@ -236,6 +236,18 @@ def test_leading_byte_order_mark_is_skipped_on_line_1_only(tmp_path):
                 for e in report.errors] == [(bad_line, True)]
 
 
+def test_unicode_whitespace_around_a_record_is_stripped_after_decoding(tmp_path):
+    # str.strip() also removes U+3000, U+00A0 and U+0085, which bytes.strip()
+    # leaves in place: a record line that ends in the ideographic space of CJK
+    # text parses, and a line holding only that space is blank, not malformed
+    f = tmp_path / "corpus.jsonl"
+    f.write_bytes('{"id":"d1","lang":"ja","tokens":[1]}\u3000\n\u3000\n'
+                  '\u00a0{"id":"d2","lang":"ko","tokens":[2]}\u0085\n'.encode("utf-8"))
+    report = IngestReport()
+    assert [d.id for d in ingest(f, report=report)] == ["d1", "d2"]
+    assert report.errors == []
+
+
 def test_negative_token_id_is_line_error_naming_the_first(tmp_path):
     f = tmp_path / "corpus.jsonl"
     write_lines(f, ['{"id":"d1","lang":"en","tokens":[1]}',

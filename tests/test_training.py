@@ -323,6 +323,11 @@ def test_transfer_infeasible_budget_is_error():
         TransferSpec(train_windows=2)
     with pytest.raises(ConfigError):
         TransferSpec(steps=-1)
+    # 6 tokens hold a training document, but the packer's shortest window is 8
+    with pytest.raises(ConfigError, match="seq_len must be >= 8, got 6"):
+        TransferSpec(seq_len=6)
+    with pytest.raises(ConfigError, match="eval_windows must be >= 1, got 0"):
+        TransferSpec(eval_windows=0)
 
 
 def test_transfer_working_set_bounds_a_traced_run():
