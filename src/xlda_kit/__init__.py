@@ -4,7 +4,7 @@ Library layout:
 
 * ``corpus`` — record ingestion and corpus statistics
 * ``quality`` — quantile quality filtering
-* ``sampling`` — language sampling distribution, mixture plans, constraint flags
+* ``sampling`` — language sampling distribution, share normalisation, constraint flags
 * ``packing`` — fixed-length sequence packing with span metadata and labels
 * ``masks`` — attention-mask policies over packed spans
 * ``schedule`` — WSD learning rate, batch ramp, scaling-law advisors

@@ -24,7 +24,7 @@ shares (see ``_band_attention``); tiles with only padding rows are skipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import ClassVar, Mapping, Sequence
 
@@ -578,15 +578,15 @@ def loss(
 
 
 def loss_and_grads(params: Parameters, tokens: Array, masks: MaskSpec | Sequence[MaskSpec],
-                   ntp_labels: Array, mtp_labels: Array,
-                   mtp_alpha: float) -> tuple[LossBreakdown, Parameters]:
-    """Forward, loss, and full analytic parameter gradients, laid out like
-    ``params``; ``masks`` as for ``forward``."""
+                   ntp_labels: Array, mtp_labels: Array) -> tuple[LossBreakdown, Parameters]:
+    """Forward, loss at the config's ``mtp_alpha``, and full analytic
+    parameter gradients, laid out like ``params``; ``masks`` as for
+    ``forward``."""
     cfg = params.config
     p = params.tensors
     out, cache = _forward_with_cache(params, tokens, masks)
     breakdown, dntp_logits, dmtp_logits = _loss_breakdown(out, ntp_labels, mtp_labels,
-                                                          mtp_alpha)
+                                                          cfg.mtp_alpha)
     grads = params.like(np.zeros_like(params.flat))
     g = grads.tensors
     rot = cache["rot"]
@@ -609,7 +609,6 @@ class GradCheckReport:
     max_rel_error: float
     per_tensor: dict[str, float]
     coords_checked: int
-    skipped: list[str] = field(default_factory=list)
     tolerance: float = 1e-6
 
     @property
@@ -637,11 +636,13 @@ def _grad_check_batch(config: ModelConfig, gen: np.random.Generator):
 def grad_check(
     config: ModelConfig,
     tolerance: float = 1e-6,
-    mtp_alpha: float = 0.2,
     max_coords_per_tensor: int | None = None,
     params: Parameters | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients with central finite differences.
+
+    The loss weighs MTP by ``params.config.mtp_alpha``, which is
+    ``config.mtp_alpha`` unless ``params`` of float64 are given.
 
     Intended for models of at most a few thousand parameters; every
     coordinate is checked unless ``max_coords_per_tensor`` caps the count,
@@ -669,21 +670,15 @@ def grad_check(
         )
     gen = rng.stream(0, rng.STREAM_GRAD_CHECK)
     tokens, specs, ntp, mtp = _grad_check_batch(config, gen)
-    breakdown, grads = loss_and_grads(
-        params, tokens, specs, ntp, mtp, mtp_alpha=mtp_alpha
-    )
+    _, grads = loss_and_grads(params, tokens, specs, ntp, mtp)
 
     def loss_only() -> float:
         out, _ = _forward_with_cache(params, tokens, specs, keep=False)
-        return loss(out, ntp, mtp, mtp_alpha).total
+        return loss(out, ntp, mtp, params.config.mtp_alpha).total
 
     per_tensor: dict[str, float] = {}
-    skipped: list[str] = []
     checked = 0
     for name, tensor in params.tensors.items():
-        if tensor.size == 0:
-            skipped.append(f"{name}: zero-parameter slice, skipped")
-            continue
         flat = tensor.reshape(-1)
         gflat = grads.tensors[name].reshape(-1)
         if max_coords_per_tensor is not None and tensor.size > max_coords_per_tensor:
@@ -713,9 +708,8 @@ def grad_check(
         if worst == math.inf:  # no later coordinate can change the result
             break
     return GradCheckReport(
-        max_rel_error=max(per_tensor.values()) if per_tensor else 0.0,
+        max_rel_error=max(per_tensor.values()),
         per_tensor=per_tensor,
         coords_checked=checked,
-        skipped=skipped,
         tolerance=tolerance,
     )

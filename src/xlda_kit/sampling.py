@@ -6,13 +6,17 @@ size-proportional share and a configured upsampling factor:
     P(l) = alpha * |D_l| / sum_j |D_j| + (1 - alpha) * beta_l
 
 with temperature ``alpha`` in [0, 1]. ``beta`` must itself be a distribution
-so that P is one. The mixing probability ``rho`` is interpreted per sequence:
-with probability rho a packed sequence is constrained to contain at least two
-languages (enforcement lives in the packer).
+so that P is one; with none given it is uniform over the corpus languages.
+``normalized`` turns ratios into shares: that uniform ``beta``, and the
+rescaled token shares of ``plan --upsample``. The mixing probability ``rho``
+is interpreted per sequence: with probability rho a packed sequence is
+constrained to contain at least two languages (enforcement lives in the
+packer).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,7 +32,7 @@ _SUM_TOL = 1e-12
 @dataclass(frozen=True)
 class SamplerConfig:
     alpha_temp: float
-    beta: Mapping[str, float]
+    beta: Mapping[str, float] | None = None  # None: a uniform share per corpus language
     rho: float = 0.0
     seed: int = 0
 
@@ -37,6 +41,8 @@ class SamplerConfig:
             raise ConfigError(f"alpha_temp must be in [0, 1]: {self.alpha_temp}")
         if not (0.0 <= self.rho <= 1.0):
             raise ConfigError(f"rho must be in [0, 1]: {self.rho}")
+        if self.beta is None:
+            return
         if not self.beta:
             raise ConfigError("beta must name at least one language")
         for code, b in self.beta.items():
@@ -47,43 +53,20 @@ class SamplerConfig:
             raise ConfigError(f"beta must sum to 1 within {_SUM_TOL}, got {total!r}")
 
 
-@dataclass(frozen=True)
-class MixturePlan:
-    """Per-language target token shares, summing to one."""
-
-    shares: Mapping[str, float]
-
-    def __post_init__(self):
-        for code, s in self.shares.items():
-            if s < 0:
-                raise ConfigError(f"share[{code!r}] is negative: {s}")
-        total = float(sum(self.shares.values()))
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ConfigError(f"shares must sum to 1 within {_SUM_TOL}, got {total!r}")
-
-    @classmethod
-    def from_ratios(cls, ratios: Mapping[str, float]) -> "MixturePlan":
-        """Normalize a ratio spec like {"en": 8.5, "ko": 1, "other": 0.5}."""
-        total = float(sum(ratios.values()))
-        if total <= 0:
-            raise ConfigError("ratios must have positive total")
-        raw = {code: r / total for code, r in sorted(ratios.items())}
-        # force exact unit sum despite rounding
-        largest = max(raw, key=lambda c: raw[c])
-        raw[largest] += 1.0 - sum(raw.values())
-        return cls(shares=raw)
-
-    def upsample(self, factors: Mapping[str, float]) -> "MixturePlan":
-        """Scale selected languages' shares (e.g. 3x multilingual volume for
-        the annealing stage) and renormalize."""
-        for code in factors:
-            if code not in self.shares:
-                raise ConfigError(f"unknown language in upsample factors: {code!r}")
-        scaled = {
-            code: share * float(factors.get(code, 1.0))
-            for code, share in self.shares.items()
-        }
-        return MixturePlan.from_ratios(scaled)
+def normalized(ratios: Mapping[str, float]) -> dict[str, float]:
+    """Shares proportional to ``ratios`` (e.g. {"en": 8.5, "ko": 1, "other":
+    0.5}), keyed in sorted code order; the rounding residue goes to the first
+    largest share, so they sum to one exactly."""
+    total = float(sum(ratios.values()))
+    if not 0.0 < total < math.inf:
+        raise ConfigError(f"ratios must have a positive finite total, got {total!r}")
+    shares = {code: r / total for code, r in sorted(ratios.items())}
+    for code, s in shares.items():
+        if s < 0:
+            raise ConfigError(f"share[{code!r}] is negative: {s}")
+    largest = max(shares, key=shares.__getitem__)
+    shares[largest] += 1.0 - sum(shares.values())
+    return shares
 
 
 def language_distribution(
@@ -93,17 +76,18 @@ def language_distribution(
     langs = stats.languages()
     if not langs or stats.total_tokens == 0:
         raise DataError("empty corpus: no tokens to sample from")
-    missing = [l for l in langs if l not in config.beta]
+    beta = normalized(dict.fromkeys(langs, 1.0)) if config.beta is None else config.beta
+    missing = [l for l in langs if l not in beta]
     if missing:
         raise ConfigError(f"languages in stats missing from beta: {missing}")
-    extra = [l for l in sorted(config.beta) if l not in stats.per_language]
+    extra = [l for l in sorted(beta) if l not in stats.per_language]
     if extra:
         raise ConfigError(f"languages in beta missing from stats: {extra}")
     total = stats.total_tokens
     alpha = config.alpha_temp
     dist = {
         code: alpha * (stats.per_language[code].tokens / total)
-        + (1.0 - alpha) * float(config.beta[code])
+        + (1.0 - alpha) * float(beta[code])
         for code in langs
     }
     if not abs(sum(dist.values()) - 1.0) <= _SUM_TOL:

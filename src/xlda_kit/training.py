@@ -64,22 +64,15 @@ class Batch:
     real_tokens: int
 
 
-def _window(seq: PackedSequence, policy: MaskPolicy) -> tuple:
-    """One window's tokens, mask spec, NTP and MTP labels, and real tokens."""
-    return (seq.tokens, MaskSpec.for_sequence(seq, policy), seq.ntp_labels, seq.mtp_labels,
-            seq.pad_start)
-
-
-def _stack(windows: Sequence[tuple]) -> Batch:
-    tokens, specs, ntp, mtp, real = zip(*windows)
-    return Batch(tokens=np.stack(tokens), specs=specs, ntp=np.stack(ntp),
-                 mtp=np.stack(mtp), real_tokens=int(sum(real)))
-
-
 def batch_from_sequences(
     seqs: Sequence[PackedSequence], policy: MaskPolicy
 ) -> Batch:
-    return _stack([_window(s, policy) for s in seqs])
+    """The windows stacked row by row, each with its mask spec under ``policy``."""
+    return Batch(tokens=np.stack([s.tokens for s in seqs]),
+                 specs=tuple(MaskSpec.for_sequence(s, policy) for s in seqs),
+                 ntp=np.stack([s.ntp_labels for s in seqs]),
+                 mtp=np.stack([s.mtp_labels for s in seqs]),
+                 real_tokens=int(sum(s.pad_start for s in seqs)))
 
 
 def cycle_batches(
@@ -95,7 +88,7 @@ def cycle_batches(
     while True:
         picks = [seqs[(cursor + j) % n] for j in range(batch_sequences)]
         cursor = (cursor + batch_sequences) % n
-        yield _stack([_window(s, policy) for s in picks])
+        yield batch_from_sequences(picks, policy)
 
 
 @dataclass
@@ -142,7 +135,7 @@ def train(
         batch = next(batches)
         lr = lr_at(schedule, step)
         breakdown, grads = toy.loss_and_grads(params, batch.tokens, batch.specs, batch.ntp,
-                                              batch.mtp, mtp_alpha=params.config.mtp_alpha)
+                                              batch.mtp)
         if not math.isfinite(breakdown.total):
             raise TrainingDivergedError(
                 f"non-finite loss {breakdown.total} at step {step}"
@@ -369,11 +362,9 @@ def _packed_episodes(
             )
             doc_serial += 1
             cum += len(toks)
-        codes = sorted({d.lang.code for d in docs})
         sampler = SamplerConfig(
             alpha_temp=1.0,
-            beta=({codes[0]: 1.0} if len(codes) == 1
-                  else {codes[0]: 0.5, codes[1]: 0.5}),
+            beta=None,
             rho=0.0,
             seed=rng.derive_key(spec.seed, stream_index, episode)[0] % (1 << 62),
         )
@@ -456,10 +447,6 @@ def transfer_experiment(spec: TransferSpec) -> TransferReport:
         total_steps=max(spec.steps, 2),
         decay_fraction=0.2,
         final_ratio=0.1,
-        batch_start_tokens=spec.batch_sequences * spec.seq_len,
-        batch_end_tokens=spec.batch_sequences * spec.seq_len,
-        batch_ramp_tokens=1,
-        seq_len=spec.seq_len,
     )
     opt = OptimizerConfig(weight_decay=spec.weight_decay)
 

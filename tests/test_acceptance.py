@@ -9,6 +9,7 @@ import math
 import time
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -349,10 +350,12 @@ def test_criterion_08_gradient_check():
             n_layers=1, d_model=8, d_ff=16, n_heads=2, vocab_size=11,
             mtp_alpha=0.2, seed=0,
         )
-        assert toy.init(cfg).n_params() <= 5000
+        n_params = toy.init(cfg).n_params()
+        assert n_params <= 5000
         for alpha in (0.0, 0.2):
-            report = toy.grad_check(cfg, tolerance=1e-6, mtp_alpha=alpha)
+            report = toy.grad_check(replace(cfg, mtp_alpha=alpha), tolerance=1e-6)
             assert report.max_rel_error < 1e-6, (alpha, report.max_rel_error)
+            assert report.coords_checked == n_params
 
 
 def test_criterion_09_causality_and_mask_faithfulness():

@@ -576,15 +576,30 @@ def test_transfer_cli_small_run(tmp_path, capsys):
     assert again.read_bytes() == report.read_bytes()
 
 
+# the flags that take free text: paths, and a policy name the command parses
+_TEXT_FLAGS = {"--config", "--emit-config", "--input", "--output", "--stats", "--corpus",
+               "--from", "--packed", "--metrics", "--report", "--pairs", "--policy"}
+
+
 def test_every_integer_flag_has_a_checked_type():
     """A bare ``type=int`` flag takes any integer and reports a bad one as
-    argparse's "invalid int value"; every integer flag takes its type, and
-    its bound, from ``cli._integer``."""
+    argparse's "invalid int value"; a flag with no type passes a bad number
+    or ``code=value`` map on to the command, whose error names no flag.
+    Every flag that takes a number or a language map checks it with a
+    ``cli._argument`` type, so a bad one is a usage error naming the flag;
+    integer flags take their type, and their bound, from ``cli._integer``."""
     parser = build_parser()
     [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    unchecked = []
     for name, sub in [("xlda-kit", parser), *commands.choices.items()]:
         for action in sub._actions:
             assert action.type is not int, (name, action.option_strings)
+            if (action.nargs == 0 or action.choices or not action.option_strings
+                    or _TEXT_FLAGS.intersection(action.option_strings)):
+                continue
+            if not getattr(action.type, "__qualname__", "").startswith("_argument."):
+                unchecked.append((name, *action.option_strings))
+    assert unchecked == []
 
 
 def test_grad_check_cli(capsys):
@@ -593,6 +608,9 @@ def test_grad_check_cli(capsys):
     payload = json.loads(out)
     assert payload["result"]["passed"] is True
     assert payload["result"]["max_rel_error"] < 1e-6
+    for alpha in ("0.0", "0.2"):
+        assert set(payload["result"]["per_alpha"][alpha]) == {"coords_checked",
+                                                              "max_rel_error"}
 
 
 def test_grad_check_cli_fails_on_nan_gradients(capsys, monkeypatch):
@@ -901,12 +919,22 @@ def test_random_ini_file_exits_0_or_2(settings_dir, entries):
     (["grad-check", "--tolerance", "nan"], None, 1, "--tolerance: expected a finite number"),
     (["advise", "--params-from", "inf", "--tokens-from", "1e11", "--params-to", "7e9",
       "--tokens-to", "2e12"], None, 1, "--params-from: expected a finite number, got 'inf'"),
-    (["plan", "--corpus", "CORPUS", "--beta", "en=nan,ko=0.5"], None, 2,
-     "bad beta entry 'en=nan'"),
-    (["plan", "--corpus", "CORPUS", "--upsample", "ko=nan"], None, 2,
-     "bad upsample entry 'ko=nan'"),
-    (["plan", "--corpus", "CORPUS", "--upsample", "ko=inf"], None, 2,
-     "bad upsample entry 'ko=inf'"),
+    # a bad number in a code=value flag is a usage error naming the flag;
+    # the same value in a config file is a config error naming the key
+    (["plan", "--corpus", "CORPUS", "--beta", "en=nan,ko=0.5"], None, 1,
+     "--beta: expected code=value pairs summing to 1, got 'en=nan,ko=0.5'"),
+    (["plan", "--corpus", "CORPUS", "--upsample", "ko=nan"], None, 1,
+     "--upsample: expected code=factor pairs, got 'ko=nan'"),
+    (["plan", "--corpus", "CORPUS", "--upsample", "ko=inf"], None, 1,
+     "--upsample: expected code=factor pairs, got 'ko=inf'"),
+    (["pack", "--input", "CORPUS", "--output", "OUT", "--beta", "en=0.5"], None, 1,
+     "--beta: expected code=value pairs summing to 1, got 'en=0.5'"),
+    (["plan", "--corpus", "CORPUS"], "[sampler]\nbeta = en=nan,ko=0.5\n", 2,
+     "[sampler] beta must be code=value pairs summing to 1, got 'en=nan,ko=0.5'"),
+    (["plan", "--corpus", "CORPUS", "--upsample", "ko=-1"], None, 2,
+     "share['ko'] is negative: "),
+    (["plan", "--corpus", "CORPUS", "--upsample", "zz=2"], None, 2,
+     "unknown language in upsample factors: 'zz'"),
     (["pack", "--input", "CORPUS", "--output", "OUT", "--alpha", "0.0", "--beta", "en=1.0"],
      None, 2, "languages in stats missing from beta: ['ko']"),
     (["train-toy", "--packed", "PACKED", "--policy", "intra", "--steps", "3"],
@@ -962,6 +990,8 @@ def test_random_ini_file_exits_0_or_2(settings_dir, entries):
         "config-int-below-bound", "config-bool", "config-directory", "schedule-peak-nan",
         "train-peak-nan", "train-weight-decay-nan", "grad-check-tolerance-nan",
         "advise-inf", "plan-beta-nan", "plan-upsample-nan", "plan-upsample-inf",
+        "pack-beta-sum-flag", "plan-beta-nan-config", "plan-upsample-negative",
+        "plan-upsample-unknown",
         "pack-beta-misses-language", "train-total-steps-conflict",
         "train-warmup-conflict", "train-seq-len-conflict", "train-model-dtype",
         "transfer-model-dtype", "train-steps-negative", "transfer-steps-negative",

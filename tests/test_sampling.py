@@ -5,11 +5,11 @@ from xlda_kit import rng
 from xlda_kit.corpus import CorpusStats, LanguageStats
 from xlda_kit.errors import ConfigError, DataError
 from xlda_kit.sampling import (
-    MixturePlan,
     SamplerConfig,
     categorical_draw,
     constraint_flag,
     language_distribution,
+    normalized,
 )
 
 
@@ -136,9 +136,16 @@ def test_constraint_flags_fraction():
 
 
 def test_mixture_plan_from_ratios():
-    plan = MixturePlan.from_ratios({"en": 8.5, "ko": 1.0, "other": 0.5})
-    assert plan.shares["en"] == pytest.approx(0.85, abs=1e-15)
-    assert sum(plan.shares.values()) == 1.0
+    shares = normalized({"other": 0.5, "ko": 1.0, "en": 8.5})
+    assert list(shares) == ["en", "ko", "other"]
+    assert shares["en"] == pytest.approx(0.85, abs=1e-15)
+    assert sum(shares.values()) == 1.0
+    for ratios in ({"en": 0.0}, {"en": 1.0, "ko": -1.0}, {"en": float("nan")},
+                   {"en": float("inf")}):
+        with pytest.raises(ConfigError, match="positive finite total"):
+            normalized(ratios)
+    with pytest.raises(ConfigError, match=r"share\['ko'\] is negative: -0.5"):
+        normalized({"en": 3.0, "ko": -1.0})
 
 
 @pytest.mark.parametrize("n", range(1, 12))
@@ -146,14 +153,23 @@ def test_equal_ratios_put_the_rounding_residue_on_the_first_code(n):
     codes = [f"l{i:02d}" for i in range(n)]
     expected = {code: 1.0 / n for code in codes}
     expected[codes[0]] += 1.0 - sum(expected.values())
-    shares = MixturePlan.from_ratios(dict.fromkeys(reversed(codes), 1.0)).shares
+    shares = normalized(dict.fromkeys(reversed(codes), 1.0))
     assert list(shares.items()) == list(expected.items())
 
 
+def test_no_beta_is_a_uniform_share_per_corpus_language():
+    stats = make_stats(IMBALANCED_SIZES)
+    uniform = normalized(dict.fromkeys(IMBALANCED_SIZES, 1.0))
+    assert language_distribution(SamplerConfig(alpha_temp=0.0), stats) == uniform
+    for alpha in (0.0, 0.3, 1.0):
+        assert (language_distribution(SamplerConfig(alpha_temp=alpha), stats)
+                == language_distribution(SamplerConfig(alpha_temp=alpha, beta=uniform), stats))
+
+
 def test_mixture_plan_upsample():
-    plan = MixturePlan.from_ratios({"en": 8.5, "ko": 1.0, "other": 0.5})
-    tripled = plan.upsample({"ko": 3.0, "other": 3.0})
-    assert abs(sum(tripled.shares.values()) - 1.0) <= 1e-12
-    assert tripled.shares["ko"] == pytest.approx(3.0 / (8.5 + 3.0 + 1.5), rel=1e-12)
-    with pytest.raises(ConfigError):
-        plan.upsample({"zz": 2.0})
+    """``plan --upsample`` rescales the plan's shares and normalizes again."""
+    plan = normalized({"en": 8.5, "ko": 1.0, "other": 0.5})
+    factors = {"ko": 3.0, "other": 3.0}
+    tripled = normalized({code: s * factors.get(code, 1.0) for code, s in plan.items()})
+    assert sum(tripled.values()) == 1.0
+    assert tripled["ko"] == pytest.approx(3.0 / (8.5 + 3.0 + 1.5), rel=1e-12)

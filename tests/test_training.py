@@ -275,8 +275,7 @@ def test_float32_step_leaves_no_float64_behind():
             if dtype not in (np.float32, np.complex64)] == []
     _, dlogits, _ = toy._ce_and_grad(out.ntp_logits, batch.ntp)
     assert dlogits.dtype == np.float32
-    _, grads = toy.loss_and_grads(params, batch.tokens, batch.specs, batch.ntp, batch.mtp,
-                                  mtp_alpha=config.mtp_alpha)
+    _, grads = toy.loss_and_grads(params, batch.tokens, batch.specs, batch.ntp, batch.mtp)
     opt = AdamW(params, OptimizerConfig())
     opt.step(params, grads, 1e-3)
     for vector in (params.flat, grads.flat, opt.m, opt.v):
