@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -705,23 +705,12 @@ def _add_arguments(name: str, p: _Parser) -> None:
                            help="line-delimited {item_id, src_correct, tgt_correct}")
 
 
-def build_parser(names: Iterable[str] = COMMANDS) -> _Parser:
-    """The parser with the subcommands ``names``, by default all of them.
-
-    The usage line lists every command whichever are built, so a usage
-    error reads the same from a parser holding one command as from the full
-    one.
-    """
-    names = list(names)
+def build_parser() -> _Parser:
+    """The parser holding every command; ``dispatch`` builds it once per process."""
     parser = _Parser(prog="xlda-kit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    # argparse names an explicit metavar, not `command`, in the errors for a
-    # missing or unknown command; only the full parser can meet those
-    metavar = None if len(names) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
-                                metavar=metavar)
-    for name in names:
-        summary, func = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (summary, func) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         _bind(p, "global")
         p.add_argument("--config", default=None, help="INI config file")
@@ -733,11 +722,8 @@ def build_parser(names: Iterable[str] = COMMANDS) -> _Parser:
     return parser
 
 
-@cache
-def _parser_for(name: str | None) -> _Parser:
-    """The parser of command ``name``, or of every command for None, built
-    once per process: parsing leaves nothing on it."""
-    return build_parser(COMMANDS if name is None else [name])
+# parsing leaves nothing on a parser, so every call in a process shares one
+_parser = cache(build_parser)
 
 
 # the flags naming a file that a command writes once its work is done
@@ -762,12 +748,11 @@ def _check_outputs(args) -> None:
 def dispatch(argv: list[str]) -> int:
     """Run one subcommand; returns the process exit status.
 
-    Only the named command's parser is used; anything else (no command, an
-    unknown one, a leading option) goes to the parser holding every command.
+    Every call parses ``argv`` with the process's one parser of every
+    command (``build_parser``).
     """
-    parser = _parser_for(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -1,10 +1,9 @@
 """Document ingestion and corpus statistics.
 
 Input is line-delimited UTF-8 records (one JSON object per line) with the
-fields ``id``, ``lang``, ``tokens`` or ``text``, and optional ``score`` and
-``class``. Records carry either pre-tokenized ``tokens`` or raw ``text``
-plus a caller-supplied tokenizer callback; this module never tokenizes on
-its own.
+fields ``id``, ``lang`` and ``tokens``, and optional ``score`` and ``class``.
+Records carry pre-tokenized ``tokens``, a JSON array of integer ids; this
+module never tokenizes.
 """
 
 from __future__ import annotations
@@ -13,10 +12,9 @@ import codecs
 import functools
 import itertools
 import json
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -123,9 +121,8 @@ class LineError:
 
 @dataclass
 class IngestReport:
-    """Counts and per-line errors accumulated while ingesting a file."""
+    """The per-line errors accumulated while ingesting a file."""
 
-    documents: int = 0
     errors: list[LineError] = field(default_factory=list)
 
     @property
@@ -159,9 +156,7 @@ def numbered_lines(fh: BinaryIO) -> Iterator[tuple[int, bytes]]:
     return itertools.chain([(1, first)], enumerate(fh, start=2))
 
 
-def _parse_record(
-    record: dict, tokenizer: Callable[[str], Sequence[int]] | None
-) -> Document:
+def _parse_record(record: dict) -> Document:
     doc_id = record.get("id")
     if not isinstance(doc_id, str) or not doc_id:
         raise DataError("missing or empty 'id' field")
@@ -178,19 +173,11 @@ def _parse_record(
 
     tokens = record.get("tokens")
     if tokens is None:
-        text = record.get("text")
-        if text is None:
-            raise DataError("record has neither 'tokens' nor 'text'")
-        if tokenizer is None:
-            raise DataError("raw text record but no tokenizer callback was supplied")
-        tokens = tokenizer(text)
-    if not isinstance(tokens, (list, tuple)):
+        raise DataError("record has no 'tokens'")
+    if not isinstance(tokens, list):
         raise DataError("'tokens' is not an array")
-    # the int64 conversion would truncate JSON floats and take booleans as
-    # 0 and 1; a tokenizer's integer types, numpy's among them, are token ids
-    kinds = set(map(type, tokens))
-    if not kinds <= {int} and any(  # json decodes exact ints: nothing to look at
-            k is bool or not issubclass(k, numbers.Integral) for k in kinds):
+    # the int64 conversion would truncate JSON floats and take booleans as 0 and 1
+    if not set(map(type, tokens)) <= {int}:
         raise DataError("non-integer token id in 'tokens'")
 
     score = record.get("score")
@@ -214,13 +201,10 @@ def input_file(path: str | Path) -> Path:
     return path
 
 
-def ingest(
-    path: str | Path,
-    tokenizer: Callable[[str], Sequence[int]] | None = None,
-    report: IngestReport | None = None,
-) -> Iterator[Document]:
+def ingest(path: str | Path, report: IngestReport | None = None) -> Iterator[Document]:
     """Yield Documents from a record file in file order.
 
+    A record's ``tokens`` must be a JSON array of integers in [0, 2**63).
     Malformed lines are skipped and recorded in ``report`` with their line
     numbers. A missing file or a directory is fatal, and so is a duplicate
     id, because downstream span metadata keys on document id.
@@ -235,7 +219,7 @@ def ingest(
                 record = parse_json_object(raw)
                 if record is None:
                     continue
-                doc = _parse_record(record, tokenizer)
+                doc = _parse_record(record)
             except DataError as exc:
                 if report is not None:
                     report.errors.append(LineError(line_no, str(exc)))
@@ -244,8 +228,6 @@ def ingest(
                 # always fatal: span metadata downstream keys on doc id
                 raise DataError(f"line {line_no}: duplicate document id {doc.id!r}")
             seen_ids.add(doc.id)
-            if report is not None:
-                report.documents += 1
             yield doc
 
 

@@ -637,12 +637,11 @@ def grad_check(
     config: ModelConfig,
     tolerance: float = 1e-6,
     max_coords_per_tensor: int | None = None,
-    params: Parameters | None = None,
 ) -> GradCheckReport:
-    """Compare analytic gradients with central finite differences.
+    """Compare analytic gradients with central finite differences at the
+    parameters ``init(config)`` draws.
 
-    The loss weighs MTP by ``params.config.mtp_alpha``, which is
-    ``config.mtp_alpha`` unless ``params`` of float64 are given.
+    The loss weighs MTP by ``config.mtp_alpha``.
 
     Intended for models of at most a few thousand parameters; every
     coordinate is checked unless ``max_coords_per_tensor`` caps the count,
@@ -655,19 +654,15 @@ def grad_check(
     size leave ~5e-6 of truncation error on the tied softmax head.
 
     The check always runs in float64, whatever ``config.dtype`` is: float32
-    rounding alone is far above the tolerance. ``params`` of another dtype
-    are checked at their float64 values.
+    rounding alone is far above the tolerance.
     """
     config = replace(config, dtype="float64")
-    if params is None:
-        params = init(config)
-    elif params.flat.dtype != np.float64:
-        params = replace(params, config=config).like(params.flat.astype(np.float64))
-    if params.n_params() > 8192:
+    n_params = sum(map(math.prod, _shapes(config).values()))  # refused before allocating
+    if n_params > 8192:
         raise ConfigError(
-            f"grad_check expects a model of at most a few thousand parameters, "
-            f"got {params.n_params()}"
+            f"grad_check expects a model of at most a few thousand parameters, got {n_params}"
         )
+    params = init(config)
     gen = rng.stream(0, rng.STREAM_GRAD_CHECK)
     tokens, specs, ntp, mtp = _grad_check_batch(config, gen)
     _, grads = loss_and_grads(params, tokens, specs, ntp, mtp)

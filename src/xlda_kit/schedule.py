@@ -10,6 +10,7 @@ which equals peak at tau=0 and exactly final_ratio * peak at tau=1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -104,13 +105,16 @@ def vocab_scale_factor(compute_ratio: float) -> float:
 def compute_ratio(
     params_from: float, tokens_from: float, params_to: float, tokens_to: float
 ) -> float:
-    """Compute ratio between two training runs under C ~ params * tokens."""
-    for name, v in (
-        ("params_from", params_from),
-        ("tokens_from", tokens_from),
-        ("params_to", params_to),
-        ("tokens_to", tokens_to),
-    ):
+    """Compute ratio between two training runs under C ~ params * tokens;
+    a ratio outside the positive finite floats is a ``ConfigError``."""
+    given = {"params_from": params_from, "tokens_from": tokens_from,
+             "params_to": params_to, "tokens_to": tokens_to}
+    for name, v in given.items():
         if v <= 0:
             raise ConfigError(f"{name} must be positive: {v}")
-    return (params_to * tokens_to) / (params_from * tokens_from)
+    source = params_from * tokens_from
+    ratio = (params_to * tokens_to) / source if source else math.inf
+    if not 0 < ratio < math.inf:
+        raise ConfigError("compute ratio out of float range for "
+                          + ", ".join(f"{name}={v}" for name, v in given.items()))
+    return ratio

@@ -277,8 +277,8 @@ def test_dense_grid_matches_per_cell_formatting(tmp_path, capsys):
 
 
 def _parse_with_every_command(argv):
-    """Exit code of ``build_parser()``, holding every command, on ``argv``,
-    for argvs that end in argparse: help, version or a usage error."""
+    """Exit code of a newly built parser on ``argv``, for argvs that end in
+    argparse: help, version or a usage error."""
     try:
         build_parser().parse_args(argv)
     except SystemExit as exc:  # --help / --version
@@ -298,6 +298,8 @@ PARITY_ARGVS = [
 
 @pytest.mark.parametrize("argv", PARITY_ARGVS, ids=" ".join)
 def test_one_command_parser_reads_as_the_full_parser(capsys, argv):
+    """The one parser ``dispatch`` shares across calls reads as a newly built
+    one, with help and version at exit 0 and a usage error at exit 1."""
     got = run(capsys, *argv)
     code = _parse_with_every_command(argv)
     captured = capsys.readouterr()
@@ -331,7 +333,7 @@ def test_a_reused_parser_carries_nothing_to_the_next_call(tmp_path, capsys, monk
     for first, second in pairs:
         run(capsys, *first)
         assert run(capsys, *second) == fresh_process(*second), second
-    assert cli._parser_for("mask") is cli._parser_for("mask")  # the calls shared it
+    assert cli._parser() is cli._parser()  # the calls shared it
 
 
 def test_json_output_is_one_line(tmp_path, capsys):
@@ -919,6 +921,13 @@ def test_random_ini_file_exits_0_or_2(settings_dir, entries):
     (["grad-check", "--tolerance", "nan"], None, 1, "--tolerance: expected a finite number"),
     (["advise", "--params-from", "inf", "--tokens-from", "1e11", "--params-to", "7e9",
       "--tokens-to", "2e12"], None, 1, "--params-from: expected a finite number, got 'inf'"),
+    # finite inputs whose compute ratio is not a positive finite float
+    (["advise", "--params-from", "1e-200", "--tokens-from", "1e-200", "--params-to", "1",
+      "--tokens-to", "1"], None, 2, "compute ratio out of float range for params_from=1e-200, "
+     "tokens_from=1e-200, params_to=1.0, tokens_to=1.0"),
+    (["advise", "--params-from", "1", "--tokens-from", "1", "--params-to", "1e200",
+      "--tokens-to", "1e200", "--json"], None, 2, "compute ratio out of float range for "
+     "params_from=1.0, tokens_from=1.0, params_to=1e+200, tokens_to=1e+200"),
     # a bad number in a code=value flag is a usage error naming the flag;
     # the same value in a config file is a config error naming the key
     (["plan", "--corpus", "CORPUS", "--beta", "en=nan,ko=0.5"], None, 1,
@@ -989,7 +998,8 @@ def test_random_ini_file_exits_0_or_2(settings_dir, entries):
 ], ids=["unknown-section", "unknown-key", "default-section", "config-nan", "config-percent",
         "config-int-below-bound", "config-bool", "config-directory", "schedule-peak-nan",
         "train-peak-nan", "train-weight-decay-nan", "grad-check-tolerance-nan",
-        "advise-inf", "plan-beta-nan", "plan-upsample-nan", "plan-upsample-inf",
+        "advise-inf", "advise-ratio-underflow", "advise-ratio-overflow", "plan-beta-nan",
+        "plan-upsample-nan", "plan-upsample-inf",
         "pack-beta-sum-flag", "plan-beta-nan-config", "plan-upsample-negative",
         "plan-upsample-unknown",
         "pack-beta-misses-language", "train-total-steps-conflict",
