@@ -123,7 +123,8 @@ def _parse_pair(record: dict) -> PredictionPair:
         raise DataError("missing or empty item_id")
     src, tgt = (record.get(key) for key in ("src_correct", "tgt_correct"))
     for key, v in (("src_correct", src), ("tgt_correct", tgt)):
-        if v not in (0, 1):  # true, false, 1 or 0
+        # true, false, 1 or 0; 1.0 == 1, so a JSON float needs a type check
+        if type(v) not in (bool, int) or v not in (0, 1):
             raise DataError(f"{key} must be a boolean (item answered in both languages "
                             "is required)")
     return PredictionPair(item_id, bool(src), bool(tgt))

@@ -25,6 +25,10 @@ LANGUAGE_CLASSES = ("english", "multilingual", "math_code")
 SCORE_MIN = 0.0
 SCORE_MAX = 5.0
 
+# ``ingest`` converts the token ids of a block of records at once; a block
+# holds at most this many ids, and a record with more is a block of its own
+INGEST_BLOCK_IDS = 8192
+
 
 @dataclass(frozen=True)
 class LanguageTag:
@@ -65,7 +69,9 @@ class Document:
     """A language-tagged, optionally quality-scored token sequence.
 
     ``tokens`` may be given as any sequence of integers; it is held as one
-    read-only int64 array, so an id must lie in [0, 2**63).
+    read-only int64 array, so an id must lie in [0, 2**63). The documents
+    that ``ingest`` reads from one block of records hold read-only views of
+    that block's one array.
     """
 
     id: str
@@ -90,6 +96,22 @@ class Document:
             raise DataError(f"document {self.id!r} has negative token id {t}")
         tokens.flags.writeable = False
         object.__setattr__(self, "tokens", tokens)
+        self._check_score()
+
+    @classmethod
+    def _of_checked(cls, doc_id: str, lang: LanguageTag, tokens: np.ndarray,
+                    score: float | None) -> "Document":
+        """A document over ``tokens``, a read-only int64 array of ids already
+        checked to lie in [0, 2**63), held as given; only the score is
+        checked."""
+        doc = object.__new__(cls)
+        for name, value in (("id", doc_id), ("lang", lang), ("tokens", tokens),
+                            ("score", score)):
+            object.__setattr__(doc, name, value)
+        doc._check_score()
+        return doc
+
+    def _check_score(self) -> None:
         if self.score is not None and not (SCORE_MIN <= self.score <= SCORE_MAX):
             raise DataError(
                 f"document {self.id!r} score {self.score} outside [{SCORE_MIN}, {SCORE_MAX}]"
@@ -156,7 +178,9 @@ def numbered_lines(fh: BinaryIO) -> Iterator[tuple[int, bytes]]:
     return itertools.chain([(1, first)], enumerate(fh, start=2))
 
 
-def _parse_record(record: dict) -> Document:
+def _record_fields(record: dict) -> tuple[str, LanguageTag, list, float | None]:
+    """The id, language tag, token list and score of ``record``: every check
+    of a record but those of its token ids' range and of its score's."""
     doc_id = record.get("id")
     if not isinstance(doc_id, str) or not doc_id:
         raise DataError("missing or empty 'id' field")
@@ -186,7 +210,54 @@ def _parse_record(record: dict) -> Document:
             raise DataError("'score' is not a number")
         score = float(score)
 
-    return Document(id=doc_id, lang=lang, tokens=tokens, score=score)
+    if not tokens:
+        raise DataError(f"document {doc_id!r} has no tokens")
+    return doc_id, lang, tokens, score
+
+
+def _parse_record(record: dict) -> Document:
+    """The document of one record, with every check made on that record
+    alone: what ``ingest`` gives for it, one block at a time."""
+    return Document(*_record_fields(record))
+
+
+def _block_documents(block: list[tuple[int, tuple | str]], report: IngestReport | None,
+                     seen_ids: set[str]) -> Iterator[Document]:
+    """Yield the documents of ``block`` and record its line errors, in line
+    order. ``block`` holds, per line, its number and either its record in
+    ``_record_fields`` form or its line error. The records' ids are
+    converted and checked at once, into one read-only array that their
+    documents view; if any id is out of range, each record is converted on
+    its own instead, as ``_parse_record`` does."""
+    records = [item for _, item in block if isinstance(item, tuple)]
+    try:
+        ids = np.fromiter(itertools.chain.from_iterable(r[2] for r in records), np.int64,
+                          sum(len(r[2]) for r in records))
+        in_range = ids.min(initial=0) >= 0
+    except OverflowError:
+        in_range = False
+    if in_range:
+        ids.flags.writeable = False
+    start = 0
+    for line_no, item in block:
+        if isinstance(item, tuple):
+            doc_id, lang, tokens, score = item
+            end = start + len(tokens)
+            try:
+                doc = (Document._of_checked(doc_id, lang, ids[start:end], score) if in_range
+                       else Document(doc_id, lang, tokens, score))
+            except DataError as exc:
+                item = str(exc)
+            start = end
+        if isinstance(item, str):
+            if report is not None:
+                report.errors.append(LineError(line_no, item))
+            continue
+        if doc.id in seen_ids:
+            # always fatal: span metadata downstream keys on doc id
+            raise DataError(f"line {line_no}: duplicate document id {doc.id!r}")
+        seen_ids.add(doc.id)
+        yield doc
 
 
 def input_file(path: str | Path) -> Path:
@@ -206,11 +277,19 @@ def ingest(path: str | Path, report: IngestReport | None = None) -> Iterator[Doc
 
     A record's ``tokens`` must be a JSON array of integers in [0, 2**63).
     Malformed lines are skipped and recorded in ``report`` with their line
-    numbers. A missing file or a directory is fatal, and so is a duplicate
-    id, because downstream span metadata keys on document id.
+    numbers, in line order. A missing file or a directory is fatal, and so
+    is a duplicate id, because downstream span metadata keys on document id.
+
+    Records are read in blocks of at most ``INGEST_BLOCK_IDS`` token ids (a
+    longer record is a block of its own), whose ids are converted at once:
+    the documents of a block view one shared array, so holding any of them
+    holds the whole block. Every caller holds all of a file's documents or
+    none of them.
     """
     path = input_file(path)
     seen_ids: set[str] = set()
+    block: list[tuple[int, tuple | str]] = []
+    block_ids = 0
     # read bytes and decode line by line, so that an invalid byte sequence
     # is one malformed line rather than a failure of the whole file
     with path.open("rb") as fh:
@@ -219,16 +298,16 @@ def ingest(path: str | Path, report: IngestReport | None = None) -> Iterator[Doc
                 record = parse_json_object(raw)
                 if record is None:
                     continue
-                doc = _parse_record(record)
+                fields = _record_fields(record)
             except DataError as exc:
-                if report is not None:
-                    report.errors.append(LineError(line_no, str(exc)))
+                block.append((line_no, str(exc)))
                 continue
-            if doc.id in seen_ids:
-                # always fatal: span metadata downstream keys on doc id
-                raise DataError(f"line {line_no}: duplicate document id {doc.id!r}")
-            seen_ids.add(doc.id)
-            yield doc
+            if block_ids + len(fields[2]) > INGEST_BLOCK_IDS:
+                yield from _block_documents(block, report, seen_ids)
+                block, block_ids = [], 0
+            block.append((line_no, fields))
+            block_ids += len(fields[2])
+    yield from _block_documents(block, report, seen_ids)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import rng
-from .corpus import Document, LanguageTag, stats as corpus_stats
+from .corpus import INGEST_BLOCK_IDS, Document, LanguageTag, stats as corpus_stats
 from .errors import ConfigError, ConstraintInfeasibleError, DataError, XldaKitError
-from .sampling import SamplerConfig, categorical_draw, constraint_flag, language_distribution
+from .sampling import (SamplerConfig, _draw, _draw_table, constraint_flag,
+                       language_distribution)
 
 SPLIT_ACROSS_SEQUENCES = "split_across_sequences"
 DROP_TAIL_DOC = "drop_tail_doc"
@@ -194,6 +195,8 @@ class _Filler:
         self.config = config
         self.report = report
         self.lang_order = sorted(queues)
+        # the draw table of each pool drawn from, keyed by the pool
+        self.tables: dict[tuple[str, ...], tuple[list[float], float]] = {}
         # boundary carry: the fragment cut by the previous sequence's end
         self.carry: _QueueItem | None = None
         # tokens written into a sequence that was then abandoned as infeasible
@@ -201,6 +204,15 @@ class _Filler:
 
     def _available(self) -> list[str]:
         return [l for l in self.lang_order if self.queues[l]]
+
+    def _draw(self, pool: list[str], gen) -> str:
+        """``sampling.categorical_draw(self.dist, pool, gen)``, from a table
+        built once per pool."""
+        key = tuple(pool)
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables[key] = _draw_table(self.dist, pool)
+        return _draw(table, pool, gen)
 
     def _other_material_exists(self, lang: str) -> bool:
         if self.carry is not None and self.carry.doc.lang.code != lang:
@@ -238,7 +250,7 @@ class _Filler:
                         return self._stop(f"only {sorted(langs)[0]!r} still has documents", pos)
                 else:
                     pool = avail
-                code = categorical_draw(self.dist, pool, gen)
+                code = self._draw(pool, gen)
                 item = self.queues[code].popleft()
                 if item.offset == 0:
                     self.report.documents_consumed += 1
@@ -346,25 +358,27 @@ def pack_stream(
 SPAN_BYTES = 256  # objects of one span of a held window: 200-220 B measured
 _DOC_BYTES = 1024  # objects of one document held through a pack: 450-800 B measured
 _WINDOW_BYTES = 1024  # objects of one window beyond its token arrays: 300-370 B measured
-_PARSE_BYTES = 192  # per id of the record being parsed, text and ints: 57-150 B measured
+_PARSE_BYTES = 192  # per id of the records being parsed, text and ints: 57-150 B measured
 
 
 def working_set_bytes(docs: Sequence[Document], seq_len: int) -> int:
     """An upper estimate of a ``pack`` run's peak memory over ``docs``.
 
     64 MiB for the interpreter; for each document held, 8 bytes per token
-    and ``_DOC_BYTES``, plus ``_PARSE_BYTES`` per token of the longest one,
-    whose record is parsed while the others are held; for each of at most
-    ``max(1, ceil(tokens / seq_len))`` windows (every window but the last is
-    full), 8 bytes per position, for its tokens and the writer's copy of
-    them, and ``_WINDOW_BYTES``; and ``SPAN_BYTES`` for each of at most
-    ``len(docs) + windows`` spans, since a window's end cuts at most one
-    document in two.
+    and ``_DOC_BYTES``, plus ``_PARSE_BYTES`` per token of the one block of
+    records parsed while the others are held (``corpus.ingest`` converts
+    ``INGEST_BLOCK_IDS`` ids at a time, or one longer record); for each of
+    at most ``max(1, ceil(tokens / seq_len))`` windows (every window but the
+    last is full), 8 bytes per position, for its tokens and the writer's
+    copy of them, and ``_WINDOW_BYTES``; and ``SPAN_BYTES`` for each of at
+    most ``len(docs) + windows`` spans, since a window's end cuts at most
+    one document in two.
     """
     lengths = [len(doc.tokens) for doc in docs]
     tokens = sum(lengths)
+    block = min(tokens, max(INGEST_BLOCK_IDS, max(lengths, default=0)))
     windows = max(1, -(-tokens // seq_len))
-    return ((64 << 20) + 8 * tokens + _PARSE_BYTES * max(lengths, default=0)
+    return ((64 << 20) + 8 * tokens + _PARSE_BYTES * block
             + _DOC_BYTES * len(docs) + windows * (8 * seq_len + _WINDOW_BYTES)
             + SPAN_BYTES * (len(docs) + windows))
 

@@ -3,9 +3,8 @@
 Every random decision in the toolkit flows through a Philox generator keyed
 by ``(seed, stream id, index)``. Philox is counter-based, so a generator for
 any (stream, index) pair can be constructed directly without drawing through
-the preceding indices. That is what makes sharded packing and sampling
-reproduce the serial results exactly: worker k derives the same generator for
-sequence index i that a serial run would.
+the preceding indices: the packer's generator for sequence i, say, does not
+depend on how many draws sequences 0 to i-1 took.
 
 Stream ids separate independent uses of the same user seed so that, e.g.,
 language draws and constraint flags never share a stream.
@@ -17,13 +16,12 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# Stream ids. Append only; reordering changes every downstream result.
-STREAM_LANGUAGE = 1  # no longer drawn from; kept so the ids below keep their values
+# Stream ids. Renumbering one changes every result drawn from it; 1 and 6
+# are retired and not reused.
 STREAM_FLAGS = 2
 STREAM_PACK = 3
 STREAM_INIT = 4
 STREAM_GRAD_CHECK = 5
-STREAM_DATA = 6  # reserved: nothing draws from it
 STREAM_TRANSFER = 7
 STREAM_TRANSFER_TABLE = 8
 

@@ -16,6 +16,8 @@ packer).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -95,22 +97,36 @@ def language_distribution(
     return dist
 
 
-def categorical_draw(
-    dist: Mapping[str, float], pool: Sequence[str], gen: np.random.Generator
-) -> str:
-    """Categorical draw over ``pool``, renormalized; uniform if mass is zero."""
+def _draw_table(dist: Mapping[str, float], pool: Sequence[str]) -> tuple[list[float], float]:
+    """The running sums of ``pool``'s weights in ``dist``, in pool order, and
+    their total; every weight is 1 if the pool has no mass."""
     weights = [max(0.0, float(dist.get(code, 0.0))) for code in pool]
     total = sum(weights)
     if total <= 0.0:
         weights = [1.0] * len(pool)
         total = float(len(pool))
-    u = float(gen.random()) * total
-    acc = 0.0
-    for code, w in zip(pool, weights):
-        acc += w
-        if u < acc:
-            return code
-    return pool[-1]
+    return list(itertools.accumulate(weights)), total
+
+
+def _draw(table: tuple[list[float], float], pool: Sequence[str],
+          gen: np.random.Generator) -> str:
+    """The code of ``pool`` that ``gen``'s next uniform lands on in
+    ``_draw_table(dist, pool)``: the first whose running sum exceeds it."""
+    sums, total = table
+    i = bisect.bisect_right(sums, float(gen.random()) * total)
+    return pool[i] if i < len(pool) else pool[-1]
+
+
+def categorical_draw(
+    dist: Mapping[str, float], pool: Sequence[str], gen: np.random.Generator
+) -> str:
+    """Categorical draw over ``pool``, renormalized; uniform if mass is zero.
+
+    One uniform from ``gen`` is scaled by the pool's total weight and
+    located among the running sums of its weights. A caller drawing many
+    times from one pool keeps ``_draw_table(dist, pool)`` and calls
+    ``_draw``, which gives the same codes."""
+    return _draw(_draw_table(dist, pool), pool, gen)
 
 
 def constraint_flag(config: SamplerConfig, index: int) -> bool:

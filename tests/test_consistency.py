@@ -109,6 +109,16 @@ def test_read_pairs_rejects_single_language_items(tmp_path):
         read_pairs(f)
 
 
+@pytest.mark.parametrize("src, tgt", [("1.0", "0.0"), ("1.0", "true"), ("false", "0.0")])
+def test_read_pairs_rejects_float_flags(tmp_path, src, tgt):
+    f = tmp_path / "pairs.jsonl"
+    f.write_text(f'{{"item_id":"a","src_correct":{src},"tgt_correct":{tgt}}}\n',
+                 encoding="utf-8")
+    key = "src_correct" if src == "1.0" else "tgt_correct"
+    with pytest.raises(DataError, match=f"line 1: {key} must be a boolean"):
+        read_pairs(f)
+
+
 def test_read_pairs_skips_a_leading_byte_order_mark(tmp_path):
     f = tmp_path / "pairs.jsonl"
     first = b'{"item_id":"a","src_correct":true,"tgt_correct":false}\n'

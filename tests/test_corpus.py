@@ -1,16 +1,22 @@
+import io
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xlda_kit import corpus
 from xlda_kit.corpus import (
     CorpusStats,
     Document,
     IngestReport,
     LanguageTag,
+    _parse_record,
     ingest,
+    numbered_lines,
+    parse_json_object,
     stats,
     write_records,
 )
@@ -422,3 +428,104 @@ def test_held_documents_cost_at_most_16_bytes_per_token(tmp_path):
         tracemalloc.stop()
     assert sum(map(len, docs)) == total
     assert held / total <= 16, f"{held / total:.1f} B per token"
+
+
+# one line of a record file: a valid record, or one of every line error
+# `ingest` knows; "dup" repeats the id of the last valid record
+_BAD_LINES = [
+    '{"id": "x", "lang"', "[1, 2]", '"text"', '{"lang":"en","tokens":[1]}',
+    '{"id":"","lang":"en","tokens":[1]}', '{"id":7,"lang":"en","tokens":[1]}',
+    '{"id":"x","tokens":[1]}', '{"id":"x","lang":"","tokens":[1]}',
+    '{"id":"x","lang":"EN","tokens":[1]}', '{"id":"x","lang":"en","class":"prose","tokens":[1]}',
+    '{"id":"x","lang":"en","class":["english"],"tokens":[1]}', '{"id":"x","lang":"en"}',
+    '{"id":"x","lang":"en","tokens":"1 2"}', '{"id":"x","lang":"en","tokens":{"a":1}}',
+    '{"id":"x","lang":"en","tokens":[]}', '{"id":"x","lang":"en","tokens":[1,2.0]}',
+    '{"id":"x","lang":"en","tokens":[true]}', '{"id":"x","lang":"en","tokens":[3,-1]}',
+    f'{{"id":"x","lang":"en","tokens":[{2**63}]}}', f'{{"id":"x","lang":"en","tokens":[1,{2**64}]}}',
+    f'{{"id":"x","lang":"en","tokens":[{-2**63 - 1}]}}', '{"id":"x","lang":"en","tokens":[1],"score":"4"}',
+    '{"id":"x","lang":"en","tokens":[1],"score":true}', '{"id":"x","lang":"en","tokens":[1],"score":5.5}',
+    '{"id":"x","lang":"en","tokens":[1],"score":-1}', '{"id":"x","lang":"en","tokens":[-4],"score":9}',
+    '{"id":"x","lang":"en","tokens":[1],"score":1e400}', "", "   ", "\u3000",
+]
+_VALID_RECORD = st.fixed_dictionaries(
+    {"lang": st.sampled_from(["en", "ko", "ja"]),
+     "tokens": st.lists(st.one_of(st.integers(0, 300), st.sampled_from([0, _BIG])),
+                        min_size=1, max_size=12)},
+    optional={"class": st.sampled_from(["english", "multilingual", "math_code"]),
+              "score": st.one_of(st.integers(0, 5), st.floats(0, 5))})
+# a valid record twice as often as each other kind of line
+_LINE = st.one_of(_VALID_RECORD, _VALID_RECORD, st.sampled_from(_BAD_LINES), st.just("dup"))
+
+
+def _record_file(lines, bom):
+    out, last_id = [], None
+    for i, line in enumerate(lines):
+        if isinstance(line, dict):
+            last_id = f"d{i}"
+            line = json.dumps({"id": last_id, **line})
+        elif line == "dup":
+            line = json.dumps({"id": last_id or "d", "lang": "ko", "tokens": [i]})
+        out.append(line)
+    return (b"\xef\xbb\xbf" if bom else b"") + "\n".join(out).encode("utf-8") + b"\n"
+
+
+def _one_record_at_a_time(data):
+    """What `ingest` yields, records and raises for ``data``, parsed one
+    record at a time: each document with the number of line errors recorded
+    when it is yielded, the line errors and the fatal error."""
+    docs, errors, seen = [], [], set()
+    for line_no, raw in numbered_lines(io.BytesIO(data)):
+        try:
+            record = parse_json_object(raw)
+            if record is None:
+                continue
+            doc = _parse_record(record)
+        except DataError as exc:
+            errors.append((line_no, str(exc)))
+            continue
+        if doc.id in seen:
+            return docs, errors, f"line {line_no}: duplicate document id {doc.id!r}"
+        seen.add(doc.id)
+        docs.append((doc, len(errors)))
+    return docs, errors, None
+
+
+def _ingested(path):
+    docs, report, fatal = [], IngestReport(), None
+    try:
+        for doc in ingest(path, report=report):
+            docs.append((doc, len(report.errors)))
+    except DataError as exc:
+        fatal = str(exc)
+    return docs, [(e.line_no, e.message) for e in report.errors], fatal
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINE, max_size=40), st.booleans(), st.sampled_from([1, 3, 16, 8192]))
+def test_block_ingest_matches_one_record_at_a_time(tmp_path_factory, lines, bom, block_ids):
+    f = tmp_path_factory.mktemp("blocks") / "corpus.jsonl"
+    data = _record_file(lines, bom)
+    f.write_bytes(data)
+    with mock.patch.object(corpus, "INGEST_BLOCK_IDS", block_ids):
+        got = _ingested(f)
+    assert got == _one_record_at_a_time(data)
+    assert all(ids(d) for d, _ in got[0])
+
+
+def test_a_record_longer_than_a_block_is_a_block_of_its_own(tmp_path):
+    gen = np.random.Generator(np.random.Philox(key=np.array([23, 0], dtype=np.uint64)))
+    n = corpus.INGEST_BLOCK_IDS
+    lengths = [3, n - 5, 2 * n + 1, 4, n, 1, n + 1]
+    lines = [json.dumps({"id": f"d{i}", "lang": "en", "tokens": gen.integers(0, 99, k).tolist()})
+             for i, k in enumerate(lengths)]
+    lines[3:3] = ['{"id":"bad","lang":"en","tokens":[1,-1]}', "{"]
+    f = tmp_path / "corpus.jsonl"
+    write_lines(f, lines)
+    docs, errors, fatal = _ingested(f)
+    assert (docs, errors, fatal) == _one_record_at_a_time(f.read_bytes())
+    assert [len(ids(d)) for d, _ in docs] == lengths and fatal is None
+    assert errors == [(4, "document 'bad' has negative token id -1"),
+                      (5, "not valid JSON: Expecting property name enclosed in double quotes")]
+    # the long record's ids are an array of their own, not a view of a neighbour's
+    long = docs[2][0].tokens
+    assert long.base is None or long.base.size == 2 * n + 1

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xlda_kit import packing
 from xlda_kit.cli import dispatch
 from xlda_kit.corpus import Document, LanguageTag, stats as corpus_stats
 from xlda_kit.errors import ConfigError, ConstraintInfeasibleError, DataError, XldaKitError
@@ -26,7 +27,7 @@ from xlda_kit.packing import (
     write_packed,
 )
 from xlda_kit.masks import spans_from_lengths
-from xlda_kit.sampling import SamplerConfig, language_distribution
+from xlda_kit.sampling import SamplerConfig, categorical_draw, language_distribution
 
 EN = LanguageTag("en", "english")
 KO = LanguageTag("ko", "multilingual")
@@ -691,3 +692,31 @@ def test_realised_language_shares_match_distribution():
     assert total == 640 * 64
     for code, p in dist.items():
         assert abs(tokens[code] / total - p) <= 0.03, (code, tokens[code] / total, p)
+
+
+def test_packer_draws_are_categorical_draws(monkeypatch):
+    """The packer's per-pool draw tables give the codes that
+    ``categorical_draw`` gives from the same generator state, for every
+    pool: the full one, the ones left as languages run out, and the ones
+    that a flagged window's cross-lingual draw narrows."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([9, 0], dtype=np.uint64)))
+    codes = ("de", "en", "ko", "sw")
+    docs = [doc(f"{code}{i}", LanguageTag(code), gen.integers(1, 100, int(gen.integers(1, 40))))
+            for k, code in enumerate(codes) for i in range(30 * (k + 1))]
+    cfg = SamplerConfig(alpha_temp=0.3, beta={"de": 0.1, "en": 0.4, "ko": 0.3, "sw": 0.2},
+                        rho=0.7, seed=5)
+    dist = language_distribution(cfg, corpus_stats(docs))
+    pools = Counter()
+    real_draw = packing._draw
+
+    def checked(table, pool, gen):
+        twin = np.random.Generator(np.random.Philox())
+        twin.bit_generator.state = gen.bit_generator.state
+        code = real_draw(table, pool, gen)
+        assert code == categorical_draw(dist, pool, twin)
+        pools[tuple(pool)] += 1
+        return code
+    monkeypatch.setattr(packing, "_draw", checked)
+    report = PackReport()
+    list(pack_stream(docs, cfg, PackerConfig(seq_len=64), report))
+    assert len(pools) >= 8 and sum(pools.values()) >= report.documents_consumed > 250
