@@ -29,6 +29,8 @@ SCORE_MAX = 5.0
 # holds at most this many ids, and a record with more is a block of its own
 INGEST_BLOCK_IDS = 8192
 
+_raw_decode = json.JSONDecoder().raw_decode
+
 
 @dataclass(frozen=True)
 class LanguageTag:
@@ -105,9 +107,11 @@ class Document:
         checked to lie in [0, 2**63), held as given; only the score is
         checked."""
         doc = object.__new__(cls)
-        for name, value in (("id", doc_id), ("lang", lang), ("tokens", tokens),
-                            ("score", score)):
-            object.__setattr__(doc, name, value)
+        # written through the slots' descriptors, past the frozen ``__setattr__``
+        _SET_ID(doc, doc_id)
+        _SET_LANG(doc, lang)
+        _SET_TOKENS(doc, tokens)
+        _SET_SCORE(doc, score)
         doc._check_score()
         return doc
 
@@ -128,6 +132,10 @@ class Document:
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+
+_SET_ID, _SET_LANG, _SET_TOKENS, _SET_SCORE = (
+    Document.__dict__[name].__set__ for name in ("id", "lang", "tokens", "score"))
 
 
 @dataclass(frozen=True)
@@ -161,8 +169,15 @@ def parse_json_object(raw: bytes) -> dict | None:
         raise DataError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
     if not line:
         return None
+    # ``json.loads(line)``: its BOM check, then the decoder with its trailing
+    # data check, where the strip has already removed the JSON whitespace
     try:
-        record = json.loads(line)
+        if line[0] == "\ufeff":
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                                       line, 0)
+        record, end = _raw_decode(line)
+        if end != len(line):
+            raise json.JSONDecodeError("Extra data", line, end)
     except json.JSONDecodeError as exc:
         raise DataError(f"not valid JSON: {exc.msg}") from exc
     if not isinstance(record, dict):

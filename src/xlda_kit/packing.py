@@ -178,6 +178,13 @@ def _doc_hash(doc_id: str) -> int:
     return struct.unpack("<Q", digest)[0]
 
 
+def _doc_at(spans: Sequence[DocSpan], hits: np.ndarray) -> str:
+    """The id of the document whose span holds the first true entry of
+    ``hits``, a mask over the positions that ``spans`` tile."""
+    first = hits.argmax()
+    return next(s.doc_id for s in spans if s.end > first)
+
+
 class _Filler:
     """Sequential greedy fill over language-keyed queues."""
 
@@ -201,6 +208,8 @@ class _Filler:
         self.carry: _QueueItem | None = None
         # tokens written into a sequence that was then abandoned as infeasible
         self.aborted_tokens = 0
+        # the ids of the sequence being filled, as read: [0, pos) is in use
+        self.ids = np.empty(config.seq_len, dtype=np.int64)
 
     def _available(self) -> list[str]:
         return [l for l in self.lang_order if self.queues[l]]
@@ -234,9 +243,11 @@ class _Filler:
         flag = constraint_flag(self.sampler, index)
         gen = rng.stream(self.sampler.seed, rng.STREAM_PACK, index)
         tokens = np.zeros(cfg.seq_len, dtype=np.uint32)
+        ids = self.ids
         spans: list[DocSpan] = []
         langs: set[str] = set()
         pos = 0
+        stop = None  # why a flagged sequence is abandoned, if it is
         while pos < cfg.seq_len:
             if self.carry is not None:
                 item, self.carry = self.carry, None
@@ -247,7 +258,8 @@ class _Filler:
                 if flag and len(langs) == 1:
                     pool = [l for l in avail if l not in langs]
                     if not pool:
-                        return self._stop(f"only {sorted(langs)[0]!r} still has documents", pos)
+                        stop = f"only {sorted(langs)[0]!r} still has documents"
+                        break
                 else:
                     pool = avail
                 code = self._draw(pool, gen)
@@ -263,7 +275,8 @@ class _Filler:
                 if room == 1 or not self._other_material_exists(lang.code):
                     # put the item back so the leftover count is accurate
                     self.queues[lang.code].appendleft(item)
-                    return self._stop(f"only {lang.code!r} still has documents", pos)
+                    stop = f"only {lang.code!r} still has documents"
+                    break
                 take = room - 1
                 leftover = _QueueItem(item.doc, item.offset + take)
                 if cfg.split_policy == SPLIT_ACROSS_SEQUENCES:
@@ -276,24 +289,29 @@ class _Filler:
                     self.carry = rest  # continues at the next sequence start
                 else:
                     self.report.tokens_dropped += rest.remaining()
-            part = item.doc.tokens[item.offset : item.offset + take]
-            if part.max() > IGNORE_LABEL:  # the copy below would wrap it
-                raise DataError(f"document {item.doc.id!r} has a token id outside [0, 2**32)")
-            tokens[pos : pos + take] = part
+            ids[pos : pos + take] = item.doc.tokens[item.offset : item.offset + take]
             spans.append(DocSpan(start=pos, end=pos + take, lang=lang, doc_id=item.doc.id))
             langs.add(lang.code)
             pos += take
-        if pos == 0:
-            return None
-        if flag and len(langs) < 2:
-            return self._stop(f"material ran out with only {sorted(langs)[0]!r} available", pos)
-        clash = np.flatnonzero(tokens[:pos] == IGNORE_LABEL)
-        if clash.size:
-            doc_id = next(s.doc_id for s in spans if s.end > clash[0])
+        # one reduction settles every id copied, in an abandoned sequence too:
+        # the uint32 window would wrap an id above the reserved one
+        top = ids[:pos].max(initial=0)
+        if top > IGNORE_LABEL:
+            raise DataError(f"document {_doc_at(spans, ids[:pos] > IGNORE_LABEL)!r} "
+                            "has a token id outside [0, 2**32)")
+        if stop is None:
+            if pos == 0:
+                return None
+            if flag and len(langs) < 2:
+                stop = f"material ran out with only {sorted(langs)[0]!r} available"
+        if stop is not None:
+            return self._stop(stop, pos)
+        if top == IGNORE_LABEL:
             raise DataError(
-                f"document {doc_id!r} has token id {IGNORE_LABEL}, which is "
-                "reserved as the ignore label"
+                f"document {_doc_at(spans, ids[:pos] == IGNORE_LABEL)!r} has token id "
+                f"{IGNORE_LABEL}, which is reserved as the ignore label"
             )
+        tokens[:pos] = ids[:pos]
         seq = PackedSequence(tokens=tokens, spans=tuple(spans), pad_start=pos,
                              cross_doc_labels=cfg.cross_doc_labels)
         self.report.sequences += 1

@@ -131,6 +131,9 @@ def categorical_draw(
 
 def constraint_flag(config: SamplerConfig, index: int) -> bool:
     """Whether sequence ``index`` must be cross-lingual: Bernoulli(rho), drawn
-    from its own stream."""
+    from its own stream. A uniform lies in [0, 1), so rho 0 and rho 1 settle
+    the flag without one."""
+    if config.rho in (0.0, 1.0):
+        return config.rho == 1.0
     gen = rng.stream(config.seed, rng.STREAM_FLAGS, index)
     return bool(gen.random() < config.rho)

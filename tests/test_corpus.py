@@ -203,6 +203,28 @@ def test_document_invariants():
         LanguageTag("en", "bogus")
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["a", "d\u00e9"]), st.sampled_from([LanguageTag("en", "english"),
+                                                         LanguageTag("ko")]),
+       st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=6),
+       st.one_of(st.none(), st.floats(allow_nan=False), st.integers(-2, 7).map(float)))
+def test_a_checked_document_equals_one_built_from_its_fields(doc_id, lang, tokens, score):
+    buffer = np.array(tokens, dtype=np.int64)
+    buffer.flags.writeable = False
+    try:
+        expected = Document(doc_id, lang, tokens, score)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            Document._of_checked(doc_id, lang, buffer, score)
+        assert str(got.value) == str(exc) and "outside [0.0, 5.0]" in str(exc)
+        return
+    doc = Document._of_checked(doc_id, lang, buffer, score)
+    assert doc == expected and (doc.id, doc.lang, doc.score) == (doc_id, lang, score)
+    assert doc.tokens is buffer
+    with pytest.raises(AttributeError):
+        doc.score = 1.0
+
+
 def test_write_records_roundtrip(tmp_path):
     docs = [Document("a", LanguageTag("en", "english"), (1, 2, 30), score=3.5),
             Document("b", LanguageTag("ko"), (4,)),
@@ -246,6 +268,63 @@ def test_unicode_whitespace_around_a_record_is_stripped_after_decoding(tmp_path)
     report = IngestReport()
     assert [d.id for d in ingest(f, report=report)] == ["d1", "d2"]
     assert report.errors == []
+
+
+def _parse_with_json_loads(raw):
+    """What ``parse_json_object(raw)`` gives, by ``json.loads``."""
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
+    if not line:
+        return None
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"not valid JSON: {exc.msg}") from exc
+    if not isinstance(record, dict):
+        raise DataError("record is not a JSON object")
+    return record
+
+
+def _outcome(parse, raw):
+    try:
+        return "value", repr(parse(raw))  # repr: a NaN equals itself
+    except DataError as exc:
+        return "error", str(exc)
+
+
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+_PADDING = st.text(st.sampled_from(" \t\r\n\u3000\u00a0\u0085\x0b\x0c\u2028"), max_size=3)
+# record lines: a JSON object or another value, or any text, perhaps after a
+# byte-order mark, before trailing text, or wrapped in Unicode whitespace
+_RECORD_TEXT = st.builds(
+    lambda bom, value, tail, before, after: before + bom + value + tail + after,
+    st.sampled_from(["", "", "\ufeff"]),
+    st.one_of(st.dictionaries(st.text(max_size=3), _JSON_VALUE, max_size=3).map(json.dumps),
+              _JSON_VALUE.map(json.dumps), st.text(max_size=8)),
+    st.one_of(st.just(""), st.just(""), st.text(max_size=4),
+              st.sampled_from([" x", "{}", ",{}", "]", " 1"])),
+    _PADDING, _PADDING)
+
+
+@st.composite
+def _record_bytes(draw):
+    raw = draw(_RECORD_TEXT).encode("utf-8")
+    if draw(st.booleans()):  # break the UTF-8 at some byte
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + raw[at:]
+    return raw
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_record_bytes(), st.binary(max_size=12)))
+def test_parse_json_object_gives_what_json_loads_gives(raw):
+    assert _outcome(parse_json_object, raw) == _outcome(_parse_with_json_loads, raw)
 
 
 def test_negative_token_id_is_line_error_naming_the_first(tmp_path):
@@ -471,12 +550,13 @@ def _record_file(lines, bom):
 
 def _one_record_at_a_time(data):
     """What `ingest` yields, records and raises for ``data``, parsed one
-    record at a time: each document with the number of line errors recorded
-    when it is yielded, the line errors and the fatal error."""
+    record at a time and parsed by ``json.loads``: each document with the
+    number of line errors recorded when it is yielded, the line errors and
+    the fatal error."""
     docs, errors, seen = [], [], set()
     for line_no, raw in numbered_lines(io.BytesIO(data)):
         try:
-            record = parse_json_object(raw)
+            record = _parse_with_json_loads(raw)
             if record is None:
                 continue
             doc = _parse_record(record)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import itertools
 import os
@@ -298,6 +299,56 @@ def test_token_id_outside_uint32_or_ignore_label_is_data_error(bad):
         docs = [doc("e0", EN, [1, 2, 3]), doc("k0", KO, [4, bad, 6])]
         list(pack_stream(docs, sampler(), PackerConfig(seq_len=8)))
     assert str(exc.value).startswith("document 'k0' ") and message in str(exc.value)
+
+
+WIDE = 2**32 + 7  # a uint32 window would hold it as 7
+
+
+# (docs, rho, windows made before the error, the error or None), at seq_len 8;
+# beta puts all of its mass on en, so en is drawn while it has material and
+# ko only when a flagged sequence needs it
+@pytest.mark.parametrize("docs, rho, windows, error", [
+    pytest.param([("e0", EN, [1, WIDE, 3]), ("e1", EN, [4, 5])], 0.0, 0,
+                 "document 'e0' has a token id outside [0, 2**32)", id="first-fragment"),
+    pytest.param([("e0", EN, [1, 2, 3]), ("e1", EN, [4, 5, WIDE])], 0.0, 0,
+                 "document 'e1' has a token id outside [0, 2**32)", id="later-fragment"),
+    # window 0 takes e1's first two ids, window 1 starts with the rest
+    pytest.param([("e0", EN, [1] * 6), ("e1", EN, [2, 3, 4, WIDE, 5])], 0.0, 1,
+                 "document 'e1' has a token id outside [0, 2**32)", id="carried-fragment"),
+    # window 1 holds e2 alone when ko has run out, so the flag abandons it:
+    # once with en material left, once at the end of all material
+    pytest.param([("e0", EN, [1, 2, 3]), ("k0", KO, [4, 5]), ("e1", EN, [6, 7, 8]),
+                  ("e2", EN, [9, WIDE]), ("e3", EN, [10])], 1.0, 1,
+                 "document 'e2' has a token id outside [0, 2**32)", id="abandoned-window"),
+    pytest.param([("e0", EN, [1, 2, 3]), ("k0", KO, [4, 5]), ("e1", EN, [6, 7, 8]),
+                  ("e2", EN, [9, WIDE])], 1.0, 1,
+                 "document 'e2' has a token id outside [0, 2**32)", id="abandoned-last-window"),
+    # the width error comes first, wherever the reserved id is in the window
+    pytest.param([("e0", EN, [1, IGNORE_LABEL]), ("e1", EN, [WIDE, 2])], 0.0, 0,
+                 "document 'e1' has a token id outside [0, 2**32)", id="reserved-then-wide"),
+    pytest.param([("e0", EN, [WIDE, 1]), ("e1", EN, [IGNORE_LABEL, 2])], 0.0, 0,
+                 "document 'e0' has a token id outside [0, 2**32)", id="wide-then-reserved"),
+    pytest.param([("e0", EN, [1, 2]), ("e1", EN, [3, IGNORE_LABEL])], 0.0, 0,
+                 f"document 'e1' has token id {IGNORE_LABEL}, which is reserved as the "
+                 "ignore label", id="reserved-alone"),
+])
+@pytest.mark.parametrize("policy", [packing.SPLIT_ACROSS_SEQUENCES, DROP_TAIL_DOC])
+def test_an_id_the_window_cannot_hold_is_an_error_naming_its_document(
+        docs, rho, windows, error, policy):
+    if policy == DROP_TAIL_DOC and windows == 1 and rho == 0.0:
+        # e1's tail, with the wide id, is dropped instead of carried
+        error = None
+    beta = {"en": 1.0, "ko": 0.0} if rho else {"en": 1.0}
+    made = []
+    with pytest.raises(DataError) if error else contextlib.nullcontext() as exc:
+        for seq in pack_stream([doc(*d) for d in docs], sampler(rho=rho, beta=beta),
+                               PackerConfig(seq_len=8, split_policy=policy)):
+            made.append(seq)
+    assert len(made) == windows
+    if error:
+        assert str(exc.value) == error
+    else:
+        assert made[0].tokens.tolist() == [1] * 6 + [2, 3]
 
 
 def test_largest_non_reserved_token_id_packs():

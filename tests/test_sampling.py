@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,15 @@ def test_constraint_flags_boundaries():
     assert all(constraint_flag(all_on, i) for i in range(500))
     all_off = SamplerConfig(alpha_temp=1.0, beta={"en": 1.0}, rho=0.0, seed=1)
     assert not any(constraint_flag(all_off, i) for i in range(500))
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0, 0, 1])
+def test_rho_0_and_1_settle_the_flag_without_drawing(rho):
+    config = SamplerConfig(alpha_temp=1.0, beta={"en": 1.0}, rho=rho, seed=3)
+    drawn = [bool(rng.stream(3, rng.STREAM_FLAGS, i).random() < rho) for i in range(1000)]
+    with mock.patch.object(rng, "stream", wraps=rng.stream) as stream:
+        assert [constraint_flag(config, i) for i in range(1000)] == drawn
+    assert stream.call_count == 0
 
 
 def test_constraint_flags_fraction():
