@@ -538,8 +538,7 @@ def _cmd_train_toy(args, run: RunConfig) -> int:
                   "shrink [model] or --batch-seqs")
     params = toy.init(config)
     batches = training.cycle_batches(sequences, policy, args.batch_seqs)
-    opt = training.OptimizerConfig(weight_decay=args.weight_decay)
-    log = training.train(params, batches, schedule_cfg, opt, args.steps)
+    log = training.train(params, batches, schedule_cfg, args.weight_decay, args.steps)
     if args.metrics:
         training.write_metrics_csv(args.metrics, log)
     digest = _params_digest(params)

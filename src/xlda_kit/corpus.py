@@ -230,12 +230,6 @@ def _record_fields(record: dict) -> tuple[str, LanguageTag, list, float | None]:
     return doc_id, lang, tokens, score
 
 
-def _parse_record(record: dict) -> Document:
-    """The document of one record, with every check made on that record
-    alone: what ``ingest`` gives for it, one block at a time."""
-    return Document(*_record_fields(record))
-
-
 def _block_documents(block: list[tuple[int, tuple | str]], report: IngestReport | None,
                      seen_ids: set[str]) -> Iterator[Document]:
     """Yield the documents of ``block`` and record its line errors, in line
@@ -243,7 +237,7 @@ def _block_documents(block: list[tuple[int, tuple | str]], report: IngestReport 
     ``_record_fields`` form or its line error. The records' ids are
     converted and checked at once, into one read-only array that their
     documents view; if any id is out of range, each record is converted on
-    its own instead, as ``_parse_record`` does."""
+    its own instead, by ``Document``."""
     records = [item for _, item in block if isinstance(item, tuple)]
     try:
         ids = np.fromiter(itertools.chain.from_iterable(r[2] for r in records), np.int64,

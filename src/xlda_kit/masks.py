@@ -29,6 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .corpus import LanguageTag, default_language_class
 from .errors import ConfigError, DataError
 from .packing import DocSpan, PackedSequence, check_tiling
 
@@ -216,8 +217,6 @@ def spans_from_lengths(
     """Build a tiling span tuple from fragment lengths and language codes."""
     if len(lengths) != len(codes):
         raise ConfigError("lengths and codes must align")
-    from .corpus import LanguageTag, default_language_class
-
     spans = []
     pos = 0
     for i, (n, code) in enumerate(zip(lengths, codes)):

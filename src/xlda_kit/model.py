@@ -93,9 +93,6 @@ class Parameters:
     def copy(self) -> "Parameters":
         return self.like(self.flat.copy())
 
-    def n_params(self) -> int:
-        return self.flat.size
-
 
 @dataclass
 class ForwardOutput:

@@ -30,7 +30,7 @@ import numpy as np
 from . import rng
 from .corpus import INGEST_BLOCK_IDS, Document, LanguageTag, stats as corpus_stats
 from .errors import ConfigError, ConstraintInfeasibleError, DataError, XldaKitError
-from .sampling import (SamplerConfig, _draw, _draw_table, constraint_flag,
+from .sampling import (CategoricalDraw, SamplerConfig, constraint_flag,
                        language_distribution)
 
 SPLIT_ACROSS_SEQUENCES = "split_across_sequences"
@@ -197,13 +197,11 @@ class _Filler:
         report: PackReport,
     ):
         self.queues = queues
-        self.dist = distribution
+        self.draw = CategoricalDraw(distribution)
         self.sampler = sampler
         self.config = config
         self.report = report
         self.lang_order = sorted(queues)
-        # the draw table of each pool drawn from, keyed by the pool
-        self.tables: dict[tuple[str, ...], tuple[list[float], float]] = {}
         # boundary carry: the fragment cut by the previous sequence's end
         self.carry: _QueueItem | None = None
         # tokens written into a sequence that was then abandoned as infeasible
@@ -213,15 +211,6 @@ class _Filler:
 
     def _available(self) -> list[str]:
         return [l for l in self.lang_order if self.queues[l]]
-
-    def _draw(self, pool: list[str], gen) -> str:
-        """``sampling.categorical_draw(self.dist, pool, gen)``, from a table
-        built once per pool."""
-        key = tuple(pool)
-        table = self.tables.get(key)
-        if table is None:
-            table = self.tables[key] = _draw_table(self.dist, pool)
-        return _draw(table, pool, gen)
 
     def _other_material_exists(self, lang: str) -> bool:
         if self.carry is not None and self.carry.doc.lang.code != lang:
@@ -262,7 +251,7 @@ class _Filler:
                         break
                 else:
                     pool = avail
-                code = self._draw(pool, gen)
+                code = self.draw(pool, gen)
                 item = self.queues[code].popleft()
                 if item.offset == 0:
                     self.report.documents_consumed += 1

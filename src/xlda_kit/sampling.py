@@ -97,36 +97,31 @@ def language_distribution(
     return dist
 
 
-def _draw_table(dist: Mapping[str, float], pool: Sequence[str]) -> tuple[list[float], float]:
-    """The running sums of ``pool``'s weights in ``dist``, in pool order, and
-    their total; every weight is 1 if the pool has no mass."""
-    weights = [max(0.0, float(dist.get(code, 0.0))) for code in pool]
-    total = sum(weights)
-    if total <= 0.0:
-        weights = [1.0] * len(pool)
-        total = float(len(pool))
-    return list(itertools.accumulate(weights)), total
+class CategoricalDraw:
+    """Categorical draws over pools of ``dist``'s codes, renormalized to each
+    pool; uniform over a pool with no mass.
 
+    A draw takes one uniform from ``gen``, scales it by the pool's total
+    weight and locates it among the running sums of its weights: the first
+    code whose sum exceeds it. Each pool's sums are built on its first draw."""
 
-def _draw(table: tuple[list[float], float], pool: Sequence[str],
-          gen: np.random.Generator) -> str:
-    """The code of ``pool`` that ``gen``'s next uniform lands on in
-    ``_draw_table(dist, pool)``: the first whose running sum exceeds it."""
-    sums, total = table
-    i = bisect.bisect_right(sums, float(gen.random()) * total)
-    return pool[i] if i < len(pool) else pool[-1]
+    def __init__(self, dist: Mapping[str, float]):
+        self.dist = dist
+        self._sums: dict[tuple[str, ...], tuple[list[float], float]] = {}
 
-
-def categorical_draw(
-    dist: Mapping[str, float], pool: Sequence[str], gen: np.random.Generator
-) -> str:
-    """Categorical draw over ``pool``, renormalized; uniform if mass is zero.
-
-    One uniform from ``gen`` is scaled by the pool's total weight and
-    located among the running sums of its weights. A caller drawing many
-    times from one pool keeps ``_draw_table(dist, pool)`` and calls
-    ``_draw``, which gives the same codes."""
-    return _draw(_draw_table(dist, pool), pool, gen)
+    def __call__(self, pool: Sequence[str], gen: np.random.Generator) -> str:
+        key = tuple(pool)
+        table = self._sums.get(key)
+        if table is None:
+            weights = [max(0.0, float(self.dist.get(code, 0.0))) for code in key]
+            total = sum(weights)
+            if total <= 0.0:
+                weights = [1.0] * len(key)
+                total = float(len(key))
+            table = self._sums[key] = (list(itertools.accumulate(weights)), total)
+        sums, total = table
+        i = bisect.bisect_right(sums, float(gen.random()) * total)
+        return key[i] if i < len(key) else key[-1]
 
 
 def constraint_flag(config: SamplerConfig, index: int) -> bool:

@@ -7,7 +7,7 @@ seed) produce an identical metrics log and identical final parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -23,36 +23,31 @@ from .sampling import SamplerConfig
 from .schedule import ScheduleConfig, lr_at
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    beta1: ClassVar[float] = 0.9
-    beta2: ClassVar[float] = 0.95
-    eps: ClassVar[float] = 1e-8
-    weight_decay: float = 0.1
-
-
 class AdamW:
     """Decoupled weight decay Adam: one elementwise pass over the flat
     parameter vector, with both moments kept as flat vectors of its size."""
 
-    def __init__(self, params: toy.Parameters, config: OptimizerConfig):
-        self.config = config
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.95
+    eps: ClassVar[float] = 1e-8
+
+    def __init__(self, params: toy.Parameters, weight_decay: float):
+        self.weight_decay = weight_decay
         self.t = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
 
     def step(self, params: toy.Parameters, grads: toy.Parameters, lr: float):
-        cfg = self.config
         self.t += 1
-        bc1 = 1.0 - cfg.beta1**self.t
-        bc2 = 1.0 - cfg.beta2**self.t
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
         w, g, m, v = params.flat, grads.flat, self.m, self.v
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        w -= lr * cfg.weight_decay * w
-        w -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        w -= lr * self.weight_decay * w
+        w -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 @dataclass
@@ -113,7 +108,7 @@ def train(
     params: toy.Parameters,
     batches: Iterator[Batch],
     schedule: ScheduleConfig,
-    optimizer: OptimizerConfig,
+    weight_decay: float,
     steps: int,
 ) -> list[StepMetrics]:
     """Run ``steps`` optimizer steps, logging (step, lr, tokens, losses).
@@ -129,7 +124,7 @@ def train(
         raise ConfigError(
             f"steps ({steps}) exceed schedule total_steps ({schedule.total_steps})"
         )
-    opt = AdamW(params, optimizer)
+    opt = AdamW(params, weight_decay)
     log: list[StepMetrics] = []
     for step in range(steps):
         batch = next(batches)
@@ -304,14 +299,7 @@ class TransferReport:
     languages: tuple[str, str]
 
     def to_json(self) -> dict:
-        return {
-            "packed": self.packed,
-            "single_doc": self.single_doc,
-            "initial_single_doc": self.initial_single_doc,
-            "steps": self.steps,
-            "token_budget": self.token_budget,
-            "languages": list(self.languages),
-        }
+        return {**asdict(self), "languages": list(self.languages)}
 
 
 def _episode_table(spec: TransferSpec, stream_index: int, episode: int) -> np.ndarray:
@@ -448,7 +436,6 @@ def transfer_experiment(spec: TransferSpec) -> TransferReport:
         decay_fraction=0.2,
         final_ratio=0.1,
     )
-    opt = OptimizerConfig(weight_decay=spec.weight_decay)
 
     init_params = toy.init(spec.model_config())
     # a one-span window has the same mask under every policy
@@ -459,7 +446,7 @@ def transfer_experiment(spec: TransferSpec) -> TransferReport:
     for policy in spec.policies:
         params = init_params.copy()
         batches = cycle_batches(packed_train, policy, spec.batch_sequences)
-        train(params, batches, sched, opt, spec.steps)
+        train(params, batches, sched, spec.weight_decay, spec.steps)
         packed_losses[policy.value] = _language_ce(params, packed_eval, policy, codes)
         probe_losses[policy.value] = _language_ce(params, probe_windows, policy, codes)
     return TransferReport(

@@ -29,7 +29,7 @@ from xlda_kit.masks import (
     spans_from_lengths,
 )
 from xlda_kit.packing import IGNORE_LABEL, PackReport, PackerConfig, pack_stream
-from xlda_kit.sampling import SamplerConfig, categorical_draw, language_distribution
+from xlda_kit.sampling import CategoricalDraw, SamplerConfig, language_distribution
 from xlda_kit.schedule import ScheduleConfig, compute_ratio, lr_at, lr_scale_factor, vocab_scale_factor
 from xlda_kit.corpus import CorpusStats, LanguageStats
 from xlda_kit.training import TransferSpec, transfer_experiment
@@ -242,8 +242,9 @@ def test_criterion_05_sampler_correctness():
         # empirical frequencies over 100k seeded draws, each the packer's
         # first draw of a sequence (its STREAM_PACK stream, sorted languages)
         cfg = SamplerConfig(alpha_temp=1.0, beta=beta, seed=7)
+        draw = CategoricalDraw(prop)
         draws = Counter(
-            categorical_draw(prop, sorted(prop), rng.stream(cfg.seed, rng.STREAM_PACK, i))
+            draw(sorted(prop), rng.stream(cfg.seed, rng.STREAM_PACK, i))
             for i in range(100_000)
         )
         for code, p in prop.items():
@@ -350,7 +351,7 @@ def test_criterion_08_gradient_check():
             n_layers=1, d_model=8, d_ff=16, n_heads=2, vocab_size=11,
             mtp_alpha=0.2, seed=0,
         )
-        n_params = toy.init(cfg).n_params()
+        n_params = toy.init(cfg).flat.size
         assert n_params <= 5000
         for alpha in (0.0, 0.2):
             report = toy.grad_check(replace(cfg, mtp_alpha=alpha), tolerance=1e-6)

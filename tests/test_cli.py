@@ -307,12 +307,14 @@ def test_one_command_parser_reads_as_the_full_parser(capsys, argv):
     assert got[2] or got[1]  # something was printed
 
 
-def fresh_process(*argv):
-    """Exit code, stdout and stderr of ``xlda-kit argv`` in a new interpreter."""
+def fresh_process(*argv, cwd=None, **env):
+    """Exit code, stdout and stderr of ``xlda-kit argv`` in a new interpreter,
+    run in ``cwd`` with ``env`` added to the environment."""
     result = subprocess.run(
-        [sys.executable, "-m", "xlda_kit", *argv], capture_output=True, text=True,
+        [sys.executable, "-m", "xlda_kit", *argv], capture_output=True, text=True, cwd=cwd,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(Path(xlda_kit.__file__).parents[1]), os.environ.get("PYTHONPATH")]))},
+            filter(None, [str(Path(xlda_kit.__file__).parents[1]), os.environ.get("PYTHONPATH")])),
+            **env},
     )
     return result.returncode, result.stdout, result.stderr
 
@@ -822,6 +824,38 @@ def test_python_dash_m_runs_the_cli():
     code, out, err = fresh_process("--version")
     assert code == 0
     assert out.strip() == xlda_kit.__version__
+
+
+def _outputs_at_blas_threads(tmp_path, threads):
+    """Exit codes, stdout and stderr of pack, train-toy and two transfer runs,
+    each in a new interpreter whose BLAS pools hold ``threads`` threads, and
+    the files they wrote."""
+    work = tmp_path / f"threads{threads}"
+    work.mkdir()
+    write_corpus(work / "corpus.jsonl", n_en=400, n_ko=400, seed=3, max_id=60)
+    blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                         str(threads))
+    runs = [
+        ("pack", "--input", "corpus.jsonl", "--output", "p.xlda", "--seq-len", "512",
+         "--rho", "0.5", "--alpha", "0.3", "--seed", "1", "--json"),
+        ("train-toy", "--packed", "p.xlda", "--policy", "bridge", "--batch-seqs", "4",
+         "--steps", "12", "--metrics", "m.csv", "--seed", "3", "--json"),
+        ("transfer", "--steps", "40", "--seq-len", "64", "--report", "r64.json"),
+        ("transfer", "--steps", "20", "--seq-len", "128", "--report", "r128.json"),
+    ]
+    return ([fresh_process(*argv, cwd=work, **blas) for argv in runs],
+            {f.name: f.read_bytes() for f in sorted(work.iterdir())})
+
+
+def test_outputs_are_byte_identical_across_blas_thread_counts(tmp_path):
+    """The packed file, train-toy's stdout (with ``params_sha256``) and
+    metrics CSV, and the transfer reports do not depend on the BLAS thread
+    count. About 8 s on a 2-core x86-64 VM; never more than two BLAS threads."""
+    one, two = (_outputs_at_blas_threads(tmp_path, n) for n in (1, 2))
+    assert [code for code, _, _ in one[0]] == [0, 0, 0, 0], one[0]
+    assert '"params_sha256"' in one[0][1][1]
+    assert {"p.xlda", "m.csv", "r64.json", "r128.json"} <= set(one[1])
+    assert one == two
 
 
 # --- the settings table: typed keys, unknown keys and non-finite values ---

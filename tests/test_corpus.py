@@ -13,7 +13,7 @@ from xlda_kit.corpus import (
     Document,
     IngestReport,
     LanguageTag,
-    _parse_record,
+    _record_fields,
     ingest,
     numbered_lines,
     parse_json_object,
@@ -559,7 +559,7 @@ def _one_record_at_a_time(data):
             record = _parse_with_json_loads(raw)
             if record is None:
                 continue
-            doc = _parse_record(record)
+            doc = Document(*_record_fields(record))
         except DataError as exc:
             errors.append((line_no, str(exc)))
             continue

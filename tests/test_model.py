@@ -61,7 +61,7 @@ def _assert_tiles(params, names):
         assert np.shares_memory(tensor, params.flat)
         assert _offset(tensor, params.flat) == start * params.flat.itemsize
         start += tensor.size
-    assert start == params.flat.size == params.n_params()
+    assert start == params.flat.size
     assert params.flat.dtype == np.float64 and params.flat.ndim == 1
 
 

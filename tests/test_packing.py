@@ -1,3 +1,4 @@
+import bisect
 import contextlib
 import hashlib
 import itertools
@@ -28,7 +29,7 @@ from xlda_kit.packing import (
     write_packed,
 )
 from xlda_kit.masks import spans_from_lengths
-from xlda_kit.sampling import SamplerConfig, categorical_draw, language_distribution
+from xlda_kit.sampling import CategoricalDraw, SamplerConfig, language_distribution
 
 EN = LanguageTag("en", "english")
 KO = LanguageTag("ko", "multilingual")
@@ -746,10 +747,11 @@ def test_realised_language_shares_match_distribution():
 
 
 def test_packer_draws_are_categorical_draws(monkeypatch):
-    """The packer's per-pool draw tables give the codes that
-    ``categorical_draw`` gives from the same generator state, for every
-    pool: the full one, the ones left as languages run out, and the ones
-    that a flagged window's cross-lingual draw narrows."""
+    """Each of the packer's language draws is the code whose running sum of
+    the pool's weights in the distribution first exceeds one uniform from
+    the window's generator, scaled by the pool's total, for every pool: the
+    full one, the ones left as languages run out, and the ones that a
+    flagged window's cross-lingual draw narrows."""
     gen = np.random.Generator(np.random.Philox(key=np.array([9, 0], dtype=np.uint64)))
     codes = ("de", "en", "ko", "sw")
     docs = [doc(f"{code}{i}", LanguageTag(code), gen.integers(1, 100, int(gen.integers(1, 40))))
@@ -758,16 +760,18 @@ def test_packer_draws_are_categorical_draws(monkeypatch):
                         rho=0.7, seed=5)
     dist = language_distribution(cfg, corpus_stats(docs))
     pools = Counter()
-    real_draw = packing._draw
 
-    def checked(table, pool, gen):
-        twin = np.random.Generator(np.random.Philox())
-        twin.bit_generator.state = gen.bit_generator.state
-        code = real_draw(table, pool, gen)
-        assert code == categorical_draw(dist, pool, twin)
-        pools[tuple(pool)] += 1
-        return code
-    monkeypatch.setattr(packing, "_draw", checked)
+    class Checked(CategoricalDraw):
+        def __call__(self, pool, gen):
+            twin = np.random.Generator(np.random.Philox())
+            twin.bit_generator.state = gen.bit_generator.state
+            code = super().__call__(pool, gen)
+            sums = list(itertools.accumulate(dist[c] for c in pool))
+            i = bisect.bisect_right(sums, twin.random() * sums[-1])
+            assert code == pool[min(i, len(pool) - 1)]
+            pools[tuple(pool)] += 1
+            return code
+    monkeypatch.setattr(packing, "CategoricalDraw", Checked)
     report = PackReport()
     list(pack_stream(docs, cfg, PackerConfig(seq_len=64), report))
     assert len(pools) >= 8 and sum(pools.values()) >= report.documents_consumed > 250

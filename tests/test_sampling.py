@@ -7,8 +7,8 @@ from xlda_kit import rng
 from xlda_kit.corpus import CorpusStats, LanguageStats
 from xlda_kit.errors import ConfigError, DataError
 from xlda_kit.sampling import (
+    CategoricalDraw,
     SamplerConfig,
-    categorical_draw,
     constraint_flag,
     language_distribution,
     normalized,
@@ -92,10 +92,10 @@ def test_beta_must_be_distribution():
 
 def pack_draw(config: SamplerConfig, dist: dict[str, float], index: int) -> str:
     """The packer's first language draw for sequence ``index``, all languages
-    available: ``categorical_draw`` over them in sorted order, on the
+    available: ``CategoricalDraw`` over them in sorted order, on the
     sequence's ``STREAM_PACK`` stream."""
     gen = rng.stream(config.seed, rng.STREAM_PACK, index)
-    return categorical_draw(dist, sorted(dist), gen)
+    return CategoricalDraw(dist)(sorted(dist), gen)
 
 
 def test_draw_language_degenerate():

@@ -15,7 +15,6 @@ from xlda_kit.sampling import SamplerConfig
 from xlda_kit.schedule import ScheduleConfig, lr_at
 from xlda_kit.training import (
     AdamW,
-    OptimizerConfig,
     TransferSpec,
     _language_ce,
     _packed_episodes,
@@ -68,7 +67,7 @@ def test_zero_steps_leaves_params_unchanged():
         params,
         cycle_batches(seqs, MaskPolicy.XLDA_FULL_CAUSAL, 2),
         small_schedule(0),
-        OptimizerConfig(),
+        0.1,
         steps=0,
     )
     assert log == []
@@ -79,8 +78,7 @@ def test_zero_steps_leaves_params_unchanged():
 def test_adamw_flat_pass_matches_the_per_name_loop():
     params = toy.init(MODEL)
     oracle = {name: t.copy() for name, t in params.tensors.items()}
-    cfg = OptimizerConfig(weight_decay=0.1)
-    opt = AdamW(params, cfg)
+    opt = AdamW(params, weight_decay=0.1)
     m = {name: np.zeros_like(t) for name, t in oracle.items()}
     v = {name: np.zeros_like(t) for name, t in oracle.items()}
     gen = np.random.default_rng(11)
@@ -89,16 +87,16 @@ def test_adamw_flat_pass_matches_the_per_name_loop():
         lr = 1e-3 * t
         opt.step(params, grads, lr)
         # the per-name AdamW loop the flat pass replaced
-        bc1 = 1.0 - cfg.beta1**t
-        bc2 = 1.0 - cfg.beta2**t
+        bc1 = 1.0 - opt.beta1**t
+        bc2 = 1.0 - opt.beta2**t
         for name, w in oracle.items():
             g = grads.tensors[name]
-            m[name] *= cfg.beta1
-            m[name] += (1.0 - cfg.beta1) * g
-            v[name] *= cfg.beta2
-            v[name] += (1.0 - cfg.beta2) * (g * g)
-            w -= lr * cfg.weight_decay * w
-            w -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.eps)
+            m[name] *= opt.beta1
+            m[name] += (1.0 - opt.beta1) * g
+            v[name] *= opt.beta2
+            v[name] += (1.0 - opt.beta2) * (g * g)
+            w -= lr * opt.weight_decay * w
+            w -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + opt.eps)
     for name, w in oracle.items():
         assert params.tensors[name].tobytes() == w.tobytes(), name
     assert opt.m.tobytes() == np.concatenate([a.reshape(-1) for a in m.values()]).tobytes()
@@ -118,7 +116,7 @@ def test_copy_task_loss_decreases():
         params,
         cycle_batches(seqs, MaskPolicy.XLDA_FULL_CAUSAL, 2),
         small_schedule(200),
-        OptimizerConfig(weight_decay=0.01),
+        0.01,
         steps=200,
     )
     assert log[-1].loss_total < log[0].loss_total
@@ -133,7 +131,7 @@ def test_logged_lr_matches_schedule():
         params,
         cycle_batches(seqs, MaskPolicy.INTRA_DOCUMENT_CAUSAL, 2),
         sched,
-        OptimizerConfig(),
+        0.1,
         steps=30,
     )
     for row in log:
@@ -150,7 +148,7 @@ def test_training_deterministic():
             params,
             cycle_batches(seqs, MaskPolicy.XLDA_FULL_CAUSAL, 2),
             small_schedule(25),
-            OptimizerConfig(),
+            0.1,
             steps=25,
         )
         return params, log
@@ -168,7 +166,7 @@ def test_non_finite_gradient_stops_training_before_the_update(monkeypatch):
 
     def run(params, steps):
         return train(params, cycle_batches(seqs, MaskPolicy.XLDA_FULL_CAUSAL, 2),
-                     small_schedule(10), OptimizerConfig(), steps=steps)
+                     small_schedule(10), 0.1, steps=steps)
 
     stopped = toy.init(MODEL)
     run(stopped, k)
@@ -205,7 +203,7 @@ def test_train_steps_beyond_schedule_is_error():
             params,
             cycle_batches(seqs, MaskPolicy.XLDA_FULL_CAUSAL, 2),
             small_schedule(10),
-            OptimizerConfig(),
+            0.1,
             steps=11,
         )
 
@@ -276,7 +274,7 @@ def test_float32_step_leaves_no_float64_behind():
     _, dlogits, _ = toy._ce_and_grad(out.ntp_logits, batch.ntp)
     assert dlogits.dtype == np.float32
     _, grads = toy.loss_and_grads(params, batch.tokens, batch.specs, batch.ntp, batch.mtp)
-    opt = AdamW(params, OptimizerConfig())
+    opt = AdamW(params, 0.1)
     opt.step(params, grads, 1e-3)
     for vector in (params.flat, grads.flat, opt.m, opt.v):
         assert vector.dtype == np.float32
