@@ -9,7 +9,9 @@ keys; any other section or key, any key under ``[DEFAULT]`` and any value its
 key's type rejects is a config error (exit 2). A bad number given to a flag, an
 integer below its bound included, is a usage error (exit 1) naming the flag.
 Every command echoes the settings it used, as the strings it was given, and
-``--emit-config`` writes them out as a config file that reproduces the run.
+``--emit-config`` writes them out as a config file. The file holds settings
+only: a flag that is not one (the paths, and ``train-toy``'s ``--policy``,
+``--batch-seqs`` and ``--weight-decay``) must be given again to repeat a run.
 """
 
 from __future__ import annotations

@@ -546,44 +546,47 @@ def _ce_and_grad(logits: Array, labels: Array):
     return float(ce.mean()), dlogits.reshape(logits.shape), n
 
 
-def _loss_breakdown(output: ForwardOutput, ntp_labels: Array, mtp_labels: Array,
+def _mtp_labels(labels: Array) -> Array:
+    """The second-next-token targets of [B, L] next-token ``labels``: the
+    label at t + 1 wherever t has a label (``IGNORE_LABEL`` is never a real
+    token), so they stop one position earlier at every boundary."""
+    mtp = np.full(labels.shape, IGNORE_LABEL, dtype=np.int64)  # int32 labels cannot hold it
+    mtp[:, :-1] = np.where(labels[:, :-1] != IGNORE_LABEL, labels[:, 1:], IGNORE_LABEL)
+    return mtp
+
+
+def _loss_breakdown(output: ForwardOutput, labels: Array,
                     mtp_alpha: float) -> tuple[LossBreakdown, Array, Array]:
     """The loss and the gradients of its total w.r.t. both logit tensors."""
-    ntp_labels = np.atleast_2d(np.asarray(ntp_labels))
-    mtp_labels = np.atleast_2d(np.asarray(mtp_labels))
-    ce_ntp, dntp_logits, n_ntp = _ce_and_grad(output.ntp_logits, ntp_labels)
-    ce_mtp, dmtp_logits, n_mtp = _ce_and_grad(output.mtp_logits, mtp_labels)
+    labels = np.atleast_2d(np.asarray(labels))
+    ce_ntp, dntp_logits, n_ntp = _ce_and_grad(output.ntp_logits, labels)
+    ce_mtp, dmtp_logits, n_mtp = _ce_and_grad(output.mtp_logits, _mtp_labels(labels))
     if n_ntp == 0 and n_mtp == 0:
         raise DataError("empty loss support: every label is the ignore marker")
     breakdown = LossBreakdown(total=ce_ntp + mtp_alpha * ce_mtp, ntp=ce_ntp, mtp=ce_mtp)
     return breakdown, dntp_logits, dmtp_logits * mtp_alpha
 
 
-def loss(
-    output: ForwardOutput,
-    ntp_labels: Array,
-    mtp_labels: Array,
-    mtp_alpha: float,
-) -> LossBreakdown:
+def loss(output: ForwardOutput, labels: Array, mtp_alpha: float) -> LossBreakdown:
     """Mean NTP cross entropy plus ``mtp_alpha`` times mean MTP cross entropy.
 
-    Positions labelled ``IGNORE_LABEL`` are excluded from both means. A track
-    with no support contributes zero; if both tracks are empty that is an
-    error.
+    ``labels`` are the next-token targets; the MTP targets are derived from
+    them. Positions labelled ``IGNORE_LABEL`` are excluded from both means.
+    A track with no support contributes zero; if both tracks are empty that
+    is an error.
     """
-    return _loss_breakdown(output, ntp_labels, mtp_labels, mtp_alpha)[0]
+    return _loss_breakdown(output, labels, mtp_alpha)[0]
 
 
 def loss_and_grads(params: Parameters, tokens: Array, masks: MaskSpec | Sequence[MaskSpec],
-                   ntp_labels: Array, mtp_labels: Array) -> tuple[LossBreakdown, Parameters]:
+                   labels: Array) -> tuple[LossBreakdown, Parameters]:
     """Forward, loss at the config's ``mtp_alpha``, and full analytic
     parameter gradients, laid out like ``params``; ``masks`` as for
-    ``forward``."""
+    ``forward`` and ``labels`` as for ``loss``."""
     cfg = params.config
     p = params.tensors
     out, cache = _forward_with_cache(params, tokens, masks)
-    breakdown, dntp_logits, dmtp_logits = _loss_breakdown(out, ntp_labels, mtp_labels,
-                                                          cfg.mtp_alpha)
+    breakdown, dntp_logits, dmtp_logits = _loss_breakdown(out, labels, cfg.mtp_alpha)
     grads = params.like(np.zeros_like(params.flat))
     g = grads.tensors
     rot = cache["rot"]
@@ -624,10 +627,8 @@ def _grad_check_batch(config: ModelConfig, gen: np.random.Generator):
         MaskSpec(MaskPolicy.XLDA_FULL_CAUSAL, spans, seq_len, seq_len),
         MaskSpec(MaskPolicy.INTRA_DOCUMENT_CAUSAL, spans, seq_len, seq_len),
     ]
-    labels = [make_labels(row, spans, seq_len) for row in tokens]
-    ntp = np.stack([n for n, _ in labels])
-    mtp = np.stack([m for _, m in labels])
-    return tokens, specs, ntp, mtp
+    labels = np.stack([make_labels(row, spans, seq_len) for row in tokens])
+    return tokens, specs, labels
 
 
 def grad_check(
@@ -661,12 +662,12 @@ def grad_check(
         )
     params = init(config)
     gen = rng.stream(0, rng.STREAM_GRAD_CHECK)
-    tokens, specs, ntp, mtp = _grad_check_batch(config, gen)
-    _, grads = loss_and_grads(params, tokens, specs, ntp, mtp)
+    tokens, specs, labels = _grad_check_batch(config, gen)
+    _, grads = loss_and_grads(params, tokens, specs, labels)
 
     def loss_only() -> float:
         out, _ = _forward_with_cache(params, tokens, specs, keep=False)
-        return loss(out, ntp, mtp, params.config.mtp_alpha).total
+        return loss(out, labels, params.config.mtp_alpha).total
 
     per_tensor: dict[str, float] = {}
     checked = 0

@@ -2,11 +2,11 @@
 
 A packed sequence is a fixed-length token buffer plus the span table that
 tiles its non-pad prefix with document fragments. Everything else about the
-window (next-token and second-next-token labels, attention masks, segment
-ids) is derived from those two. Sequences flagged by the
-sampler must contain at least two distinct languages; the packer enforces
-that by forcing a cross-lingual draw as soon as a flagged sequence would
-otherwise close with a single language, reserving the final slot if needed.
+window (next-token labels, attention masks, segment ids) is derived from
+those two. Sequences flagged by the sampler must contain at least two
+distinct languages; the packer enforces that by forcing a cross-lingual draw
+as soon as a flagged sequence would otherwise close with a single language,
+reserving the final slot if needed.
 
 Filling is greedy and single-pass: the next document's language is drawn
 from the sampling distribution restricted to languages that still have
@@ -86,11 +86,11 @@ def check_tiling(spans: Sequence[DocSpan], pad_start: int, seq_len: int) -> None
         raise DataError(f"spans cover [0, {pos}) but pad_start is {pad_start}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PackedSequence:
     """One packed window: tokens plus the span table tiling ``[0, pad_start)``.
 
-    The NTP/MTP label tracks are not stored: they are derived once, on first
+    The next-token labels are not stored: they are derived once, on first
     use, by ``make_labels`` from the tokens, the spans and
     ``cross_doc_labels``, and are read-only.
     """
@@ -108,15 +108,10 @@ class PackedSequence:
         return len(self.tokens)
 
     @cached_property
-    def _labels(self) -> tuple[np.ndarray, np.ndarray]:
+    def labels(self) -> np.ndarray:  # uint32[seq_len] next-token targets
         labels = make_labels(self.tokens, self.spans, self.pad_start, self.cross_doc_labels)
-        for track in labels:
-            track.flags.writeable = False
+        labels.flags.writeable = False
         return labels
-
-    # uint32[seq_len] next-token and second-next-token targets
-    ntp_labels = property(lambda self: self._labels[0])
-    mtp_labels = property(lambda self: self._labels[1])
 
 
 def make_labels(
@@ -124,27 +119,23 @@ def make_labels(
     spans: Sequence[DocSpan],
     pad_start: int,
     cross_doc_labels: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Next-token and second-next-token targets for a packed buffer.
+) -> np.ndarray:
+    """Next-token targets for a packed buffer.
 
     By default targets stay inside their document: positions whose target
     would cross a span boundary get ``IGNORE_LABEL``, as does everything at
     or past ``pad_start``. With ``cross_doc_labels`` targets run through the
     whole non-pad region regardless of document boundaries.
     """
-    seq_len = len(tokens)
-    ntp = np.full(seq_len, IGNORE_LABEL, dtype=np.uint32)
-    mtp = np.full(seq_len, IGNORE_LABEL, dtype=np.uint32)
+    labels = np.full(len(tokens), IGNORE_LABEL, dtype=np.uint32)
     if cross_doc_labels:
         ranges = [(0, pad_start)]
     else:
         ranges = [(span.start, span.end) for span in spans]
     for start, end in ranges:
         if end - start >= 2:
-            ntp[start : end - 1] = tokens[start + 1 : end]
-        if end - start >= 3:
-            mtp[start : end - 2] = tokens[start + 2 : end]
-    return ntp, mtp
+            labels[start : end - 1] = tokens[start + 1 : end]
+    return labels
 
 
 @dataclass
@@ -213,8 +204,6 @@ class _Filler:
         return [l for l in self.lang_order if self.queues[l]]
 
     def _other_material_exists(self, lang: str) -> bool:
-        if self.carry is not None and self.carry.doc.lang.code != lang:
-            return True
         return any(self.queues[l] for l in self.lang_order if l != lang)
 
     def has_material(self) -> bool:

@@ -54,8 +54,7 @@ class AdamW:
 class Batch:
     tokens: np.ndarray  # [B, L] uint32, the windows' own dtype
     specs: tuple[MaskSpec, ...]  # one attention mask spec per row
-    ntp: np.ndarray  # [B, L] uint32, IGNORE_LABEL where no target
-    mtp: np.ndarray
+    labels: np.ndarray  # [B, L] uint32 next-token targets, IGNORE_LABEL where none
     real_tokens: int
 
 
@@ -65,8 +64,7 @@ def batch_from_sequences(
     """The windows stacked row by row, each with its mask spec under ``policy``."""
     return Batch(tokens=np.stack([s.tokens for s in seqs]),
                  specs=tuple(MaskSpec.for_sequence(s, policy) for s in seqs),
-                 ntp=np.stack([s.ntp_labels for s in seqs]),
-                 mtp=np.stack([s.mtp_labels for s in seqs]),
+                 labels=np.stack([s.labels for s in seqs]),
                  real_tokens=int(sum(s.pad_start for s in seqs)))
 
 
@@ -129,8 +127,7 @@ def train(
     for step in range(steps):
         batch = next(batches)
         lr = lr_at(schedule, step)
-        breakdown, grads = toy.loss_and_grads(params, batch.tokens, batch.specs, batch.ntp,
-                                              batch.mtp)
+        breakdown, grads = toy.loss_and_grads(params, batch.tokens, batch.specs, batch.labels)
         if not math.isfinite(breakdown.total):
             raise TrainingDivergedError(
                 f"non-finite loss {breakdown.total} at step {step}"
@@ -270,9 +267,9 @@ class TransferSpec:
         block's cache, and one forward-only evaluation pass over
         ``_eval_rows`` packed or probe windows (about 1,024 tokens), which
         holds none; at the default spec the training step is the larger.
-        Each held window is charged 12 bytes per position, for its tokens
-        and two label tracks, and ``SPAN_BYTES`` for each span it may hold
-        and twice more for its own objects."""
+        Each held window is charged 8 bytes per position, for its tokens
+        and its labels, and ``SPAN_BYTES`` for each span it may hold and
+        twice more for its own objects."""
         config = self.model_config()
         probe_len = 2 * self.probe_facts_per_doc
         phase = max(toy.working_set_bytes(config, self.batch_sequences, self.seq_len),
@@ -281,8 +278,8 @@ class TransferSpec:
         # a window of whole documents may start and end with a fragment
         spans = self.seq_len // (2 * self.train_facts_per_doc) + 2
         packed = (self.train_window_count + self.eval_windows) * (
-            12 * self.seq_len + SPAN_BYTES * (spans + 2))
-        probes = self.n_probe_docs * (12 * probe_len + SPAN_BYTES * 3)
+            8 * self.seq_len + SPAN_BYTES * (spans + 2))
+        probes = self.n_probe_docs * (8 * probe_len + SPAN_BYTES * 3)
         return phase + packed + probes
 
 
@@ -410,7 +407,7 @@ def _language_ce(
         for sub in (part[r : r + rows] for r in range(0, len(part), rows)):
             batch = batch_from_sequences(sub, policy)
             out = toy.forward(params, batch.tokens, batch.specs, mtp=False)
-            idx, ce, _ = toy.token_ce(out.ntp_logits, batch.ntp)
+            idx, ce, _ = toy.token_ce(out.ntp_logits, batch.labels)
             ces.append(ce)
             langs.append(np.concatenate([segment_ids(seq, lang_to_id)[1] for seq in sub])[idx])
         ce, lang_ids = np.concatenate(ces), np.concatenate(langs)

@@ -307,9 +307,10 @@ def test_criterion_06_packer_conservation():
                     assert span.start == pos
                     pos = span.end
                 assert pos == s.pad_start
+                mtp_track = toy._mtp_labels(s.labels[None])[0]
                 for t in range(s.seq_len):
-                    ntp = int(s.ntp_labels[t])
-                    mtp = int(s.mtp_labels[t])
+                    ntp = int(s.labels[t])
+                    mtp = int(mtp_track[t])
                     if ntp != IGNORE_LABEL:
                         assert ntp == int(s.tokens[t + 1])
                     if mtp != IGNORE_LABEL:
@@ -413,20 +414,18 @@ def test_criterion_10_loss_wiring():
         out = toy.forward(params, tokens, [spec, spec])
         ign = np.int64(IGNORE_LABEL)
         ntp = np.full_like(tokens, ign)
-        mtp = np.full_like(tokens, ign)
         ntp[:, :-1] = tokens[:, 1:]
-        mtp[:, :-2] = tokens[:, 2:]
-        l0 = toy.loss(out, ntp, mtp, mtp_alpha=0.0).total
-        l1 = toy.loss(out, ntp, mtp, mtp_alpha=1.0).total
+        l0 = toy.loss(out, ntp, mtp_alpha=0.0).total
+        l1 = toy.loss(out, ntp, mtp_alpha=1.0).total
         for alpha in (0.1, 0.2, 0.5, 0.9):
-            la = toy.loss(out, ntp, mtp, mtp_alpha=alpha).total
+            la = toy.loss(out, ntp, mtp_alpha=alpha).total
             assert la == l0 + alpha * (l1 - l0)
         v = 23
         uniform = toy.ForwardOutput(
             ntp_logits=np.full((1, 4, v), 3.7), mtp_logits=np.full((1, 4, v), -1.2)
         )
         labels = np.array([[0, 5, 9, 22]], dtype=np.int64)
-        breakdown = toy.loss(uniform, labels, labels, mtp_alpha=1.0)
+        breakdown = toy.loss(uniform, labels, mtp_alpha=1.0)
         assert abs(breakdown.ntp - math.log(v)) <= 1e-12
         assert abs(breakdown.mtp - math.log(v)) <= 1e-12
 

@@ -389,7 +389,7 @@ def test_pack_cross_doc_labels_travel_in_the_file(tmp_path, capsys):
     assert config.cross_doc_labels
     multi = next(s for s in seqs if len(s.spans) >= 2)
     boundary = multi.spans[0].end - 1  # target crosses into the next document
-    assert multi.ntp_labels[boundary] == multi.tokens[boundary + 1]
+    assert multi.labels[boundary] == multi.tokens[boundary + 1]
 
 
 def test_train_toy_runs_and_is_deterministic(tmp_path, capsys):

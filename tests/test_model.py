@@ -30,11 +30,9 @@ def random_tokens(gen, config, b, l):
 
 
 def shifted_labels(tokens):
-    ntp = np.full_like(tokens, IGN)
-    mtp = np.full_like(tokens, IGN)
-    ntp[:, :-1] = tokens[:, 1:]
-    mtp[:, :-2] = tokens[:, 2:]
-    return ntp, mtp
+    labels = np.full_like(tokens, IGN)
+    labels[:, :-1] = tokens[:, 1:]
+    return labels
 
 
 def test_init_deterministic_and_shapes():
@@ -93,9 +91,9 @@ def test_gradients_share_the_parameter_layout():
     params = toy.init(TINY)
     gen = np.random.default_rng(5)
     tokens = random_tokens(gen, TINY, 2, 8)
-    ntp, mtp = shifted_labels(tokens)
+    labels = shifted_labels(tokens)
     spec = two_doc_spec(MaskPolicy.INTRA_DOCUMENT_CAUSAL)
-    _, grads = toy.loss_and_grads(params, tokens, [spec, spec], ntp, mtp)
+    _, grads = toy.loss_and_grads(params, tokens, [spec, spec], labels)
     _assert_tiles(grads, params.tensors)
     assert not np.shares_memory(grads.flat, params.flat)
     for name, tensor in params.tensors.items():
@@ -226,7 +224,7 @@ def test_loss_uniform_logits_is_log_vocab():
     logits = np.zeros((1, 4, v))
     out = toy.ForwardOutput(ntp_logits=logits, mtp_logits=logits.copy())
     labels = np.array([[1, 2, 3, IGNORE_LABEL]], dtype=np.int64)
-    breakdown = toy.loss(out, labels, labels, mtp_alpha=0.0)
+    breakdown = toy.loss(out, labels, mtp_alpha=0.0)
     assert abs(breakdown.ntp - math.log(v)) <= 1e-12
 
 
@@ -236,11 +234,11 @@ def test_loss_linear_in_alpha():
     tokens = random_tokens(gen, TINY, 2, 8)
     spec = two_doc_spec(MaskPolicy.CROSS_LINGUAL_BRIDGE)
     out = toy.forward(params, tokens, [spec, spec])
-    ntp, mtp = shifted_labels(tokens)
-    l0 = toy.loss(out, ntp, mtp, mtp_alpha=0.0).total
-    l1 = toy.loss(out, ntp, mtp, mtp_alpha=1.0).total
+    labels = shifted_labels(tokens)
+    l0 = toy.loss(out, labels, mtp_alpha=0.0).total
+    l1 = toy.loss(out, labels, mtp_alpha=1.0).total
     for alpha in (0.2, 0.5, 0.77):
-        la = toy.loss(out, ntp, mtp, mtp_alpha=alpha).total
+        la = toy.loss(out, labels, mtp_alpha=alpha).total
         assert la == pytest.approx(l0 + alpha * (l1 - l0), abs=1e-15)
 
 
@@ -250,8 +248,7 @@ def test_loss_alpha_zero_is_ntp_only():
     tokens = random_tokens(gen, TINY, 1, 8)
     spec = two_doc_spec(MaskPolicy.XLDA_FULL_CAUSAL)
     out = toy.forward(params, tokens, [spec])
-    ntp, mtp = shifted_labels(tokens)
-    breakdown = toy.loss(out, ntp, mtp, mtp_alpha=0.0)
+    breakdown = toy.loss(out, shifted_labels(tokens), mtp_alpha=0.0)
     assert breakdown.total == breakdown.ntp
 
 
@@ -265,7 +262,7 @@ def test_loss_empty_support_is_error():
     out = toy.ForwardOutput(ntp_logits=logits, mtp_logits=logits.copy())
     all_ignored = np.full((1, 3), IGNORE_LABEL, dtype=np.int64)
     with pytest.raises(DataError, match="empty loss support"):
-        toy.loss(out, all_ignored, all_ignored, mtp_alpha=0.2)
+        toy.loss(out, all_ignored, mtp_alpha=0.2)
 
 
 def test_token_ce_matches_per_position_log_softmax():
@@ -292,7 +289,21 @@ def test_token_ce_matches_per_position_log_softmax():
     np.testing.assert_allclose(soft, want_soft, rtol=1e-12, atol=1e-300)
     # the training loss is the mean of these values
     out = toy.ForwardOutput(ntp_logits=logits, mtp_logits=logits)
-    assert toy.loss(out, labels, labels, mtp_alpha=0.0).ntp == ce.mean()
+    assert toy.loss(out, labels, mtp_alpha=0.0).ntp == ce.mean()
+
+
+def test_loss_scores_the_mtp_head_on_the_derived_track():
+    gen = np.random.Generator(np.random.Philox(key=np.array([18, 0], dtype=np.uint64)))
+    b, l, v = 2, 9, 11
+    out = toy.ForwardOutput(ntp_logits=gen.normal(size=(b, l, v)),
+                            mtp_logits=gen.normal(size=(b, l, v)))
+    labels = gen.integers(0, v, size=(b, l)).astype(np.int64)
+    labels[gen.random((b, l)) < 0.3] = IGN
+    _, ce, _ = toy.token_ce(out.mtp_logits, toy._mtp_labels(labels))
+    assert toy.loss(out, labels, mtp_alpha=0.5).mtp == ce.mean()
+    # a label array too narrow to hold IGNORE_LABEL is scored as it is
+    full = gen.integers(0, v, size=(b, l))
+    assert toy.loss(out, full.astype(np.int32), 0.5) == toy.loss(out, full, 0.5)
 
 
 def test_token_ce_all_ignored_and_out_of_vocab():
@@ -431,8 +442,8 @@ def test_forward_only_peak_is_at_most_half_the_cached_pass():
     interpreter = 64 << 20
     assert forward_only < toy.working_set_bytes(params.config, 32, 128,
                                                  backward=False) - interpreter
-    ntp, mtp = shifted_labels(tokens)
-    step = _traced_peak(lambda: toy.loss_and_grads(params, tokens, specs, ntp, mtp))
+    labels = shifted_labels(tokens)
+    step = _traced_peak(lambda: toy.loss_and_grads(params, tokens, specs, labels))
     assert step < toy.working_set_bytes(params.config, 32, 128) - interpreter
 
 
@@ -490,7 +501,7 @@ def _dense_masks(specs, dtype=None):
 
 def _run_model(params, tokens, specs, labels):
     out = toy.forward(params, tokens, specs)
-    _, grads = toy.loss_and_grads(params, tokens, specs, labels, labels[:, ::-1])
+    _, grads = toy.loss_and_grads(params, tokens, specs, labels)
     return out, grads
 
 
@@ -663,10 +674,10 @@ def test_mask_spec_count_or_length_mismatch_is_error():
         with pytest.raises(DataError, match="count 1|count 3"):
             toy.forward(params, tokens, masks)
         with pytest.raises(DataError, match="count 1|count 3"):
-            toy.loss_and_grads(params, tokens, masks, labels, labels)
+            toy.loss_and_grads(params, tokens, masks, labels)
     short = two_doc_spec(MaskPolicy.INTRA_DOCUMENT_CAUSAL, lengths=(3, 4))
     for masks in (short, [spec, short]):
         with pytest.raises(DataError, match=r"seq_len \[7.*length 8"):
             toy.forward(params, tokens, masks)
         with pytest.raises(DataError, match=r"seq_len \[7.*length 8"):
-            toy.loss_and_grads(params, tokens, masks, labels, labels)
+            toy.loss_and_grads(params, tokens, masks, labels)

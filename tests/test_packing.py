@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xlda_kit import model as toy
 from xlda_kit import packing
 from xlda_kit.cli import dispatch
 from xlda_kit.corpus import Document, LanguageTag, stats as corpus_stats
@@ -57,14 +58,11 @@ def token_multiset(seqs):
 
 def check_labels(seq):
     for t in range(seq.seq_len):
-        ntp = int(seq.ntp_labels[t])
-        mtp = int(seq.mtp_labels[t])
+        ntp = int(seq.labels[t])
         if ntp != IGNORE_LABEL:
             assert t + 1 < seq.seq_len and ntp == int(seq.tokens[t + 1])
-        if mtp != IGNORE_LABEL:
-            assert t + 2 < seq.seq_len and mtp == int(seq.tokens[t + 2])
         if t >= seq.pad_start:
-            assert ntp == IGNORE_LABEL and mtp == IGNORE_LABEL
+            assert ntp == IGNORE_LABEL
 
 
 def test_hand_enumerated_split_example():
@@ -227,28 +225,50 @@ def test_deterministic_across_runs():
 def test_make_labels_single_span():
     tokens = np.array([10, 11, 12, 13, 0, 0, 0, 0], dtype=np.uint32)
     spans = spans_from_lengths([4], ["en"])
-    ntp, mtp = make_labels(tokens, spans, pad_start=4)
+    ntp = make_labels(tokens, spans, pad_start=4)
     ign = IGNORE_LABEL
     assert ntp.tolist() == [11, 12, 13, ign, ign, ign, ign, ign]
-    assert mtp.tolist() == [12, 13, ign, ign, ign, ign, ign, ign]
+    assert toy._mtp_labels(ntp[None])[0].tolist() == [12, 13, ign, ign, ign, ign, ign, ign]
 
 
 def test_make_labels_boundary_masking():
     tokens = np.array([1, 2, 3, 4, 0, 0, 0, 0], dtype=np.uint32)
     spans = spans_from_lengths([2, 2], ["en", "ko"])
-    ntp, mtp = make_labels(tokens, spans, pad_start=4)
+    ntp = make_labels(tokens, spans, pad_start=4)
     ign = IGNORE_LABEL
     assert ntp.tolist() == [2, ign, 4, ign, ign, ign, ign, ign]
-    assert mtp.tolist() == [ign] * 8
+    assert toy._mtp_labels(ntp[None])[0].tolist() == [ign] * 8
 
 
 def test_make_labels_cross_doc():
     tokens = np.array([1, 2, 3, 4, 0, 0, 0, 0], dtype=np.uint32)
     spans = spans_from_lengths([2, 2], ["en", "ko"])
-    ntp, mtp = make_labels(tokens, spans, pad_start=4, cross_doc_labels=True)
+    ntp = make_labels(tokens, spans, pad_start=4, cross_doc_labels=True)
     ign = IGNORE_LABEL
     assert ntp.tolist() == [2, 3, 4, ign, ign, ign, ign, ign]
-    assert mtp.tolist() == [3, 4, ign, ign, ign, ign, ign, ign]
+    assert toy._mtp_labels(ntp[None])[0].tolist() == [3, 4, ign, ign, ign, ign, ign, ign]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mtp_targets_are_the_tokens_two_ahead_inside_a_span(data):
+    """The MTP track the loss builds from the next-token labels holds
+    tokens[t + 2] where t and t + 2 lie in one span (anywhere below
+    pad_start under cross_doc_labels), and IGNORE_LABEL everywhere else."""
+    lengths = data.draw(st.lists(st.integers(1, 6), max_size=6), label="lengths")
+    pad_start = sum(lengths)
+    seq_len = pad_start + data.draw(st.integers(0, 39 - pad_start), label="pad")
+    spans = spans_from_lengths(lengths, ["en"] * len(lengths))
+    cross_doc = data.draw(st.booleans(), label="cross_doc_labels")
+    tokens = np.array(data.draw(st.lists(st.integers(0, IGNORE_LABEL - 1),
+                                         min_size=seq_len, max_size=seq_len)),
+                      dtype=np.uint32)
+    span_of = {t: i for i, s in enumerate(spans) for t in range(s.start, s.end)}
+    want = [int(tokens[t + 2]) if t + 2 < pad_start
+            and (cross_doc or span_of[t] == span_of[t + 2]) else IGNORE_LABEL
+            for t in range(seq_len)]
+    labels = make_labels(tokens, spans, pad_start, cross_doc)
+    assert toy._mtp_labels(labels[None])[0].tolist() == want
 
 
 def test_packed_file_roundtrip(tmp_path):
@@ -267,8 +287,7 @@ def test_packed_file_roundtrip(tmp_path):
     assert len(back) == len(seqs)
     for orig, loaded in zip(seqs, back):
         assert (orig.tokens == loaded.tokens).all()
-        assert (orig.ntp_labels == loaded.ntp_labels).all()
-        assert (orig.mtp_labels == loaded.mtp_labels).all()
+        assert (orig.labels == loaded.labels).all()
         assert orig.pad_start == loaded.pad_start
         assert [
             (s.start, s.end, s.lang.code) for s in orig.spans
@@ -355,7 +374,7 @@ def test_an_id_the_window_cannot_hold_is_an_error_naming_its_document(
 def test_largest_non_reserved_token_id_packs():
     docs = [doc("e0", EN, [1, IGNORE_LABEL - 1, 3])]
     [seq] = pack_stream(docs, sampler(beta={"en": 1.0}), PackerConfig(seq_len=8))
-    assert seq.ntp_labels[0] == IGNORE_LABEL - 1
+    assert seq.labels[0] == IGNORE_LABEL - 1
 
 
 # --- packed format v3: layout and hardening ---------------------------------
@@ -436,7 +455,7 @@ def test_hand_built_v3_file_loads(tmp_path):
     assert config.seq_len == 8 and not config.cross_doc_labels
     assert seq.tokens.tolist() == GOOD[0] and seq.pad_start == 5
     assert [(s.start, s.end, s.lang.code) for s in seq.spans] == [(0, 3, "en"), (3, 5, "en")]
-    assert seq.ntp_labels.tolist()[:5] == [2, 3, IGNORE_LABEL, 5, IGNORE_LABEL]
+    assert seq.labels.tolist()[:5] == [2, 3, IGNORE_LABEL, 5, IGNORE_LABEL]
 
 
 def test_ignore_label_at_or_past_pad_start_loads(tmp_path):
@@ -460,17 +479,16 @@ def test_cross_doc_labels_roundtrip(tmp_path):
     assert back_config.cross_doc_labels
     for orig, loaded in zip(seqs, back):
         assert loaded.cross_doc_labels
-        assert (orig.ntp_labels == loaded.ntp_labels).all()
-        assert (orig.mtp_labels == loaded.mtp_labels).all()
+        assert (orig.labels == loaded.labels).all()
 
 
 def test_labels_are_read_only():
     [seq] = pack_stream([doc("e0", EN, [1, 2, 3])], sampler(beta={"en": 1.0}),
                         PackerConfig(seq_len=8))
     with pytest.raises(AttributeError):
-        seq.ntp_labels = seq.mtp_labels
+        seq.labels = seq.labels.copy()
     with pytest.raises(ValueError):
-        seq.ntp_labels[0] = 7
+        seq.labels[0] = 7
 
 
 def test_write_rejects_sequences_that_disagree_with_the_header(tmp_path):
@@ -713,8 +731,7 @@ def test_fuzzed_packed_file_one_record_read_matches_full_read(fuzz_dir, data):
         assert one_config == config
         assert seq.tokens.tolist() == want.tokens.tolist()
         assert seq.spans == want.spans and seq.pad_start == want.pad_start
-        assert (seq.ntp_labels == want.ntp_labels).all()
-        assert (seq.mtp_labels == want.mtp_labels).all()
+        assert (seq.labels == want.labels).all()
 
 
 # --- realised language shares ------------------------------------------------

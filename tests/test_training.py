@@ -271,9 +271,9 @@ def test_float32_step_leaves_no_float64_behind():
     assert any(dtype == np.complex64 for _, dtype in arrays)  # the rotary table
     assert [(path, dtype) for path, dtype in arrays
             if dtype not in (np.float32, np.complex64)] == []
-    _, dlogits, _ = toy._ce_and_grad(out.ntp_logits, batch.ntp)
+    _, dlogits, _ = toy._ce_and_grad(out.ntp_logits, batch.labels)
     assert dlogits.dtype == np.float32
-    _, grads = toy.loss_and_grads(params, batch.tokens, batch.specs, batch.ntp, batch.mtp)
+    _, grads = toy.loss_and_grads(params, batch.tokens, batch.specs, batch.labels)
     opt = AdamW(params, 0.1)
     opt.step(params, grads, 1e-3)
     for vector in (params.flat, grads.flat, opt.m, opt.v):
@@ -358,7 +358,7 @@ def test_transfer_working_set_charges_the_windows_held(seq_len):
     try:
         held = _packed_episodes(many, 1, 300)
         for window in held:
-            window.ntp_labels  # derived once, then held
+            window.labels  # derived once, then held
         allocated = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -374,7 +374,7 @@ def _language_ce_in_32_window_forwards(params, seqs, policy, codes):
         part = seqs[start:start + 32]
         batch = batch_from_sequences(part, policy)
         out = toy.forward(params, batch.tokens, batch.specs)
-        idx, ce, _ = toy.token_ce(out.ntp_logits, batch.ntp)
+        idx, ce, _ = toy.token_ce(out.ntp_logits, batch.labels)
         lang_ids = np.concatenate([segment_ids(seq, lang_to_id)[1] for seq in part])[idx]
         for code, lid in lang_to_id.items():
             sums[code] += float(ce[lang_ids == lid].sum())
