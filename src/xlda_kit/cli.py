@@ -407,16 +407,16 @@ def _cmd_mask(args, run: RunConfig) -> int:
             for s in seq.spans
         ],
     }
-    text = [
+    # the text is one line a span, and the grid O(L²): build them only to print them
+    text = [] if args.json else [
         f"policy: {policy.value}",
         f"pad_start: {seq.pad_start}  allowed pairs: {payload['allowed_pairs']}",
+        *(f"  span [{s.start}, {s.end}) lang={s.lang.code} doc={s.doc_id}" for s in seq.spans),
     ]
-    for s in seq.spans:
-        text.append(f"  span [{s.start}, {s.end}) lang={s.lang.code} doc={s.doc_id}")
     if args.dense:
         dense = masks.materialize_dense(spec, config.seq_len)
         payload["dense_true_cells"] = int(dense.sum())
-        if not args.json:  # the grid is O(L²) text: build it only to print it
+        if not args.json:
             text += ["P1", f"{config.seq_len} {config.seq_len}", _grid_text(dense)]
     return _finish(args, run, {"result": payload}, text)
 

@@ -30,6 +30,8 @@ SCORE_MAX = 5.0
 INGEST_BLOCK_IDS = 8192
 
 _raw_decode = json.JSONDecoder().raw_decode
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+_encode_string = json.encoder.encode_basestring_ascii
 
 
 @dataclass(frozen=True)
@@ -382,20 +384,71 @@ def stats(docs: Iterable[Document]) -> CorpusStats:
     )
 
 
+def _record_lines(docs: list[Document]) -> bytes:
+    """The record lines of ``docs``, whose token ids are made text at once.
+
+    Each id is one row of bytes: its decimal digits, zero-padded to the
+    width of the block's largest id, then ``,``, or ``]`` after a
+    document's last id. One boolean compress drops the leading zeros, so no
+    Python object is made per id. The other fields go through ``json``'s
+    own encoders, which write ``score`` as ``json.dumps`` does (``3`` for an
+    int, ``3.5`` for a float).
+    """
+    ids = np.concatenate([doc.tokens for doc in docs])
+    width = len(str(int(ids.max())))
+    rows = np.empty((len(ids), width + 1), np.uint8)
+    rest = ids
+    for col in range(width - 1, 0, -1):
+        quot = rest // 10
+        rows[:, col] = rest - quot * 10
+        rest = quot
+    rows[:, 0] = rest
+    rows[:, :width] += ord("0")
+    rows[:, width] = ord(",")
+    rows[np.cumsum([len(doc.tokens) for doc in docs]) - 1, width] = ord("]")
+    # a digit column is kept for the ids that reach it; the last digit and
+    # the separator always are
+    keep = np.ones(rows.shape, bool)
+    for col in range(width - 1):
+        np.greater_equal(ids, 10 ** (width - 1 - col), out=keep[:, col])
+    chars = rows[keep]
+    ends = (np.flatnonzero(chars == ord("]")) + 1).tolist()
+    text = chars.tobytes()
+    # a JSON number holds no comma, so the block's scores are one encoder call
+    scores = _encode_compact([doc.score for doc in docs])[1:-1].split(",")
+    lines = []
+    start = 0
+    for doc, end, score in zip(docs, ends, scores):
+        lines += (f'{{"id":{_encode_string(doc.id)},"lang":{_encode_string(doc.lang.code)},'
+                  f'"class":{_encode_string(doc.lang.lang_class)},"tokens":['.encode(),
+                  text[start:end],
+                  b"}\n" if score == "null" else f',"score":{score}}}\n'.encode())
+        start = end
+    return b"".join(lines)
+
+
 def write_records(docs: Iterable[Document], path: str | Path) -> int:
-    """Write documents back out in the record format. Returns count written."""
-    encode = json.JSONEncoder(separators=(",", ":")).encode
-    n = 0
-    with Path(path).open("w", encoding="utf-8") as fh:
+    """Write documents back out in the record format, one line each::
+
+        {"id":<id>,"lang":<code>,"class":<class>,"tokens":[<id>,...],"score":<score>}
+
+    compact JSON with the keys in this order, strings escaped to ASCII as
+    ``json.dumps`` does, and no ``score`` key for a document without one.
+    The file is truncated before the first document is read. Documents are
+    written a block at a time, a block holding at most ``INGEST_BLOCK_IDS``
+    token ids (a longer document is a block of its own), so the writer
+    holds one block and its text. Returns the count written.
+    """
+    n = block_ids = 0
+    block: list[Document] = []
+    with Path(path).open("wb") as fh:
         for doc in docs:
-            record = {
-                "id": doc.id,
-                "lang": doc.lang.code,
-                "class": doc.lang.lang_class,
-                "tokens": doc.tokens.tolist(),
-            }
-            if doc.score is not None:
-                record["score"] = doc.score
-            fh.write(encode(record) + "\n")
+            if block and block_ids + len(doc.tokens) > INGEST_BLOCK_IDS:
+                fh.write(_record_lines(block))
+                block, block_ids = [], 0
+            block.append(doc)
+            block_ids += len(doc.tokens)
             n += 1
+        if block:
+            fh.write(_record_lines(block))
     return n

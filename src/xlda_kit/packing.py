@@ -103,6 +103,13 @@ class PackedSequence:
     def __post_init__(self):
         check_tiling(self.spans, self.pad_start, len(self.tokens))
 
+    def __eq__(self, other):
+        if not isinstance(other, PackedSequence):
+            return NotImplemented
+        return (np.array_equal(self.tokens, other.tokens)
+                and (self.spans, self.pad_start, self.cross_doc_labels)
+                == (other.spans, other.pad_start, other.cross_doc_labels))
+
     @property
     def seq_len(self) -> int:
         return len(self.tokens)

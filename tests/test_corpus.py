@@ -471,9 +471,11 @@ def test_ingest_write_ingest_is_byte_identical(tmp_path):
     lines = []
     for i in range(200):
         code, lang_class = (("en", "english"), ("ko", "multilingual"), ("ja", "math_code"))[i % 3]
+        # several blocks of ids, one of them a single record longer than a block
+        n = corpus.INGEST_BLOCK_IDS + 1 if i == 100 else int(gen.integers(1, 200))
         record = {"id": f"d{i}\u00e9" if i % 7 == 0 else f"d{i}", "lang": code,
                   "class": lang_class,
-                  "tokens": gen.integers(0, _BIG, int(gen.integers(1, 40)), endpoint=True).tolist()}
+                  "tokens": gen.integers(0, _BIG, n, endpoint=True).tolist()}
         if i % 5:
             record["score"] = round(float(gen.uniform(0, 5)), 3)
         lines.append(json.dumps(record, separators=(",", ":")))
@@ -481,10 +483,41 @@ def test_ingest_write_ingest_is_byte_identical(tmp_path):
     write_lines(original, lines)
     docs = list(ingest(original))
     assert len(docs) == 200 and max(max(ids(d)) for d in docs) > 2**62
+    assert sum(map(len, docs)) > 3 * corpus.INGEST_BLOCK_IDS
     written = tmp_path / "written.jsonl"
     assert write_records(docs, written) == 200
     assert written.read_bytes() == original.read_bytes()
     assert list(ingest(written)) == docs
+
+
+# ids at every decimal width, each side of each power of ten, up to 2**63 - 1
+_DIGIT_EDGES = sorted({0, _BIG, *(10**k + d for k in range(19) for d in (-1, 0))})
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.lists(st.tuples(
+    st.text(min_size=1, max_size=6),
+    st.sampled_from(["en", "ko", "zh-hant", "\u00e9"]),
+    st.sampled_from(corpus.LANGUAGE_CLASSES),
+    st.lists(st.one_of(st.sampled_from(_DIGIT_EDGES), st.integers(0, _BIG)),
+             min_size=1, max_size=8),
+    st.one_of(st.none(), st.integers(0, 5), st.floats(0, 5))), max_size=8),
+    block_ids=st.integers(1, 12))
+def test_written_lines_are_the_compact_json_dumps_of_the_records(tmp_path_factory, records,
+                                                                 block_ids):
+    docs = [Document(doc_id, LanguageTag(code, lang_class), tokens, score)
+            for doc_id, code, lang_class, tokens, score in records]
+    out = tmp_path_factory.mktemp("write") / "out.jsonl"
+    # small blocks, so that records of a few ids still cross block boundaries
+    with mock.patch.object(corpus, "INGEST_BLOCK_IDS", block_ids):
+        assert write_records(docs, out) == len(docs)
+    want = ""
+    for doc_id, code, lang_class, tokens, score in records:
+        record = {"id": doc_id, "lang": code, "class": lang_class, "tokens": tokens}
+        if score is not None:
+            record["score"] = score
+        want += json.dumps(record, separators=(",", ":")) + "\n"
+    assert out.read_bytes() == want.encode("ascii")
 
 
 def test_held_documents_cost_at_most_16_bytes_per_token(tmp_path):
@@ -507,6 +540,30 @@ def test_held_documents_cost_at_most_16_bytes_per_token(tmp_path):
         tracemalloc.stop()
     assert sum(map(len, docs)) == total
     assert held / total <= 16, f"{held / total:.1f} B per token"
+
+
+def test_writing_holds_one_block_not_the_corpus(tmp_path):
+    gen = np.random.Generator(np.random.Philox(key=np.array([19, 0], dtype=np.uint64)))
+    corpora = []
+    for total in (50_000, 200_000):
+        docs, n = [], 0
+        while n < total:
+            tokens = gen.integers(0, 250_000, int(gen.integers(50, 151)))
+            docs.append(Document(f"d{len(docs)}", LanguageTag("ko"), tokens, 2.5))
+            n += len(tokens)
+        corpora.append(docs)
+    added = []
+    tracemalloc.start()
+    try:
+        for docs in corpora:
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            write_records(docs, tmp_path / "out.jsonl")
+            added.append(tracemalloc.get_traced_memory()[1] - held)
+    finally:
+        tracemalloc.stop()
+    # the text of the whole corpus would be about 7 B per token
+    assert added[1] <= 1.25 * added[0], f"{added[0]} B, then {added[1]} B for 4x the tokens"
 
 
 # one line of a record file: a valid record, or one of every line error

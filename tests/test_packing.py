@@ -491,6 +491,22 @@ def test_labels_are_read_only():
         seq.labels[0] = 7
 
 
+def test_windows_are_equal_when_every_field_is():
+    def window(tokens=(1, 2, 3, 0, 0, 0, 0, 0), lengths=(3,), pad_start=3, cross_doc=False):
+        spans = spans_from_lengths(list(lengths), ["en"] * len(lengths))
+        return PackedSequence(np.array(tokens, dtype=np.uint32), tuple(spans), pad_start,
+                              cross_doc)
+
+    assert window() == window() and not window() != window()
+    assert window() != window(tokens=(1, 2, 4, 0, 0, 0, 0, 0))
+    assert window() != window(lengths=(1, 2))
+    assert window() != window(lengths=(4,), pad_start=4)
+    assert window() != window(cross_doc=True)
+    assert window().__eq__(window().spans) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(window())
+
+
 def test_write_rejects_sequences_that_disagree_with_the_header(tmp_path):
     seqs = list(pack_stream([doc("e0", EN, [1, 2, 3])], sampler(beta={"en": 1.0}),
                             PackerConfig(seq_len=8)))
