@@ -12,6 +12,7 @@ import codecs
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
@@ -29,7 +30,15 @@ SCORE_MAX = 5.0
 # holds at most this many ids, and a record with more is a block of its own
 INGEST_BLOCK_IDS = 8192
 
+# ``ingest`` checks at once the id texts of record lines holding about this
+# many bytes; ``_ID_DIGITS`` is the longest id the text path reads, since
+# C ``strtoll`` reads every id below 10**18 exactly
+_CHECK_BYTES = 1 << 16
+_ID_DIGITS = 18
+_TOKENS_KEY = b'"tokens"'
+
 _raw_decode = json.JSONDecoder().raw_decode
+_ids_of_text = functools.partial(np.fromstring, dtype=np.int64, sep=",")
 _encode_compact = json.JSONEncoder(separators=(",", ":")).encode
 _encode_string = json.encoder.encode_basestring_ascii
 
@@ -182,6 +191,8 @@ def parse_json_object(raw: bytes) -> dict | None:
             raise json.JSONDecodeError("Extra data", line, end)
     except json.JSONDecodeError as exc:
         raise DataError(f"not valid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer beyond Python's digit limit
+        raise DataError(f"not valid JSON: {str(exc).partition(';')[0]}") from exc
     if not isinstance(record, dict):
         raise DataError("record is not a JSON object")
     return record
@@ -195,9 +206,7 @@ def numbered_lines(fh: BinaryIO) -> Iterator[tuple[int, bytes]]:
     return itertools.chain([(1, first)], enumerate(fh, start=2))
 
 
-def _record_fields(record: dict) -> tuple[str, LanguageTag, list, float | None]:
-    """The id, language tag, token list and score of ``record``: every check
-    of a record but those of its token ids' range and of its score's."""
+def _id_and_lang(record: dict) -> tuple[str, LanguageTag]:
     doc_id = record.get("id")
     if not isinstance(doc_id, str) or not doc_id:
         raise DataError("missing or empty 'id' field")
@@ -211,7 +220,25 @@ def _record_fields(record: dict) -> tuple[str, LanguageTag, list, float | None]:
     # a class that is not a string (a JSON array, say) cannot be a cache key
     lang = (_language_tag(code, lang_class) if isinstance(lang_class, str)
             else LanguageTag(code=code, lang_class=lang_class))
+    return doc_id, lang
 
+
+def _score(record: dict) -> float | None:
+    score = record.get("score")
+    if score is None:
+        return None
+    if isinstance(score, bool) or not isinstance(score, (int, float)):
+        raise DataError("'score' is not a number")
+    try:
+        return float(score)
+    except OverflowError:  # an integer beyond float range reads as 1e400 does
+        return math.inf if score > 0 else -math.inf
+
+
+def _record_fields(record: dict) -> tuple[str, LanguageTag, list, float | None]:
+    """The id, language tag, token list and score of ``record``: every check
+    of a record but those of its token ids' range and of its score's."""
+    doc_id, lang = _id_and_lang(record)
     tokens = record.get("tokens")
     if tokens is None:
         raise DataError("record has no 'tokens'")
@@ -220,46 +247,168 @@ def _record_fields(record: dict) -> tuple[str, LanguageTag, list, float | None]:
     # the int64 conversion would truncate JSON floats and take booleans as 0 and 1
     if not set(map(type, tokens)) <= {int}:
         raise DataError("non-integer token id in 'tokens'")
-
-    score = record.get("score")
-    if score is not None:
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise DataError("'score' is not a number")
-        score = float(score)
-
+    score = _score(record)
     if not tokens:
         raise DataError(f"document {doc_id!r} has no tokens")
     return doc_id, lang, tokens, score
 
 
-def _block_documents(block: list[tuple[int, tuple | str]], report: IngestReport | None,
+def _emptied(raw: bytes) -> tuple[bytes, bytes] | None:
+    """``raw`` with its token array emptied, and the array's text with each
+    ``, `` read as ``,``; None unless ``raw`` holds no backslash, so that no
+    escaped key hides a second ``tokens``, and holds ``"tokens"`` once,
+    followed by ``:[`` or ``: [`` and then by a ``]``."""
+    key = raw.find(_TOKENS_KEY)
+    after = key + len(_TOKENS_KEY)
+    if key < 0:
+        return None
+    if raw.startswith(b":[", after):
+        start = after + 2
+    elif raw.startswith(b": [", after):
+        start = after + 3
+    else:
+        return None
+    end = raw.find(b"]", start)
+    # a byte is looked for as an int, which is one memchr
+    if end < 0 or ord("\\") in raw or raw.find(_TOKENS_KEY, after) >= 0:
+        return None
+    text = raw[start:end]
+    if ord(" ") in text:
+        text = text.replace(b", ", b",")
+    return raw[:start] + raw[end:], text
+
+
+def _plain_id_counts(texts: list[bytes]) -> list[int]:
+    """For each of ``texts``, its count of ids if it is a plain list of ids,
+    else 0. A plain list is one or more decimal ids of at most
+    ``_ID_DIGITS`` digits, without leading zeros, separated by single
+    commas: exactly the JSON arrays of such ids, minus the brackets."""
+    if not texts:
+        return []
+    # the texts between commas, and the position of the comma after each
+    chars = np.frombuffer(b",".join([b"", *texts, b""]), np.uint8)
+    ends = np.cumsum([len(text) + 1 for text in texts])
+    digit = chars - ord("0") < 10
+    comma = chars == ord(",")
+    counts = np.add.reduceat(comma[:-1], np.concatenate(([0], ends[:-1])), dtype=np.int64)
+    # where a run of _ID_DIGITS + 1 digits starts: runs of 2, 4, 8 and 16
+    # digits, then of 16 + 3
+    longer = digit
+    for shift in (1, 2, 4, 8, _ID_DIGITS + 1 - 16):
+        longer = longer[:-shift] & longer[shift:]
+    bad = np.concatenate((
+        np.flatnonzero(~(digit | comma)),
+        np.flatnonzero(comma[:-1] & comma[1:]) + 1,  # an empty id
+        np.flatnonzero(comma[:-2] & (chars[1:-1] == ord("0")) & digit[2:]) + 1,  # 0 leading
+        np.flatnonzero(longer)))
+    counts[np.searchsorted(ends, bad)] = 0
+    return counts.tolist()
+
+
+def _text_fields(head: bytes, ids: bytes) -> tuple | None:
+    """The record of line ``head``, whose emptied token array held the plain
+    list of ids ``ids``, in ``_record_fields`` form with ``ids`` for its
+    token list; None if ``head`` does not parse to a record whose one
+    ``tokens`` is that array, or holds any other error."""
+    try:
+        record = parse_json_object(head)
+        if record.get("tokens") != []:
+            return None
+        doc_id, lang = _id_and_lang(record)
+        return doc_id, lang, ids, _score(record)
+    except DataError:
+        return None
+
+
+def _chunks(lines: Iterator[tuple[int, bytes]]) -> Iterator[list[tuple[int, bytes]]]:
+    """``lines`` in runs of at least ``_CHECK_BYTES`` bytes, the last one
+    aside."""
+    chunk, held = [], 0
+    for line in lines:
+        chunk.append(line)
+        held += len(line[1])
+        if held >= _CHECK_BYTES:
+            yield chunk
+            chunk, held = [], 0
+    if chunk:
+        yield chunk
+
+
+def _line_items(lines: Iterator[tuple[int, bytes]]) -> Iterator[tuple[int, tuple | str, int]]:
+    """Each non-blank line of ``lines`` with its number, its record in
+    ``_record_fields`` form or its line error, and its count of ids.
+
+    A line whose token array is a plain list of ids (``_emptied``,
+    ``_plain_id_counts``) is parsed with that array emptied, and its record
+    holds the ids' text in place of their list; any other line, and any line
+    whose emptied form is not a record, is parsed as it is.
+    """
+    for chunk in _chunks(lines):
+        split = [_emptied(raw) for _, raw in chunk]
+        counts = iter(_plain_id_counts([parts[1] for parts in split if parts]))
+        for (line_no, raw), parts in zip(chunk, split):
+            n = next(counts) if parts else 0
+            item = _text_fields(*parts) if n else None
+            if item is None:
+                try:
+                    record = parse_json_object(raw)
+                    if record is None:
+                        continue
+                    item = _record_fields(record)
+                    n = len(item[2])
+                except DataError as exc:
+                    item, n = str(exc), 0
+            yield line_no, item, n
+
+
+def _block_ids(records: list[tuple[tuple, int]]) -> tuple[np.ndarray, bool]:
+    """The ids of ``records`` (each with its count of ids) in record order,
+    as one read-only int64 array, and whether every id lies in [0, 2**63).
+    The ids given as text are converted by one ``np.fromstring``, those
+    given as lists by one ``np.fromiter``."""
+    texts = [r[2] for r, _ in records if type(r[2]) is bytes]
+    lists = [r[2] for r, _ in records if type(r[2]) is list]
+    ids = _ids_of_text(b",".join(texts)) if texts else np.empty(0, np.int64)
+    in_range = True
+    if lists:
+        try:
+            listed = np.fromiter(itertools.chain.from_iterable(lists), np.int64,
+                                 sum(map(len, lists)))
+            in_range = listed.min() >= 0
+        except OverflowError:
+            in_range = False
+        if in_range and texts:
+            from_text = np.repeat([type(r[2]) is bytes for r, _ in records],
+                                  [n for _, n in records])
+            mixed = np.empty(len(from_text), np.int64)
+            mixed[from_text], mixed[~from_text] = ids, listed
+            ids = mixed
+        elif in_range:
+            ids = listed
+    ids.flags.writeable = False
+    return ids, in_range
+
+
+def _block_documents(block: list[tuple[int, tuple | str, int]], report: IngestReport | None,
                      seen_ids: set[str]) -> Iterator[Document]:
     """Yield the documents of ``block`` and record its line errors, in line
-    order. ``block`` holds, per line, its number and either its record in
-    ``_record_fields`` form or its line error. The records' ids are
-    converted and checked at once, into one read-only array that their
-    documents view; if any id is out of range, each record is converted on
-    its own instead, by ``Document``."""
-    records = [item for _, item in block if isinstance(item, tuple)]
-    try:
-        ids = np.fromiter(itertools.chain.from_iterable(r[2] for r in records), np.int64,
-                          sum(len(r[2]) for r in records))
-        in_range = ids.min(initial=0) >= 0
-    except OverflowError:
-        in_range = False
-    if in_range:
-        ids.flags.writeable = False
+    order. ``block`` holds, per line, its number, either its record in
+    ``_line_items`` form or its line error, and its count of ids. The
+    records' ids are converted and checked at once (``_block_ids``), into
+    one read-only array that their documents view; if any id is out of
+    range, each record is converted on its own instead, by ``Document``."""
+    ids, in_range = _block_ids([(item, n) for _, item, n in block if isinstance(item, tuple)])
     start = 0
-    for line_no, item in block:
+    for line_no, item, n in block:
         if isinstance(item, tuple):
             doc_id, lang, tokens, score = item
-            end = start + len(tokens)
             try:
-                doc = (Document._of_checked(doc_id, lang, ids[start:end], score) if in_range
-                       else Document(doc_id, lang, tokens, score))
+                doc = (Document._of_checked(doc_id, lang, ids[start:start + n], score)
+                       if in_range else Document(doc_id, lang, _ids_of_text(tokens)
+                                                 if type(tokens) is bytes else tokens, score))
             except DataError as exc:
                 item = str(exc)
-            start = end
+            start += n
         if isinstance(item, str):
             if report is not None:
                 report.errors.append(LineError(line_no, item))
@@ -296,28 +445,29 @@ def ingest(path: str | Path, report: IngestReport | None = None) -> Iterator[Doc
     the documents of a block view one shared array, so holding any of them
     holds the whole block. Every caller holds all of a file's documents or
     none of them.
+
+    A token array of decimal ids below 10**18 without leading zeros,
+    written ``[5,9,2]`` as ``filter`` writes it or ``[5, 9, 2]`` as
+    ``json.dumps`` does, in a line holding no backslash and one
+    ``"tokens"``, is read as text: the line is parsed with the array
+    emptied, and a block's id texts become its array in one
+    ``np.fromstring``, with no Python int per id. Every other line is parsed
+    whole. Both paths give the same documents and the same errors.
     """
     path = input_file(path)
     seen_ids: set[str] = set()
-    block: list[tuple[int, tuple | str]] = []
+    block: list[tuple[int, tuple | str, int]] = []
     block_ids = 0
     # read bytes and decode line by line, so that an invalid byte sequence
     # is one malformed line rather than a failure of the whole file
     with path.open("rb") as fh:
-        for line_no, raw in numbered_lines(fh):
-            try:
-                record = parse_json_object(raw)
-                if record is None:
-                    continue
-                fields = _record_fields(record)
-            except DataError as exc:
-                block.append((line_no, str(exc)))
-                continue
-            if block_ids + len(fields[2]) > INGEST_BLOCK_IDS:
-                yield from _block_documents(block, report, seen_ids)
-                block, block_ids = [], 0
-            block.append((line_no, fields))
-            block_ids += len(fields[2])
+        for line_no, item, n in _line_items(numbered_lines(fh)):
+            if isinstance(item, tuple):
+                if block_ids + n > INGEST_BLOCK_IDS:
+                    yield from _block_documents(block, report, seen_ids)
+                    block, block_ids = [], 0
+                block_ids += n
+            block.append((line_no, item, n))
     yield from _block_documents(block, report, seen_ids)
 
 

@@ -206,6 +206,9 @@ class _Filler:
         self.aborted_tokens = 0
         # the ids of the sequence being filled, as read: [0, pos) is in use
         self.ids = np.empty(config.seq_len, dtype=np.int64)
+        # one generator per stream, re-keyed for each sequence
+        self.flags = rng.Stream(sampler.seed, rng.STREAM_FLAGS)
+        self.draws = rng.Stream(sampler.seed, rng.STREAM_PACK)
 
     def _available(self) -> list[str]:
         return [l for l in self.lang_order if self.queues[l]]
@@ -225,8 +228,8 @@ class _Filler:
 
     def fill(self, index: int) -> PackedSequence | None:
         cfg = self.config
-        flag = constraint_flag(self.sampler, index)
-        gen = rng.stream(self.sampler.seed, rng.STREAM_PACK, index)
+        flag = constraint_flag(self.sampler, index, self.flags)
+        gen = self.draws.at(index)
         tokens = np.zeros(cfg.seq_len, dtype=np.uint32)
         ids = self.ids
         spans: list[DocSpan] = []
@@ -361,7 +364,8 @@ def pack_stream(
 SPAN_BYTES = 256  # objects of one span of a held window: 200-220 B measured
 _DOC_BYTES = 1024  # objects of one document held through a pack: 450-800 B measured
 _WINDOW_BYTES = 1024  # objects of one window beyond its token arrays: 300-370 B measured
-_PARSE_BYTES = 192  # per id of the records being parsed, text and ints: 57-150 B measured
+_PARSE_BYTES = 192  # per id of the records being parsed: 43-47 B measured where a line is
+# parsed whole, 77-98 B where its ids are read as text (with the check of their text)
 
 
 def working_set_bytes(docs: Sequence[Document], seq_len: int) -> int:

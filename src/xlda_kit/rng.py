@@ -49,3 +49,28 @@ def stream(seed: int, stream_id: int, index: int = 0) -> np.random.Generator:
     k0, k1 = derive_key(seed, stream_id, index)
     bitgen = np.random.Philox(key=np.array([k0, k1], dtype=np.uint64))
     return np.random.Generator(bitgen)
+
+
+class Stream:
+    """The generators ``stream(seed, stream_id, index)`` of one (seed, stream
+    id), drawn from one kept ``Philox`` that ``at`` re-keys for each index.
+
+    ``at`` returns the same ``Generator`` each time, set to draw exactly what
+    a fresh ``stream`` would, so a caller that holds one index's generator
+    while it draws from another index needs a second ``Stream``.
+    """
+
+    def __init__(self, seed: int, stream_id: int):
+        self.seed = seed
+        self.stream_id = stream_id
+        self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self._gen = np.random.Generator(self._bitgen)
+        self._state = self._bitgen.state
+
+    def at(self, index: int) -> np.random.Generator:
+        """The generator of ``index``, re-keyed: counter 0 and an empty
+        buffer, as ``Philox(key=...)`` starts."""
+        self._state["state"]["key"] = np.array(derive_key(self.seed, self.stream_id, index),
+                                               dtype=np.uint64)
+        self._bitgen.state = self._state
+        return self._gen

@@ -29,7 +29,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def write_corpus(path, n_en=30, n_ko=30, seed=0, scores=False, max_id=99):
+def write_corpus(path, n_en=30, n_ko=30, seed=0, scores=False, max_id=99, separators=None):
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     lines = []
     for i in range(n_en):
@@ -37,13 +37,13 @@ def write_corpus(path, n_en=30, n_ko=30, seed=0, scores=False, max_id=99):
                "tokens": [int(t) for t in gen.integers(1, max_id, int(gen.integers(1, 8)))]}
         if scores:
             rec["score"] = float(np.round(gen.uniform(0, 5), 2))
-        lines.append(json.dumps(rec))
+        lines.append(json.dumps(rec, separators=separators))
     for i in range(n_ko):
         rec = {"id": f"k{i}", "lang": "ko",
                "tokens": [int(t) for t in gen.integers(1, max_id, int(gen.integers(1, 8)))]}
         if scores:
             rec["score"] = float(np.round(gen.uniform(0, 5), 2))
-        lines.append(json.dumps(rec))
+        lines.append(json.dumps(rec, separators=separators))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -675,9 +675,15 @@ def _stats_with(code="ko", **entry):
     ("eval-consistency", b'{"item_id": "a", "src_correct": true, "tgt_correct": true}\n'
                          b'{"item_id": "b\xff", "src_correct": true, "tgt_correct": true}\n',
      "line 2: not valid UTF-8"),
+    ("plan", b'{"per_language": {"en": {"documents": 2, "tokens": 1' + b"0" * 4999 + b"}}}",
+     "not valid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+    ("eval-consistency", b'{"item_id": "a", "src_correct": true, "tgt_correct": true}\n'
+                         b'{"item_id": "b", "src_correct": true, "tgt_correct": true, "n": 1'
+                         + b"0" * 4999 + b"}\n", "line 2: not valid JSON: Exceeds the limit"),
 ], ids=["stats-malformed-json", "stats-per-language-list", "stats-entry-not-object",
         "stats-count-missing", "stats-not-utf8", "stats-empty-file", "stats-float-count",
-        "stats-bool-count", "stats-negative-count", "stats-uppercase-code", "pairs-not-utf8"])
+        "stats-bool-count", "stats-negative-count", "stats-uppercase-code", "pairs-not-utf8",
+        "stats-long-integer", "pairs-long-integer"])
 def test_bad_json_input_is_a_named_error(tmp_path, capsys, command, content, message):
     path = tmp_path / "input.json"
     path.write_bytes(content)
@@ -721,6 +727,22 @@ def test_pack_and_plan_count_malformed_lines(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv, "--json")
     assert code == 0, err
     assert json.loads(out)["result"]["malformed_lines"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["filter", "--output", "OUT", "--keep", "1.0", "--input"],
+    ["pack", "--output", "OUT", "--seq-len", "16", "--input"],
+    ["plan", "--corpus"],
+])
+def test_an_integer_beyond_the_digit_limit_is_a_line_error(tmp_path, capsys, argv):
+    src = tmp_path / "raw.jsonl"
+    write_corpus(src, n_en=5, n_ko=5, scores=True)
+    with src.open("ab") as fh:  # 5,000 digits: more than Python reads as an int
+        fh.write(b'{"id":"a","lang":"en","tokens":[1],"score":1' + b"0" * 4999 + b"}\n")
+    argv = [str(tmp_path / "o") if a == "OUT" else a for a in argv] + [str(src), "--json"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "Traceback" not in err, err
+    assert json.loads(out)["result"]["malformed_lines"] == 1
 
 
 def test_leading_byte_order_mark_costs_no_record(tmp_path, capsys):
@@ -1109,11 +1131,13 @@ def test_train_toy_beyond_physical_memory_is_a_config_error(settings_dir, tmp_pa
 
 
 @pytest.mark.parametrize("seq_len", [16, 65536])
-def test_pack_working_set_bounds_a_traced_run(tmp_path, capsys, monkeypatch, seq_len):
+def test_pack_working_set_bounds_a_traced_run(tmp_path, capsys, monkeypatch, seq_len,
+                                              separators=None):
     """The estimate charges the documents held, the longest one's parse, the
     windows with the writer's copy of their tokens, and their spans; it
     stays an upper bound on what a `pack` allocates."""
-    write_corpus(tmp_path / "corpus.jsonl", n_en=400, n_ko=400, seed=5, max_id=60)
+    write_corpus(tmp_path / "corpus.jsonl", n_en=400, n_ko=400, seed=5, max_id=60,
+                 separators=separators)
     argv = ["pack", "--input", str(tmp_path / "corpus.jsonl"),
             "--output", str(tmp_path / "o.xlda"), "--seq-len", str(seq_len)]
     assert run(capsys, *argv)[0] == 0  # imports and first-use caches stay out of the count
@@ -1129,6 +1153,17 @@ def test_pack_working_set_bounds_a_traced_run(tmp_path, capsys, monkeypatch, seq
         tracemalloc.stop()
     assert code == 0 and len(needs) == 1
     assert peak < needs[0] - (64 << 20)
+
+
+@pytest.mark.parametrize("seq_len", [16, 65536])
+@pytest.mark.parametrize("separators", [(",", ":"), (", ", " : ")], ids=["compact", "spaced"])
+def test_pack_working_set_bounds_a_traced_run_in_other_spellings(tmp_path, capsys, monkeypatch,
+                                                                 seq_len, separators):
+    """The same bound where the records are written as `filter` writes them,
+    whose token arrays `ingest` reads as text as it does `json.dumps`'
+    default, and where a spaced colon has every line parsed whole."""
+    test_pack_working_set_bounds_a_traced_run(tmp_path, capsys, monkeypatch, seq_len,
+                                              separators=separators)
 
 
 def test_pack_beyond_available_memory_is_a_config_error(settings_dir, tmp_path, capsys,

@@ -282,6 +282,9 @@ def _parse_with_json_loads(raw):
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise DataError(f"not valid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer of more than 4,300 digits
+        assert str(exc).startswith("Exceeds the limit (4300 digits) for integer string")
+        raise DataError(f"not valid JSON: {str(exc).partition(';')[0]}") from exc
     if not isinstance(record, dict):
         raise DataError("record is not a JSON object")
     return record
@@ -566,8 +569,15 @@ def test_writing_holds_one_block_not_the_corpus(tmp_path):
     assert added[1] <= 1.25 * added[0], f"{added[0]} B, then {added[1]} B for 4x the tokens"
 
 
-# one line of a record file: a valid record, or one of every line error
-# `ingest` knows; "dup" repeats the id of the last valid record
+# one line of a record file: a valid record, one of every line error
+# `ingest` knows, or a line near a plain token array, which `ingest` reads as
+# text (valid or not); "dup" repeats the id of the last valid record
+_NEAR_PLAIN = [
+    "[01]", "[0]", "[1,,2]", "[,1]", "[1,]", "[1 ,2]", "[1e3]", "[-0]", "[+1]",
+    "[1,  2]", "[1,\t2]", "[ 1]", "[1 2]", "[1, 02]", "[00]",
+    f"[{10**18 - 1}]", f"[{10**18}]", f"[5,{2**63 - 1}]", f"[{2**63}]", f"[{10**19 + 7}]",
+    f"[{'9' * 4301}]",
+]
 _BAD_LINES = [
     '{"id": "x", "lang"', "[1, 2]", '"text"', '{"lang":"en","tokens":[1]}',
     '{"id":"","lang":"en","tokens":[1]}', '{"id":7,"lang":"en","tokens":[1]}',
@@ -582,25 +592,49 @@ _BAD_LINES = [
     '{"id":"x","lang":"en","tokens":[1],"score":true}', '{"id":"x","lang":"en","tokens":[1],"score":5.5}',
     '{"id":"x","lang":"en","tokens":[1],"score":-1}', '{"id":"x","lang":"en","tokens":[-4],"score":9}',
     '{"id":"x","lang":"en","tokens":[1],"score":1e400}', "", "   ", "\u3000",
+    '{"id":"x","lang":"en","tokens":[1],"score":1' + "0" * 400 + "}",
+    '{"id":"x","lang":"en","tokens":[1],"score":-1' + "0" * 400 + "}",
+    '{"id":"x","lang":"en","tokens":[1],"score":1' + "0" * 5000 + "}",
+    *(f'{{"id":"x","lang":"en","tokens":{ids}}}' for ids in _NEAR_PLAIN),
+    *(f'{{"id": "x", "lang": "en", "tokens": {ids.replace(",", ", ")}}}' for ids in _NEAR_PLAIN),
+    '{"id":"x","lang":"en","m":{"tokens":[1]},"tokens":[2]}',
+    '{"id":"x","lang":"en","m":{"tokens":[1]}}', '{"id":"x","lang":"en","m":[{"tokens":[1]}]}',
+    '{"id":"x","lang":"en","tokens":[1],"tokens":[2]}',
+    '{"id":"x","lang":"en","tokens":[],"tokens":[3]}', '{"id":"x","lang":"en","tokens":[3],"tokens":[]}',
+    '{"id":"x","lang":"en","tok\\u0065ns":[4],"tokens":[3]}',
+    '{"id":"x","lang":"en","tokens":[3],"tok\\u0065ns":[]}',
+    '{"id":"x","lang":"en","tokens" :[1]}', '{"id":"x","lang":"en","tokens":  [1]}',
+    '{"id":"tokens","lang":"en","tokens":[1]}', '{"id":"x","lang":"tokens"}',
+    '{"id":"x","lang":"en","tokens":[1]}\r', '{"id":"x","lang":"en","tokens":[1, 2]}\r',
+    '{"id":"x","lang":"en","tokens":[1]', '{"id":"x","lang":"en","tokens":[1]}}',
+    '{"id":"x","lang":"en","tokens":[1]} x', '{"id":"x","lang":"en","tokens":[1], "score":"high"}',
+    '{"id":"x","lang":"en","tokens":[1,2],"score":6}', '{"id":"x","lang":"en","tokens":[1]}\u3000',
+    '{"id":"x","lang":"en","tokens":[1]}\x00',
 ]
 _VALID_RECORD = st.fixed_dictionaries(
     {"lang": st.sampled_from(["en", "ko", "ja"]),
-     "tokens": st.lists(st.one_of(st.integers(0, 300), st.sampled_from([0, _BIG])),
+     "tokens": st.lists(st.one_of(st.integers(0, 300),
+                                  st.sampled_from([0, 10**18 - 1, 10**18, _BIG])),
                         min_size=1, max_size=12)},
     optional={"class": st.sampled_from(["english", "multilingual", "math_code"]),
               "score": st.one_of(st.integers(0, 5), st.floats(0, 5))})
+# written as `filter` writes records, or as `json.dumps` does by default
+_SPELLINGS = {"compact": (",", ":"), "default": None}
 # a valid record twice as often as each other kind of line
-_LINE = st.one_of(_VALID_RECORD, _VALID_RECORD, st.sampled_from(_BAD_LINES), st.just("dup"))
+_LINE = st.one_of(*2 * [st.tuples(_VALID_RECORD, st.sampled_from(sorted(_SPELLINGS)))],
+                  st.sampled_from(_BAD_LINES), st.just("dup"))
 
 
 def _record_file(lines, bom):
     out, last_id = [], None
     for i, line in enumerate(lines):
-        if isinstance(line, dict):
+        if isinstance(line, tuple):
             last_id = f"d{i}"
-            line = json.dumps({"id": last_id, **line})
+            line = json.dumps({"id": last_id, **line[0]}, separators=_SPELLINGS[line[1]])
         elif line == "dup":
             line = json.dumps({"id": last_id or "d", "lang": "ko", "tokens": [i]})
+        else:  # a line of its own: the near-misses that are valid records are kept
+            line = line.replace('"id":"x"', f'"id":"x{i}"').replace('"id": "x"', f'"id": "x{i}"')
         out.append(line)
     return (b"\xef\xbb\xbf" if bom else b"") + "\n".join(out).encode("utf-8") + b"\n"
 
@@ -666,3 +700,39 @@ def test_a_record_longer_than_a_block_is_a_block_of_its_own(tmp_path):
     # the long record's ids are an array of their own, not a view of a neighbour's
     long = docs[2][0].tokens
     assert long.base is None or long.base.size == 2 * n + 1
+
+
+@pytest.mark.parametrize("spelling", sorted(_SPELLINGS))
+def test_plain_token_arrays_reach_the_json_decoder_emptied(tmp_path, spelling):
+    """Every line of a file of plain token arrays is read as text: no id
+    reaches the JSON decoder, so none becomes a Python int."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([29, 0], dtype=np.uint64)))
+    records = []
+    for i in range(300):
+        n = corpus.INGEST_BLOCK_IDS + 3 if i == 150 else int(gen.integers(1, 120))
+        record = {"id": f"d{i}", "lang": ("en", "ko", "ja")[i % 3],
+                  "tokens": gen.integers(0, 10**18, n).tolist()}
+        record["tokens"][0] = (0, 7, 10**18 - 1)[i % 3]
+        if i % 4:
+            record["score"] = round(float(gen.uniform(0, 5)), 2)
+        if i % 5 == 0:
+            record["class"] = "math_code"
+        records.append(record)
+    f = tmp_path / "corpus.jsonl"
+    write_lines(f, [json.dumps(r, separators=_SPELLINGS[spelling]) for r in records])
+    decoded = []
+    real = corpus._raw_decode
+
+    def spy(text):
+        decoded.append(text)
+        return real(text)
+
+    report = IngestReport()
+    with mock.patch.object(corpus, "_raw_decode", spy):
+        docs = list(ingest(f, report=report))
+    assert [ids(d) for d in docs] == [r["tokens"] for r in records] and report.errors == []
+    assert [(d.id, d.lang.lang_class, d.score) for d in docs] == [
+        (r["id"], r.get("class", corpus.default_language_class(r["lang"])), r.get("score"))
+        for r in records]
+    assert len(decoded) == len(records)
+    assert all(json.loads(text)["tokens"] == [] for text in decoded)

@@ -1,3 +1,6 @@
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
 from xlda_kit import rng
 
 
@@ -32,3 +35,27 @@ def test_negative_and_large_seeds_accepted():
     a = rng.stream(-5, 1, 0).random()
     b = rng.stream((1 << 70) + 3, 1, 0).random()
     assert 0.0 <= a < 1.0 and 0.0 <= b < 1.0
+
+
+_DRAWS = {
+    "random": lambda gen: gen.random(3).tolist(),
+    "integers": lambda gen: gen.integers(0, 1000, 3).tolist(),
+    "integers32": lambda gen: gen.integers(0, 7, 3, dtype=np.uint32).tolist(),
+    "permutation": lambda gen: gen.permutation(9).tolist(),
+    "choice": lambda gen: gen.choice(20, size=4, replace=False).tolist(),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(-2**70, 2**70), stream_id=st.integers(0, 9),
+       visits=st.lists(st.tuples(st.integers(0, 2**45),
+                                 st.lists(st.sampled_from(sorted(_DRAWS)), max_size=4)),
+                       min_size=1, max_size=5))
+def test_a_rekeyed_stream_draws_what_a_fresh_stream_draws(seed, stream_id, visits):
+    kept = rng.Stream(seed, stream_id)
+    for index, draws in visits:
+        # each visit re-keys the one generator, after whatever the last one drew
+        gen, fresh = kept.at(index), rng.stream(seed, stream_id, index)
+        for name in draws:
+            assert _DRAWS[name](gen) == _DRAWS[name](fresh)
+        assert gen.random() == fresh.random()
