@@ -124,14 +124,11 @@ class CategoricalDraw:
         return key[i] if i < len(key) else key[-1]
 
 
-def constraint_flag(config: SamplerConfig, index: int,
-                    flags: rng.Stream | None = None) -> bool:
+def constraint_flag(config: SamplerConfig, index: int, flags: rng.Stream) -> bool:
     """Whether sequence ``index`` must be cross-lingual: Bernoulli(rho), drawn
-    from its own stream, through ``flags`` if a caller keeps that
+    from its own stream, ``flags.at(index)`` of the caller's
     ``rng.Stream(config.seed, rng.STREAM_FLAGS)``. A uniform lies in [0, 1),
     so rho 0 and rho 1 settle the flag without one."""
     if config.rho in (0.0, 1.0):
         return config.rho == 1.0
-    gen = (flags.at(index) if flags is not None
-           else rng.stream(config.seed, rng.STREAM_FLAGS, index))
-    return bool(gen.random() < config.rho)
+    return bool(flags.at(index).random() < config.rho)

@@ -1130,12 +1130,17 @@ def test_train_toy_beyond_physical_memory_is_a_config_error(settings_dir, tmp_pa
     assert peak < 16 << 20
 
 
+@pytest.mark.parametrize("separators", [None, (",", ":"), (", ", " : ")],
+                         ids=["default", "compact", "spaced"])
 @pytest.mark.parametrize("seq_len", [16, 65536])
 def test_pack_working_set_bounds_a_traced_run(tmp_path, capsys, monkeypatch, seq_len,
-                                              separators=None):
+                                              separators):
     """The estimate charges the documents held, the longest one's parse, the
     windows with the writer's copy of their tokens, and their spans; it
-    stays an upper bound on what a `pack` allocates."""
+    stays an upper bound on what a `pack` allocates. The records are written
+    as `json.dumps` and `filter` write them, whose token arrays `ingest`
+    reads as text, and with a spaced colon, which has every line parsed
+    whole."""
     write_corpus(tmp_path / "corpus.jsonl", n_en=400, n_ko=400, seed=5, max_id=60,
                  separators=separators)
     argv = ["pack", "--input", str(tmp_path / "corpus.jsonl"),
@@ -1153,17 +1158,6 @@ def test_pack_working_set_bounds_a_traced_run(tmp_path, capsys, monkeypatch, seq
         tracemalloc.stop()
     assert code == 0 and len(needs) == 1
     assert peak < needs[0] - (64 << 20)
-
-
-@pytest.mark.parametrize("seq_len", [16, 65536])
-@pytest.mark.parametrize("separators", [(",", ":"), (", ", " : ")], ids=["compact", "spaced"])
-def test_pack_working_set_bounds_a_traced_run_in_other_spellings(tmp_path, capsys, monkeypatch,
-                                                                 seq_len, separators):
-    """The same bound where the records are written as `filter` writes them,
-    whose token arrays `ingest` reads as text as it does `json.dumps`'
-    default, and where a spaced colon has every line parsed whole."""
-    test_pack_working_set_bounds_a_traced_run(tmp_path, capsys, monkeypatch, seq_len,
-                                              separators=separators)
 
 
 def test_pack_beyond_available_memory_is_a_config_error(settings_dir, tmp_path, capsys,

@@ -124,25 +124,41 @@ def test_draw_language_empirical_frequencies():
         assert abs(freq - p) <= 0.01
 
 
+def flag_stream(config: SamplerConfig) -> rng.Stream:
+    """The packer's ``STREAM_FLAGS`` stream for ``config``."""
+    return rng.Stream(config.seed, rng.STREAM_FLAGS)
+
+
 def test_constraint_flags_boundaries():
     all_on = SamplerConfig(alpha_temp=1.0, beta={"en": 1.0}, rho=1.0, seed=1)
-    assert all(constraint_flag(all_on, i) for i in range(500))
+    flags = flag_stream(all_on)
+    assert all(constraint_flag(all_on, i, flags) for i in range(500))
     all_off = SamplerConfig(alpha_temp=1.0, beta={"en": 1.0}, rho=0.0, seed=1)
-    assert not any(constraint_flag(all_off, i) for i in range(500))
+    flags = flag_stream(all_off)
+    assert not any(constraint_flag(all_off, i, flags) for i in range(500))
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0, 0, 1])
 def test_rho_0_and_1_settle_the_flag_without_drawing(rho):
     config = SamplerConfig(alpha_temp=1.0, beta={"en": 1.0}, rho=rho, seed=3)
     drawn = [bool(rng.stream(3, rng.STREAM_FLAGS, i).random() < rho) for i in range(1000)]
-    with mock.patch.object(rng, "stream", wraps=rng.stream) as stream:
-        assert [constraint_flag(config, i) for i in range(1000)] == drawn
-    assert stream.call_count == 0
+    flags = flag_stream(config)
+    with mock.patch.object(rng.Stream, "at", autospec=True, side_effect=rng.Stream.at) as at:
+        assert [constraint_flag(config, i, flags) for i in range(1000)] == drawn
+    assert at.call_count == 0
+
+
+def test_constraint_flags_match_fresh_streams():
+    config = SamplerConfig(alpha_temp=1.0, beta={"en": 1.0}, rho=0.3, seed=3)
+    drawn = [bool(rng.stream(3, rng.STREAM_FLAGS, i).random() < 0.3) for i in range(1000)]
+    flags = flag_stream(config)
+    assert [constraint_flag(config, i, flags) for i in range(1000)] == drawn
 
 
 def test_constraint_flags_fraction():
     config = SamplerConfig(alpha_temp=1.0, beta={"en": 1.0}, rho=0.5, seed=0)
-    flags = [constraint_flag(config, i) for i in range(10_000)]
+    stream = flag_stream(config)
+    flags = [constraint_flag(config, i, stream) for i in range(10_000)]
     assert 0.48 <= np.mean(flags) <= 0.52
 
 
