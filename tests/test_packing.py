@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlda_kit import model as toy
-from xlda_kit import packing
+from xlda_kit import packing, training
 from xlda_kit.cli import dispatch
 from xlda_kit.corpus import Document, LanguageTag, stats as corpus_stats
 from xlda_kit.errors import ConfigError, ConstraintInfeasibleError, DataError, XldaKitError
@@ -30,7 +30,8 @@ from xlda_kit.packing import (
     write_packed,
 )
 from xlda_kit.masks import spans_from_lengths
-from xlda_kit.sampling import CategoricalDraw, SamplerConfig, language_distribution
+from xlda_kit.sampling import (CategoricalDraw, SamplerConfig, constraint_flag,
+                               language_distribution)
 
 EN = LanguageTag("en", "english")
 KO = LanguageTag("ko", "multilingual")
@@ -220,6 +221,138 @@ def test_deterministic_across_runs():
     assert any(
         (sa.tokens != sc.tokens).any() for sa, sc in zip(a, c)
     ) or len(a) != len(c)
+
+
+# --- the packer's exact output, pinned --------------------------------------
+GOLDEN_LANGS = (EN, KO, LanguageTag("sw", "multilingual"), LanguageTag("fi", "multilingual"))
+
+
+def golden_docs(key, n_langs, n_docs, max_len, skew=1.0, ids=()):
+    """``n_docs`` documents of 1 to ``max_len`` ids in [1, 50000), the k-th
+    language drawn with weight ``skew ** k``; ``ids`` maps a document index
+    and position to an id written there."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([key, 0], dtype=np.uint64)))
+    weights = np.array([skew**k for k in range(n_langs)])
+    langs = gen.choice(n_langs, size=n_docs, p=weights / weights.sum())
+    docs = []
+    for i, k in enumerate(langs):
+        tokens = gen.integers(1, 50_000, int(gen.integers(1, max_len + 1))).tolist()
+        for (j, at), value in dict(ids).items():
+            if j == i:
+                tokens[at % len(tokens)] = value
+        docs.append(doc(f"{GOLDEN_LANGS[k].code}{i}", GOLDEN_LANGS[k], tokens))
+    return docs
+
+
+def pack_digest(windows, report):
+    """A digest of every window's tokens, spans and ``pad_start``, then of
+    ``report`` and of the error, if any, that ended ``windows``."""
+    h = hashlib.sha256()
+    try:
+        for seq in windows:
+            h.update(seq.tokens.astype("<u4").tobytes())
+            h.update(repr([(s.start, s.end, s.lang.code, s.doc_id) for s in seq.spans]).encode())
+            h.update(f"|{seq.pad_start}|".encode())
+        outcome = "ok"
+    except XldaKitError as exc:
+        outcome = f"{type(exc).__name__}: {exc}"
+    h.update(repr(sorted(report.to_json().items())).encode())
+    h.update(outcome.encode())
+    return h.hexdigest()[:16]
+
+
+# (id, docs, rho, seed, seq_len, split policy, sampler beta and alpha, digest)
+GOLDEN = [
+    ("rho0-split-L8", golden_docs(1, 3, 40, 20), 0.0, 1, 8, packing.SPLIT_ACROSS_SEQUENCES,
+     None, 1.0, "928c4dc057823329"),
+    ("rho0.3-split-L9", golden_docs(2, 2, 60, 30), 0.3, 2, 9, packing.SPLIT_ACROSS_SEQUENCES,
+     None, 1.0, "cfb4ec2077e55e14"),
+    ("rho0.3-drop-L64", golden_docs(3, 3, 80, 100), 0.3, 3, 64, DROP_TAIL_DOC,
+     {"en": 0.6, "ko": 0.3, "sw": 0.1}, 0.4, "faf9d1862d649cd8"),
+    ("rho0.7-split-L64", golden_docs(4, 4, 120, 90), 0.7, 4, 64, packing.SPLIT_ACROSS_SEQUENCES,
+     None, 0.5, "4c92479f862bccd5"),
+    ("rho0.7-drop-L9", golden_docs(5, 2, 60, 25), 0.7, 5, 9, DROP_TAIL_DOC,
+     None, 1.0, "c1f6c319eca9da17"),
+    ("rho1-split-L8", golden_docs(6, 2, 60, 12, skew=0.5), 1.0, 6, 8,
+     packing.SPLIT_ACROSS_SEQUENCES, None, 1.0, "2583b72cdea9f685"),
+    ("rho1-drop-L64", golden_docs(7, 3, 80, 120, skew=0.3), 1.0, 7, 64, DROP_TAIL_DOC,
+     None, 1.0, "6eee7b9cbcf34920"),
+    ("rho1-split-L9", golden_docs(8, 4, 80, 20), 1.0, 8, 9, packing.SPLIT_ACROSS_SEQUENCES,
+     {"en": 0.7, "ko": 0.1, "sw": 0.1, "fi": 0.1}, 0.0, "7ad1ae00f32962de"),
+    ("rho0.7-split-L4096", golden_docs(9, 3, 120, 400), 0.7, 9, 4096,
+     packing.SPLIT_ACROSS_SEQUENCES, None, 1.0, "20222e9c6cfe0b36"),
+    ("rho0.3-drop-L4096", golden_docs(10, 2, 40, 3000), 0.3, 10, 4096, DROP_TAIL_DOC,
+     None, 1.0, "03c3cc2016c640b4"),
+    ("one-language-rho1", golden_docs(11, 1, 10, 20), 1.0, 11, 8,
+     packing.SPLIT_ACROSS_SEQUENCES, None, 1.0, "ae81e35dba3988c7"),
+    ("wide-id", golden_docs(12, 2, 40, 20, ids={(25, 3): 2**32 + 7}), 0.3, 12, 9,
+     packing.SPLIT_ACROSS_SEQUENCES, None, 1.0, "64fc46ee08224113"),
+    ("reserved-id", golden_docs(13, 2, 40, 20, ids={(30, 0): IGNORE_LABEL}), 0.7, 13, 8,
+     DROP_TAIL_DOC, None, 1.0, "1ddee16fab3e12a0"),
+    ("largest-ids", golden_docs(14, 2, 30, 20, ids={(3, 1): IGNORE_LABEL - 1, (9, 0): 2**31}),
+     0.7, 14, 16, packing.SPLIT_ACROSS_SEQUENCES, None, 1.0, "6802bce37084140e"),
+    ("rho1-ran-out", [doc("e0", EN, [1] * 4), doc("k0", KO, [2] * 4), doc("e1", EN, [3] * 2)],
+     1.0, 15, 8, packing.SPLIT_ACROSS_SEQUENCES, None, 1.0, "a6cc8ba291913a60"),
+]
+
+
+@pytest.mark.parametrize("docs, rho, seed, seq_len, policy, beta, alpha, digest",
+                         [row[1:] for row in GOLDEN], ids=[row[0] for row in GOLDEN])
+def test_packer_output_is_pinned(docs, rho, seed, seq_len, policy, beta, alpha, digest):
+    """The windows, report and error of a seeded table of packs are the
+    ones recorded for them: every draw, cut, carry, drop and stop."""
+    if beta is not None:
+        beta = {code: b for code, b in beta.items() if any(d.lang.code == code for d in docs)}
+    cfg = SamplerConfig(alpha_temp=alpha, beta=beta, rho=rho, seed=seed)
+    report = PackReport()
+    windows = pack_stream(docs, cfg, PackerConfig(seq_len=seq_len, split_policy=policy), report)
+    assert pack_digest(windows, report) == digest
+
+
+def test_packer_output_is_pinned_for_a_transfer_episode(monkeypatch):
+    """One episode of the transfer probe's windows, packed as the probe packs
+    it, is the one recorded for it."""
+    reports = []
+
+    def pack_and_report(docs, cfg, config):
+        reports.append(PackReport())
+        return pack_stream(docs, cfg, config, reports[-1])
+    monkeypatch.setattr(training, "pack_stream", pack_and_report)
+    spec = training.TransferSpec(seq_len=32, seed=3)
+    windows = training._packed_episodes(spec, 1, spec.episode_windows)
+    [report] = reports
+    assert pack_digest(windows, report) == "415499bd2eaa68eb"
+
+
+def test_one_flag_draw_per_window_started(monkeypatch):
+    """The packer keys ``constraint_flag`` once for each window it starts:
+    once per window made, and once more for the window a stop abandons."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return constraint_flag(*args)
+    monkeypatch.setattr(packing, "constraint_flag", counted)
+    outcomes = Counter()
+    for key in range(300):
+        gen = np.random.Generator(np.random.Philox(key=np.array([key, 31], dtype=np.uint64)))
+        n_langs = int(gen.integers(2, 5))
+        docs = golden_docs(1000 + key, n_langs, int(gen.integers(1, 40)),
+                           int(gen.integers(1, 40)), skew=float(gen.choice([1.0, 0.3])))
+        cfg = SamplerConfig(alpha_temp=1.0, rho=float(gen.choice([0.0, 0.3, 0.7, 1.0])),
+                            seed=key)
+        config = PackerConfig(seq_len=int(gen.choice([8, 9, 16, 64])),
+                              split_policy=str(gen.choice([packing.SPLIT_ACROSS_SEQUENCES,
+                                                           DROP_TAIL_DOC])))
+        report = PackReport()
+        calls.clear()
+        try:
+            list(pack_stream(docs, cfg, config, report))
+        except ConstraintInfeasibleError:
+            pass
+        assert calls == list(range(report.sequences + report.stopped_early))
+        outcomes[report.stopped_early] += 1
+    assert outcomes[True] > 10 and outcomes[False] > 10
 
 
 def test_make_labels_single_span():
