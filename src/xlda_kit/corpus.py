@@ -193,6 +193,8 @@ def parse_json_object(raw: bytes) -> dict | None:
         raise DataError(f"not valid JSON: {exc.msg}") from exc
     except ValueError as exc:  # an integer beyond Python's digit limit
         raise DataError(f"not valid JSON: {str(exc).partition(';')[0]}") from exc
+    except RecursionError:  # arrays or objects nested past the decoder's depth
+        raise DataError("not valid JSON: nested too deeply") from None
     if not isinstance(record, dict):
         raise DataError("record is not a JSON object")
     return record

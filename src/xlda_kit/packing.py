@@ -4,9 +4,14 @@ A packed sequence is a fixed-length token buffer plus the span table that
 tiles its non-pad prefix with document fragments. Everything else about the
 window (next-token labels, attention masks, segment ids) is derived from
 those two. Sequences flagged by the sampler must contain at least two
-distinct languages; the packer enforces that by forcing a cross-lingual draw
-as soon as a flagged sequence would otherwise close with a single language,
-reserving the final slot if needed.
+distinct languages, and the packer enforces that at two points. Once a
+flagged window holds one language, each later draw in it excludes that
+language. And when a flagged window's first fragment would fill it whole,
+the fragment is cut one token short, so that the last slot goes to another
+language; if no other language has material left, the stream stops. Only
+a first fragment needs the cut: a carry from the previous window is only
+ever a first fragment, and every later fragment of a flagged window is of a
+second language.
 
 Filling is greedy and single-pass: the next document's language is drawn
 from the sampling distribution restricted to languages that still have
@@ -23,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -183,140 +188,6 @@ def _doc_at(spans: Sequence[DocSpan], hits: np.ndarray) -> str:
     return next(s.doc_id for s in spans if s.end > first)
 
 
-class _Filler:
-    """Sequential greedy fill over language-keyed queues."""
-
-    def __init__(
-        self,
-        queues: dict[str, deque[_QueueItem]],
-        distribution: Mapping[str, float],
-        sampler: SamplerConfig,
-        config: PackerConfig,
-        report: PackReport,
-    ):
-        self.queues = queues
-        self.draw = CategoricalDraw(distribution)
-        self.sampler = sampler
-        self.config = config
-        self.report = report
-        self.lang_order = sorted(queues)
-        # boundary carry: the fragment cut by the previous sequence's end
-        self.carry: _QueueItem | None = None
-        # tokens written into a sequence that was then abandoned as infeasible
-        self.aborted_tokens = 0
-        # the ids of the sequence being filled, as read: [0, pos) is in use
-        self.ids = np.empty(config.seq_len, dtype=np.int64)
-        # one generator per stream, re-keyed for each sequence
-        self.flags = rng.Stream(sampler.seed, rng.STREAM_FLAGS)
-        self.draws = rng.Stream(sampler.seed, rng.STREAM_PACK)
-
-    def _available(self) -> list[str]:
-        return [l for l in self.lang_order if self.queues[l]]
-
-    def _other_material_exists(self, lang: str) -> bool:
-        return any(self.queues[l] for l in self.lang_order if l != lang)
-
-    def has_material(self) -> bool:
-        return self.carry is not None or any(self.queues[l] for l in self.lang_order)
-
-    def _stop(self, reason: str, pos: int) -> None:
-        """End the stream: the flagged sequence cannot be made cross-lingual,
-        and its ``pos`` tokens so far count as unconsumed."""
-        self.report.stopped_early = True
-        self.report.stop_reason = f"cross-lingual constraint infeasible: {reason}"
-        self.aborted_tokens += pos
-
-    def fill(self, index: int) -> PackedSequence | None:
-        cfg = self.config
-        flag = constraint_flag(self.sampler, index, self.flags)
-        gen = self.draws.at(index)
-        tokens = np.zeros(cfg.seq_len, dtype=np.uint32)
-        ids = self.ids
-        spans: list[DocSpan] = []
-        langs: set[str] = set()
-        pos = 0
-        stop = None  # why a flagged sequence is abandoned, if it is
-        while pos < cfg.seq_len:
-            if self.carry is not None:
-                item, self.carry = self.carry, None
-            else:
-                avail = self._available()
-                if not avail:
-                    break
-                if flag and len(langs) == 1:
-                    pool = [l for l in avail if l not in langs]
-                    if not pool:
-                        stop = f"only {sorted(langs)[0]!r} still has documents"
-                        break
-                else:
-                    pool = avail
-                code = self.draw(pool, gen)
-                item = self.queues[code].popleft()
-                if item.offset == 0:
-                    self.report.documents_consumed += 1
-            lang = item.doc.lang
-            room = cfg.seq_len - pos
-            take = min(item.remaining(), room)
-            if flag and take == room and len(langs | {lang.code}) == 1:
-                # closing the sequence unilingual would violate the flag;
-                # reserve the last slot for a different language
-                if room == 1 or not self._other_material_exists(lang.code):
-                    # put the item back so the leftover count is accurate
-                    self.queues[lang.code].appendleft(item)
-                    stop = f"only {lang.code!r} still has documents"
-                    break
-                take = room - 1
-                leftover = _QueueItem(item.doc, item.offset + take)
-                if cfg.split_policy == SPLIT_ACROSS_SEQUENCES:
-                    self.queues[lang.code].appendleft(leftover)
-                else:
-                    self.report.tokens_dropped += leftover.remaining()
-            elif item.remaining() > take:
-                rest = _QueueItem(item.doc, item.offset + take)
-                if cfg.split_policy == SPLIT_ACROSS_SEQUENCES:
-                    self.carry = rest  # continues at the next sequence start
-                else:
-                    self.report.tokens_dropped += rest.remaining()
-            ids[pos : pos + take] = item.doc.tokens[item.offset : item.offset + take]
-            spans.append(DocSpan(start=pos, end=pos + take, lang=lang, doc_id=item.doc.id))
-            langs.add(lang.code)
-            pos += take
-        # one reduction settles every id copied, in an abandoned sequence too:
-        # the uint32 window would wrap an id above the reserved one
-        top = ids[:pos].max(initial=0)
-        if top > IGNORE_LABEL:
-            raise DataError(f"document {_doc_at(spans, ids[:pos] > IGNORE_LABEL)!r} "
-                            "has a token id outside [0, 2**32)")
-        if stop is None:
-            if pos == 0:
-                return None
-            if flag and len(langs) < 2:
-                stop = f"material ran out with only {sorted(langs)[0]!r} available"
-        if stop is not None:
-            return self._stop(stop, pos)
-        if top == IGNORE_LABEL:
-            raise DataError(
-                f"document {_doc_at(spans, ids[:pos] == IGNORE_LABEL)!r} has token id "
-                f"{IGNORE_LABEL}, which is reserved as the ignore label"
-            )
-        tokens[:pos] = ids[:pos]
-        seq = PackedSequence(tokens=tokens, spans=tuple(spans), pad_start=pos,
-                             cross_doc_labels=cfg.cross_doc_labels)
-        self.report.sequences += 1
-        self.report.tokens_packed += pos
-        if len(langs) >= 2:
-            self.report.cross_lingual_sequences += 1
-        return seq
-
-    def leftover_tokens(self) -> int:
-        total = self.aborted_tokens
-        if self.carry is not None:
-            total += self.carry.remaining()
-        for q in self.queues.values():
-            total += sum(item.remaining() for item in q)
-        return total
-
-
 def pack_stream(
     docs: Iterable[Document],
     sampler: SamplerConfig,
@@ -329,11 +200,11 @@ def pack_stream(
     corpus stats, so ``sampler.beta`` must name exactly the languages of
     ``docs``; any other beta raises ``ConfigError``. Every consumed token
     lands in exactly one output position (tail tokens dropped under
-    ``drop_tail_doc`` are counted in the report). If a flagged sequence
-    cannot be made cross-lingual because only one language has material
-    left, the stream stops and the leftovers are reported; if that happens
-    before any sequence was produced, it is an error naming the constraint.
-    An empty ``docs`` gives an empty stream.
+    ``drop_tail_doc`` are counted in the report). With ``rho > 0`` a corpus
+    of fewer than two languages is an error naming the constraint. If a
+    flagged sequence cannot be made cross-lingual because only one language
+    has material left, the stream stops and the leftovers are reported. An
+    empty ``docs`` gives an empty stream.
     """
     docs = list(docs)
     report = report if report is not None else PackReport()
@@ -342,23 +213,99 @@ def pack_stream(
         queues.setdefault(doc.lang.code, deque()).append(_QueueItem(doc))
     if not queues:
         return
-    distribution = language_distribution(sampler, corpus_stats(docs))
+    queues = dict(sorted(queues.items()))
+    draw = CategoricalDraw(language_distribution(sampler, corpus_stats(docs)))
     if sampler.rho > 0.0 and len(queues) < 2:
         raise ConstraintInfeasibleError(
             "cross-lingual constraint (rho > 0) needs at least two languages "
             f"with documents; corpus has only {sorted(queues)}"
         )
-    filler = _Filler(queues, distribution, sampler, config, report)
+    seq_len = config.seq_len
+    # one generator per stream, re-keyed for each window
+    flags = rng.Stream(sampler.seed, rng.STREAM_FLAGS)
+    draws = rng.Stream(sampler.seed, rng.STREAM_PACK)
+    # the ids of the window being filled, as read: [0, pos) is in use
+    ids = np.empty(seq_len, dtype=np.int64)
+    carry: _QueueItem | None = None  # the fragment cut by the last window's end
+    aborted = 0  # tokens of the window abandoned when the stream stops
     index = 0
-    while filler.has_material():
-        seq = filler.fill(index)
-        if seq is None:
+    while carry is not None or any(queues.values()):
+        flag = constraint_flag(sampler, index, flags)
+        gen = draws.at(index)
+        spans: list[DocSpan] = []
+        langs: set[str] = set()
+        pos = 0
+        stop = None  # why a flagged window is abandoned, if it is
+        while pos < seq_len:
+            if carry is not None:
+                item, carry = carry, None
+            else:
+                avail = [code for code, q in queues.items() if q]
+                if not avail:
+                    break
+                if flag and len(langs) == 1:
+                    avail = [code for code in avail if code not in langs]
+                    if not avail:
+                        stop = f"only {next(iter(langs))!r} still has documents"
+                        break
+                item = queues[draw(avail, gen)].popleft()
+                if item.offset == 0:
+                    report.documents_consumed += 1
+            lang = item.doc.lang
+            room = seq_len - pos
+            take = min(item.remaining(), room)
+            if flag and take == room and not langs:
+                # a first fragment filling a flagged window would close it
+                # unilingual: cut it one short for a second language
+                if not any(q for code, q in queues.items() if code != lang.code):
+                    queues[lang.code].appendleft(item)  # counted as unconsumed
+                    stop = f"only {lang.code!r} still has documents"
+                    break
+                take -= 1
+            left = item.remaining() - take
+            if left:
+                rest = _QueueItem(item.doc, item.offset + take)
+                if config.split_policy == DROP_TAIL_DOC:
+                    report.tokens_dropped += left
+                elif take < room:
+                    queues[lang.code].appendleft(rest)  # the cut for the kept slot
+                else:
+                    carry = rest  # continues at the next window's start
+            ids[pos : pos + take] = item.doc.tokens[item.offset : item.offset + take]
+            spans.append(DocSpan(start=pos, end=pos + take, lang=lang, doc_id=item.doc.id))
+            langs.add(lang.code)
+            pos += take
+        # one reduction settles every id copied, in an abandoned window too:
+        # the uint32 window would wrap an id above the reserved one
+        top = ids[:pos].max(initial=0)
+        if top > IGNORE_LABEL:
+            raise DataError(f"document {_doc_at(spans, ids[:pos] > IGNORE_LABEL)!r} "
+                            "has a token id outside [0, 2**32)")
+        if stop is None and flag and len(langs) < 2:
+            stop = f"material ran out with only {next(iter(langs))!r} available"
+        if stop is not None:
+            report.stopped_early = True
+            report.stop_reason = f"cross-lingual constraint infeasible: {stop}"
+            aborted = pos
             break
-        yield seq
+        if top == IGNORE_LABEL:
+            raise DataError(
+                f"document {_doc_at(spans, ids[:pos] == IGNORE_LABEL)!r} has token id "
+                f"{IGNORE_LABEL}, which is reserved as the ignore label"
+            )
+        tokens = np.zeros(seq_len, dtype=np.uint32)
+        tokens[:pos] = ids[:pos]
+        report.sequences += 1
+        report.tokens_packed += pos
+        if len(langs) >= 2:
+            report.cross_lingual_sequences += 1
+        yield PackedSequence(tokens=tokens, spans=tuple(spans), pad_start=pos,
+                             cross_doc_labels=config.cross_doc_labels)
         index += 1
-    if report.stopped_early and report.sequences == 0:
-        raise ConstraintInfeasibleError(report.stop_reason)
-    report.tokens_unconsumed = filler.leftover_tokens()
+    # a stop leaves no carry: a window that cuts one is full and, if
+    # flagged, holds two languages
+    report.tokens_unconsumed = aborted + sum(
+        item.remaining() for q in queues.values() for item in q)
 
 
 SPAN_BYTES = 256  # objects of one span of a held window: 200-220 B measured

@@ -680,10 +680,17 @@ def _stats_with(code="ko", **entry):
     ("eval-consistency", b'{"item_id": "a", "src_correct": true, "tgt_correct": true}\n'
                          b'{"item_id": "b", "src_correct": true, "tgt_correct": true, "n": 1'
                          + b"0" * 4999 + b"}\n", "line 2: not valid JSON: Exceeds the limit"),
+    ("plan", b'{"per_language": {"en": {"documents": 2, "tokens": 9}}, "m": '
+             + b"[" * 100_000 + b"]" * 100_000 + b"}", "not valid JSON: nested too deeply"),
+    ("eval-consistency", b'{"item_id": "a", "src_correct": true, "tgt_correct": true}\n'
+                         b'{"item_id": "b", "src_correct": true, "tgt_correct": true, "m": '
+                         + b"[" * 100_000 + b"]" * 100_000 + b"}\n",
+     "line 2: not valid JSON: nested too deeply"),
 ], ids=["stats-malformed-json", "stats-per-language-list", "stats-entry-not-object",
         "stats-count-missing", "stats-not-utf8", "stats-empty-file", "stats-float-count",
         "stats-bool-count", "stats-negative-count", "stats-uppercase-code", "pairs-not-utf8",
-        "stats-long-integer", "pairs-long-integer"])
+        "stats-long-integer", "pairs-long-integer", "stats-nested-too-deeply",
+        "pairs-nested-too-deeply"])
 def test_bad_json_input_is_a_named_error(tmp_path, capsys, command, content, message):
     path = tmp_path / "input.json"
     path.write_bytes(content)

@@ -285,6 +285,8 @@ def _parse_with_json_loads(raw):
     except ValueError as exc:  # an integer of more than 4,300 digits
         assert str(exc).startswith("Exceeds the limit (4300 digits) for integer string")
         raise DataError(f"not valid JSON: {str(exc).partition(';')[0]}") from exc
+    except RecursionError:
+        raise DataError("not valid JSON: nested too deeply") from None
     if not isinstance(record, dict):
         raise DataError("record is not a JSON object")
     return record
@@ -700,6 +702,23 @@ def test_a_record_longer_than_a_block_is_a_block_of_its_own(tmp_path):
     # the long record's ids are an array of their own, not a view of a neighbour's
     long = docs[2][0].tokens
     assert long.base is None or long.base.size == 2 * n + 1
+
+
+@pytest.mark.parametrize("line", [
+    '{"id":"b","lang":"en","m":NEST,"tokens":[1,2]}',
+    '{"id":"b","lang":"en","tokens":[1,2],"m":NEST}',
+], ids=["before-tokens", "after-tokens"])
+def test_a_record_nested_too_deeply_is_a_line_error(tmp_path, line):
+    # the decoder recurses once per array, and 100,000 are past any stack limit;
+    # after the tokens the nesting is in what the text path parses
+    f = tmp_path / "corpus.jsonl"
+    write_lines(f, ['{"id":"a","lang":"en","tokens":[1]}',
+                    line.replace("NEST", "[" * 100_000 + "]" * 100_000),
+                    '{"id":"c","lang":"ko","tokens":[3]}'])
+    docs, errors, fatal = _ingested(f)
+    assert (docs, errors, fatal) == _one_record_at_a_time(f.read_bytes())
+    assert [d.id for d, _ in docs] == ["a", "c"] and fatal is None
+    assert errors == [(2, "not valid JSON: nested too deeply")]
 
 
 @pytest.mark.parametrize("spelling", sorted(_SPELLINGS))
