@@ -268,7 +268,7 @@ def pack_stream(
                 if config.split_policy == DROP_TAIL_DOC:
                     report.tokens_dropped += left
                 elif take < room:
-                    queues[lang.code].appendleft(rest)  # the cut for the kept slot
+                    queues[lang.code].appendleft(rest)  # cut for the kept last slot
                 else:
                     carry = rest  # continues at the next window's start
             ids[pos : pos + take] = item.doc.tokens[item.offset : item.offset + take]
